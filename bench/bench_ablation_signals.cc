@@ -75,9 +75,9 @@ void RunAblation(const char* title, sim::SimulationOptions options,
     scaler::TenantKnobs knobs;
     knobs.latency_goal = goal;
     scaler::AutoScalerOptions scaler_options;
-    scaler_options.estimator = variant.estimator;
+    scaler_options.guardrails.estimator = variant.estimator;
     if (variant.thresholds.has_value()) {
-      scaler_options.thresholds = *variant.thresholds;
+      scaler_options.guardrails.thresholds = *variant.thresholds;
     }
     auto scaler =
         scaler::AutoScaler::Create(options.catalog, knobs, scaler_options);

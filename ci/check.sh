@@ -13,7 +13,8 @@
 #   8. fault-matrix smoke: null and faulty closed loops are run-twice
 #      bit-identical; a null plan never fails a resize; the acceptance
 #      fault profile (10% failures, 1-2 interval latency) converges with a
-#      visible retry trail in the audit log
+#      visible retry trail in the audit log, under Auto and, on the
+#      flexible catalog, under Diagonal
 #   9. fleet-scale smoke: 10^4-tenant streaming run is run-twice digest
 #      identical, a checkpointed stop+resume matches the uninterrupted
 #      digest, a corrupted checkpoint is rejected, and throughput stays
@@ -156,9 +157,11 @@ python3 tools/obs/check_obs_output.py \
 
 echo
 echo "=== [8/12] fault-matrix smoke (determinism + resilience) ==="
-# The faulty_resize example runs the closed loop twice with a null plan and
-# twice with the acceptance fault profile, then dumps digests, counters,
-# and an audit summary. The checker enforces the resilience contract.
+# The faulty_resize example runs the closed loop twice with a null plan,
+# twice with the acceptance fault profile, and twice more with that profile
+# under the Diagonal policy on the flexible catalog, then dumps digests,
+# counters, and audit summaries. The checker enforces the resilience
+# contract.
 FAULT_JSON="${PREFIX}/fault_smoke.json"
 "${PREFIX}/examples/faulty_resize" --json="${FAULT_JSON}" >/dev/null
 python3 - "${FAULT_JSON}" <<'PY'
@@ -207,6 +210,16 @@ if audit["failed"] + audit["abandoned"] == 0:
 if audit["max_attempt"] < 2:
     failures.append("no retry (attempt >= 2) recorded in the audit log")
 
+# Diagonal shares the guardrails: its faulty run is deterministic and
+# leaves the same retry trail.
+diagonal = report["diagonal"]
+if diagonal["digest"] != diagonal["digest_repeat"]:
+    failures.append("diagonal faulty run is not deterministic")
+if diagonal["audit"]["failed"] == 0:
+    failures.append("diagonal: no failed records in the audit log")
+if diagonal["audit"]["max_attempt"] < 2:
+    failures.append("diagonal: no retry (attempt >= 2) in the audit log")
+
 if failures:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -214,7 +227,9 @@ if failures:
 print(f"fault smoke ok: null and faulty digests stable, "
       f"{faulty['resize_failures']} failures retried "
       f"(deepest attempt {audit['max_attempt']}), "
-      f"{faulty['reversals']} reversals over {intervals} intervals")
+      f"{faulty['reversals']} reversals over {intervals} intervals; "
+      f"diagonal {diagonal['resize_failures']} failures retried "
+      f"(deepest attempt {diagonal['audit']['max_attempt']})")
 PY
 
 echo

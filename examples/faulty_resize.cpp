@@ -5,20 +5,25 @@
 // Shows the fault/resilience surface end to end:
 //   * FaultPlanOptions on SimConfig — one validated bundle,
 //   * the async resize lifecycle (Pending -> Applied | Failed) with the
-//     AutoScaler's bounded retry + exponential backoff,
+//     scaler guardrails' bounded retry + exponential backoff,
 //   * the audit trail recording every request's outcome and attempt count,
-//   * closed-loop stability: the loop converges instead of oscillating.
+//   * closed-loop stability: the loop converges instead of oscillating,
+//   * the same guardrails under the Diagonal policy on the flexible
+//     per-dimension catalog.
 //
 // With --json=PATH the example also writes a machine-readable summary used
 // by ci/check.sh stage 8 (fault-matrix smoke): run-twice digests prove
-// determinism, and the faulty run's reversal count proves convergence.
+// determinism, the faulty run's reversal count proves convergence, and
+// both policies' audit logs show the retry trail.
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "src/common/string_util.h"
 #include "src/scaler/autoscaler.h"
+#include "src/scaler/diagonal.h"
 #include "src/sim/report.h"
 #include "src/sim/sim_config.h"
 #include "src/workload/mix.h"
@@ -95,6 +100,23 @@ AuditSummary SummarizeAudit(const scaler::AuditLog& audit) {
   return s;
 }
 
+/// A closed-loop Diagonal run of `config` (SimConfig::Run() drives Auto),
+/// with the scaler kept alive for its audit log.
+struct DiagonalRun {
+  sim::RunResult result;
+  std::unique_ptr<scaler::DiagonalScaler> scaler;
+};
+
+Result<DiagonalRun> RunDiagonal(const SimConfig& config) {
+  DBSCALE_ASSIGN_OR_RETURN(
+      auto policy,
+      scaler::DiagonalScaler::Create(config.simulation.catalog, config.knobs));
+  DBSCALE_ASSIGN_OR_RETURN(
+      sim::RunResult result,
+      sim::Simulation(config.EffectiveSimulationOptions()).Run(policy.get()));
+  return DiagonalRun{std::move(result), std::move(policy)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,9 +152,32 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // 3. The acceptance profile under the Diagonal policy on the flexible
+  // per-dimension catalog, twice: it retries through the same guardrails.
+  container::FlexibleCatalogOptions flexible_options;
+  flexible_options.subdivisions = 1;
+  auto flexible = container::Catalog::MakeFlexible(flexible_options);
+  if (!flexible.ok()) {
+    std::fprintf(stderr, "flexible catalog: %s\n",
+                 flexible.status().ToString().c_str());
+    return 1;
+  }
+  SimConfig diagonal_config = faulty_config;
+  diagonal_config.simulation.catalog = *flexible;
+  auto diagonal_a = RunDiagonal(diagonal_config);
+  auto diagonal_b = RunDiagonal(diagonal_config);
+  if (!diagonal_a.ok() || !diagonal_b.ok()) {
+    std::fprintf(stderr, "diagonal run failed: %s\n",
+                 diagonal_a.status().ToString().c_str());
+    return 1;
+  }
+
   const sim::RunResult& null_run = null_a->result;
   const sim::RunResult& faulty_run = faulty_a->result;
+  const sim::RunResult& diagonal_run = diagonal_a->result;
   const AuditSummary audit = SummarizeAudit(faulty_a->scaler->audit());
+  const AuditSummary diagonal_audit =
+      SummarizeAudit(diagonal_a->scaler->audit());
 
   std::printf("trace: %zu intervals, p95 goal 900 ms\n\n",
               null_run.intervals.size());
@@ -156,6 +201,13 @@ int main(int argc, char** argv) {
               "%d rejected, %d abandoned; deepest retry attempt %d\n\n",
               audit.requested, audit.applied, audit.failed, audit.rejected,
               audit.abandoned, audit.max_attempt);
+  std::printf("diagonal faulty-run audit (flexible catalog): %llu failures "
+              "of %llu requests; %d failed, %d abandoned; deepest retry "
+              "attempt %d\n\n",
+              (unsigned long long)diagonal_run.resize_failures,
+              (unsigned long long)diagonal_run.resize_attempts,
+              diagonal_audit.failed, diagonal_audit.abandoned,
+              diagonal_audit.max_attempt);
   std::printf("resize trail (faulty run, first 12 records):\n");
   int shown = 0;
   for (const auto* record : faulty_a->scaler->audit().Resizes()) {
@@ -183,7 +235,12 @@ int main(int argc, char** argv) {
         "    \"dropped_samples\": %llu, \"degraded_windows\": %llu,\n"
         "    \"reversals\": %d,\n"
         "    \"audit\": {\"requested\": %d, \"applied\": %d, \"failed\": %d,\n"
-        "      \"rejected\": %d, \"abandoned\": %d, \"max_attempt\": %d}}\n"
+        "      \"rejected\": %d, \"abandoned\": %d, \"max_attempt\": %d}},\n"
+        "  \"diagonal\": {\"digest\": %.10f, \"digest_repeat\": %.10f,\n"
+        "    \"changes\": %d, \"resize_attempts\": %llu,\n"
+        "    \"resize_failures\": %llu,\n"
+        "    \"audit\": {\"failed\": %d, \"abandoned\": %d,\n"
+        "      \"max_attempt\": %d}}\n"
         "}\n",
         null_run.intervals.size(), RunDigest(null_run),
         RunDigest(null_b->result), null_run.container_changes,
@@ -198,7 +255,13 @@ int main(int argc, char** argv) {
         (unsigned long long)faulty_run.telemetry_dropped_samples,
         (unsigned long long)faulty_run.degraded_windows,
         DirectionReversals(faulty_run), audit.requested, audit.applied,
-        audit.failed, audit.rejected, audit.abandoned, audit.max_attempt);
+        audit.failed, audit.rejected, audit.abandoned, audit.max_attempt,
+        RunDigest(diagonal_run), RunDigest(diagonal_b->result),
+        diagonal_run.container_changes,
+        (unsigned long long)diagonal_run.resize_attempts,
+        (unsigned long long)diagonal_run.resize_failures,
+        diagonal_audit.failed, diagonal_audit.abandoned,
+        diagonal_audit.max_attempt);
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
   }

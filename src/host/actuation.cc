@@ -4,32 +4,6 @@
 
 namespace dbscale::host {
 
-const char* ActuationKindToString(ActuationKind kind) {
-  switch (kind) {
-    case ActuationKind::kLocalResize:
-      return "local_resize";
-    case ActuationKind::kMigration:
-      return "migration";
-  }
-  return "?";
-}
-
-const char* ActuationPhaseToString(ActuationPhase phase) {
-  switch (phase) {
-    case ActuationPhase::kNone:
-      return "none";
-    case ActuationPhase::kPending:
-      return "pending";
-    case ActuationPhase::kApplied:
-      return "applied";
-    case ActuationPhase::kFailed:
-      return "failed";
-    case ActuationPhase::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
-
 ActuationChannel::ActuationChannel(fault::ResizeActuator* actuator,
                                    int migration_latency_intervals,
                                    int migration_downtime_intervals)
@@ -107,22 +81,6 @@ bool ActuationChannel::in_downtime() const {
     return false;
   }
   return actuator_->remaining_intervals() <= migration_downtime_intervals_;
-}
-
-ActuationChannel::State ActuationChannel::SaveState() const {
-  State s;
-  s.kind = static_cast<uint8_t>(request_.kind);
-  s.dest_host = request_.host_hint;
-  s.source_host = source_host_;
-  s.downtime_billed = downtime_billed_;
-  return s;
-}
-
-void ActuationChannel::RestoreState(const State& state) {
-  request_.kind = static_cast<ActuationKind>(state.kind);
-  request_.host_hint = state.dest_host;
-  source_host_ = state.source_host;
-  downtime_billed_ = state.downtime_billed;
 }
 
 }  // namespace dbscale::host

@@ -33,8 +33,6 @@ enum class ActuationKind : uint8_t {
   kMigration = 1,    ///< move to another host (slow: latency + downtime)
 };
 
-const char* ActuationKindToString(ActuationKind kind);
-
 /// Lifecycle phase reported by the channel (and fed back to the scaler).
 enum class ActuationPhase : uint8_t {
   kNone,     ///< nothing in flight / nothing resolved
@@ -44,16 +42,11 @@ enum class ActuationPhase : uint8_t {
   kRejected  ///< rejected permanently (or no host has capacity)
 };
 
-const char* ActuationPhaseToString(ActuationPhase phase);
-
 /// One requested container change, fully placed: what to actuate, how, and
 /// (for migrations) where.
 struct ActuationRequest {
   ActuationKind kind = ActuationKind::kLocalResize;
   container::ContainerSpec target;
-  /// Catalog rung of `target` (redundant with target.base_rung; kept so
-  /// harnesses that track rungs need not carry specs).
-  int target_rung = -1;
   /// Destination host for migrations (chosen by the PlacementPolicy before
   /// Begin); -1 for local resizes.
   int host_hint = -1;
@@ -77,9 +70,8 @@ struct ActuationOutcome {
   int downtime_intervals = 0;
 };
 
-/// The unified resize/migration feedback surface (satellite of the
-/// placement API redesign): PolicyInput.resize and migration feedback are
-/// one struct.
+/// The unified resize/migration feedback surface: PolicyInput.actuation
+/// carries resize and migration feedback in one struct.
 using ActuationFeedback = ActuationOutcome;
 
 /// What the scaler may know about its tenant's placement when a host plane
@@ -125,18 +117,6 @@ class ActuationChannel {
   /// last `migration_downtime_intervals` pending intervals). The harness
   /// bills one downtime interval per in-downtime tick.
   bool in_downtime() const;
-  /// Downtime intervals billed so far for the in-flight request.
-  int downtime_billed() const { return downtime_billed_; }
-
-  /// Resumable position beyond the wrapped actuator's own State.
-  struct State {
-    uint8_t kind = 0;
-    int32_t dest_host = -1;
-    int32_t source_host = -1;
-    int32_t downtime_billed = 0;
-  };
-  State SaveState() const;
-  void RestoreState(const State& state);
 
  private:
   ActuationOutcome MakeOutcome(const fault::ResizeEvent& event) const;

@@ -1,12 +1,8 @@
 #include "src/scaler/autoscaler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/common/check.h"
-#include "src/common/logging.h"
-#include "src/common/string_util.h"
-#include "src/telemetry/wait_class.h"
 
 namespace dbscale::scaler {
 
@@ -18,88 +14,23 @@ Result<std::unique_ptr<AutoScaler>> AutoScaler::Create(
     const container::Catalog& catalog, const TenantKnobs& knobs,
     const AutoScalerOptions& options) {
   DBSCALE_RETURN_IF_ERROR(knobs.Validate());
-  DBSCALE_RETURN_IF_ERROR(options.thresholds.Validate());
-  if (options.resize_max_attempts < 1) {
-    return Status::InvalidArgument("resize_max_attempts must be >= 1");
-  }
-  if (options.resize_backoff_base_intervals < 1 ||
-      options.resize_backoff_multiplier < 1.0 ||
-      options.resize_backoff_max_intervals <
-          options.resize_backoff_base_intervals) {
-    return Status::InvalidArgument("invalid resize backoff options");
-  }
-  if (options.resize_rejection_cooldown_intervals < 0) {
-    return Status::InvalidArgument(
-        "resize_rejection_cooldown_intervals must be >= 0");
-  }
-  std::unique_ptr<BudgetManager> budget;
-  if (knobs.budget.has_value()) {
-    BudgetManagerOptions bm;
-    bm.total_budget = knobs.budget->total_budget;
-    bm.num_intervals = knobs.budget->num_intervals;
-    bm.min_cost = catalog.smallest().price_per_interval;
-    bm.max_cost = catalog.largest().price_per_interval;
-    bm.strategy = options.budget_strategy;
-    bm.conservative_k = options.budget_conservative_k;
-    DBSCALE_ASSIGN_OR_RETURN(BudgetManager manager,
-                             BudgetManager::Create(bm));
-    budget = std::make_unique<BudgetManager>(std::move(manager));
-  }
+  DBSCALE_ASSIGN_OR_RETURN(
+      Guardrails guardrails,
+      Guardrails::Create(catalog, knobs, options.guardrails));
   return std::unique_ptr<AutoScaler>(
-      new AutoScaler(catalog, knobs, options, std::move(budget)));
+      new AutoScaler(catalog, knobs, options, std::move(guardrails)));
 }
 
 AutoScaler::AutoScaler(const container::Catalog& catalog,
                        const TenantKnobs& knobs,
                        const AutoScalerOptions& options,
-                       std::unique_ptr<BudgetManager> budget)
+                       Guardrails guardrails)
     : catalog_(catalog),
       knobs_(knobs),
       options_(options),
-      estimator_(options.estimator),
-      budget_(std::move(budget)),
+      estimator_(options.guardrails.estimator),
+      guardrails_(std::move(guardrails)),
       balloon_(options.balloon) {}
-
-int AutoScaler::DownPatience() const {
-  switch (knobs_.sensitivity) {
-    case Sensitivity::kHigh:
-      return options_.down_patience_high;
-    case Sensitivity::kMedium:
-      return options_.down_patience_medium;
-    case Sensitivity::kLow:
-      return options_.down_patience_low;
-  }
-  return options_.down_patience_medium;
-}
-
-double AutoScaler::AvailableBudget() const {
-  return budget_ ? budget_->available()
-                 : std::numeric_limits<double>::infinity();
-}
-
-ScalingDecision AutoScaler::HoldCurrent(const PolicyInput& input,
-                                        Explanation explanation) const {
-  ScalingDecision d;
-  d.target = input.current;
-  d.explanation = std::move(explanation);
-  return d;
-}
-
-std::string AutoScaler::DominantWaitNote(
-    const telemetry::SignalSnapshot& signals) {
-  telemetry::WaitClass dominant = telemetry::WaitClass::kSystem;
-  double best = -1.0;
-  for (telemetry::WaitClass wc : telemetry::kAllWaitClasses) {
-    const double pct = signals.wait_pct_by_class[static_cast<size_t>(wc)];
-    if (pct > best) {
-      best = pct;
-      dominant = wc;
-    }
-  }
-  if (best <= 0.0) return "no waits observed";
-  return StrFormat("dominant waits: %s %.0f%%",
-                   telemetry::WaitClassToString(dominant), best);
-}
 
 void AutoScaler::RecordBalloonAdvice(const BalloonController::Advice& advice,
                                      obs::SpanId span,
@@ -125,187 +56,23 @@ void AutoScaler::RecordBalloonAdvice(const BalloonController::Advice& advice,
 }
 
 ScalingDecision AutoScaler::Decide(const PolicyInput& input) {
-  if (budget_ && input.charged_cost > 0.0) {
-    // The price of the interval that just ended arrives with the decision
-    // cycle; Decide() sizes within available(), so a failed charge is a
-    // harness bug.
-    const Status status = budget_->ChargeAndRefill(input.charged_cost);
-    if (!status.ok()) {
-      DBSCALE_LOG(kError) << "budget charge failed: " << status.ToString();
-    }
-  }
-
-  decision_attempt_ = 1;
+  guardrails_.BeginDecision(input);
   ScalingDecision d = DecideUnclamped(input);
-
-  const obs::Sink& sink = input.obs;
-  const obs::SpanId budget_span = sink.trace.Start("budget_check", input.now);
-  const double budget = AvailableBudget();
-  bool clamped = false;
-  if (d.target.price_per_interval > budget) {
-    // The budget is a hard constraint: even "hold" must fit the interval's
-    // tokens. Downsize to the most expensive affordable container.
-    auto affordable = catalog_.MostExpensiveWithin(budget);
-    if (affordable.ok()) {
-      d.target = *affordable;
-      Explanation forced(ExplanationCode::kScaleDownForcedByBudget, budget);
-      forced.detail = d.explanation.ToString();
-      d.explanation = std::move(forced);
-      balloon_.Reset();
-      memory_low_confirmed_ = false;
-      low_streak_ = 0;
-      clamped = true;
-    }
-    // No affordable container at all would mean Create() admitted an
-    // infeasible budget; keep the current container in that case.
+  const bool clamped = guardrails_.FinishDecision(
+      input, last_cats_, last_estimate_, &d,
+      [this](const ContainerSpec&,
+             double budget) -> std::optional<ContainerSpec> {
+        // Downsize to the most expensive affordable container.
+        auto affordable = catalog_.MostExpensiveWithin(budget);
+        if (!affordable.ok()) return std::nullopt;
+        return *affordable;
+      });
+  if (clamped) {
+    balloon_.Reset();
+    memory_low_confirmed_ = false;
+    low_streak_ = 0;
   }
-  if (budget_) sink.trace.Attr(budget_span, "available", budget);
-  sink.trace.Attr(budget_span, "price", d.target.price_per_interval);
-  sink.trace.Attr(budget_span, "clamped", clamped ? 1.0 : 0.0);
-  sink.trace.End(budget_span, input.now);
-  if (sink.pipeline != nullptr && budget_ != nullptr) {
-    sink.metrics.Set(sink.pipeline->budget_available, budget_->available());
-    sink.metrics.Set(sink.pipeline->budget_spent, budget_->spent());
-    if (clamped) sink.metrics.Add(sink.pipeline->budget_clamps_total, 1.0);
-  }
-
-  if (input.placement.present && d.target.id != input.current.id &&
-      d.target.price_per_interval > input.current.price_per_interval) {
-    // With a host plane attached, a scale-up whose resource delta exceeds
-    // the host's headroom will be actuated as a migration. The target
-    // stands — placement is the harness's job — but the explanation says
-    // what the tenant is in for (copy latency + blackout).
-    bool fits_locally = true;
-    for (const auto kind : container::kAllResources) {
-      const double delta = d.target.resources.Get(kind) -
-                           input.current.resources.Get(kind);
-      if (delta > input.placement.free.Get(kind)) {
-        fits_locally = false;
-        break;
-      }
-    }
-    if (!fits_locally) {
-      Explanation e(ExplanationCode::kScaleTriggersMigration, d.target.name);
-      e.args[0] = static_cast<double>(d.target.base_rung);
-      d.explanation = std::move(e);
-    }
-  }
-
-  audit_.Record(input, last_cats_, last_estimate_, d, decision_attempt_);
   return d;
-}
-
-int AutoScaler::BackoffIntervals(int failed_attempts) const {
-  double intervals =
-      static_cast<double>(options_.resize_backoff_base_intervals);
-  for (int i = 1; i < failed_attempts; ++i) {
-    intervals *= options_.resize_backoff_multiplier;
-  }
-  intervals = std::min(
-      intervals,
-      static_cast<double>(options_.resize_backoff_max_intervals));
-  return std::max(1, static_cast<int>(intervals));
-}
-
-std::optional<ScalingDecision> AutoScaler::HandleActuationFeedback(
-    const PolicyInput& input) {
-  const ActuationFeedback& fb = input.actuation;
-  const bool migration = fb.kind == ActuationKind::kMigration;
-  switch (fb.phase) {
-    case ActuationPhase::kNone:
-      break;
-    case ActuationPhase::kApplied:
-      retry_.reset();
-      audit_.NoteResizeOutcome(ResizeOutcome::kApplied, fb.attempt);
-      break;  // The normal decision cycle proceeds from the new container.
-    case ActuationPhase::kPending:
-      // One actuation channel: never issue another request while one is in
-      // flight. A pending migration gets its own code so tenants (and the
-      // per-code counters) see the copy + blackout, not a generic resize.
-      if (migration) {
-        return HoldCurrent(
-            input, Explanation(ExplanationCode::kHoldMigrationPending,
-                               static_cast<double>(fb.attempt),
-                               static_cast<double>(fb.downtime_intervals)));
-      }
-      return HoldCurrent(input,
-                         Explanation(ExplanationCode::kHoldResizePending,
-                                     static_cast<double>(fb.attempt)));
-    case ActuationPhase::kRejected: {
-      retry_.reset();
-      audit_.NoteResizeOutcome(ResizeOutcome::kRejected, fb.attempt);
-      rejected_target_id_ = fb.target.id;
-      rejected_until_interval_ =
-          input.interval_index + options_.resize_rejection_cooldown_intervals;
-      // A rejected migration means no host in the fleet had capacity —
-      // same cooldown bookkeeping, distinct explanation.
-      Explanation e(migration ? ExplanationCode::kHoldHostSaturated
-                              : ExplanationCode::kHoldResizeRejected,
-                    fb.target.name);
-      e.args[0] =
-          static_cast<double>(options_.resize_rejection_cooldown_intervals);
-      return HoldCurrent(input, std::move(e));
-    }
-    case ActuationPhase::kFailed: {
-      // A failed resize aborts ballooning mid-flight: the memory override
-      // was staged toward a container that will not arrive.
-      std::optional<double> memory_restore;
-      if (balloon_.active()) {
-        balloon_.Reset();
-        memory_restore = input.current.resources.memory_mb;
-      }
-      memory_low_confirmed_ = false;
-      if (fb.attempt >= options_.resize_max_attempts) {
-        retry_.reset();
-        audit_.NoteResizeOutcome(ResizeOutcome::kAbandoned, fb.attempt);
-        ScalingDecision d = HoldCurrent(
-            input, Explanation(ExplanationCode::kHoldResizeAbandoned,
-                               static_cast<double>(fb.attempt)));
-        d.memory_limit_mb = memory_restore;
-        return d;
-      }
-      audit_.NoteResizeOutcome(ResizeOutcome::kFailed, fb.attempt);
-      const int backoff = BackoffIntervals(fb.attempt);
-      retry_ = RetryPlan{fb.target, fb.attempt,
-                         input.interval_index + backoff};
-      ScalingDecision d = HoldCurrent(
-          input, Explanation(ExplanationCode::kHoldResizeBackoff,
-                             static_cast<double>(fb.attempt),
-                             static_cast<double>(backoff)));
-      d.memory_limit_mb = memory_restore;
-      return d;
-    }
-  }
-
-  if (retry_.has_value()) {
-    if (input.interval_index < retry_->retry_at_interval) {
-      return HoldCurrent(
-          input,
-          Explanation(ExplanationCode::kHoldResizeBackoff,
-                      static_cast<double>(retry_->failed_attempts),
-                      static_cast<double>(retry_->retry_at_interval -
-                                          input.interval_index)));
-    }
-    const RetryPlan plan = *retry_;
-    retry_.reset();
-    const int attempt = plan.failed_attempts + 1;
-    const obs::Sink& sink = input.obs;
-    const obs::SpanId retry_span = sink.trace.Start("decide.retry", input.now);
-    sink.trace.Attr(retry_span, "attempt", attempt);
-    sink.trace.Attr(retry_span, "target_rung", plan.target.base_rung);
-    sink.trace.End(retry_span, input.now);
-    if (sink.pipeline != nullptr) {
-      sink.metrics.Add(sink.pipeline->resize_retries_total, 1.0);
-    }
-    decision_attempt_ = attempt;
-    ScalingDecision d;
-    d.target = plan.target;
-    d.explanation =
-        Explanation(ExplanationCode::kScaleRetryResize, plan.target.name);
-    d.explanation.args[0] = static_cast<double>(attempt);
-    return d;
-  }
-  return std::nullopt;
 }
 
 ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
@@ -313,7 +80,16 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   const obs::Sink& sink = input.obs;
   // Actuation-lifecycle feedback first: an in-flight, backing-off, rejected
   // or abandoned resize/migration preempts the signal-driven cycle.
-  if (std::optional<ScalingDecision> d = HandleActuationFeedback(input)) {
+  if (std::optional<ScalingDecision> d = guardrails_.HandleFeedback(input)) {
+    if (input.actuation.phase == ActuationPhase::kFailed) {
+      // A failed resize aborts ballooning mid-flight: the memory override
+      // was staged toward a container that will not arrive.
+      if (balloon_.active()) {
+        balloon_.Reset();
+        d->memory_limit_mb = input.current.resources.memory_mb;
+      }
+      memory_low_confirmed_ = false;
+    }
     low_streak_ = 0;
     return *std::move(d);
   }
@@ -333,8 +109,8 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   }
 
   const obs::SpanId cat_span = sink.trace.Start("categorize", input.now);
-  last_cats_ = Categorize(signals, options_.thresholds, knobs_.latency_goal,
-                          options_.categorize);
+  last_cats_ = Categorize(signals, options_.guardrails.thresholds,
+                          knobs_.latency_goal, options_.guardrails.categorize);
   last_estimate_ = estimator_.Estimate(last_cats_);
   sink.trace.AttrStr(cat_span, "latency",
                      LatencyCategoryToString(last_cats_.latency));
@@ -373,14 +149,15 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     // LOW sensitivity: slow to scale up — require persistent violations,
     // and ignore mere degradation trends.
     perf_trigger =
-        latency_bad && bad_streak_ >= options_.up_patience_low_sensitivity;
+        latency_bad &&
+        bad_streak_ >= options_.guardrails.up_patience_low_sensitivity;
   } else {
     perf_trigger = latency_bad || degrading;
   }
 
   const bool in_up_cooldown =
       input.interval_index - last_up_interval_ <
-      options_.up_cooldown_intervals;
+      options_.guardrails.up_cooldown_intervals;
   if (perf_trigger && est.AnyIncrease() && in_up_cooldown) {
     low_streak_ = 0;
     return HoldCurrent(input,
@@ -407,7 +184,7 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     }
 
     auto within_budget =
-        catalog_.CheapestDominating(desired, AvailableBudget());
+        catalog_.CheapestDominating(desired, guardrails_.AvailableBudget());
     if (!within_budget.ok()) {
       ScalingDecision d = HoldCurrent(
           input,
@@ -421,19 +198,12 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     d.target = *within_budget;
     d.demand = desired;
     d.memory_limit_mb = memory_restore;
-    if (d.target.id != input.current.id &&
-        d.target.id == rejected_target_id_ &&
-        input.interval_index < rejected_until_interval_) {
-      // The service permanently rejected this target recently; re-requesting
-      // it before the cooldown expires would just burn attempts.
-      Explanation e(ExplanationCode::kHoldResizeRejected, d.target.name);
-      e.args[0] = static_cast<double>(rejected_until_interval_ -
-                                      input.interval_index);
-      ScalingDecision hold = HoldCurrent(input, std::move(e));
-      hold.memory_limit_mb = memory_restore;
-      return hold;
-    }
     if (d.target.id != input.current.id) {
+      if (std::optional<ScalingDecision> hold =
+              guardrails_.RefuseRejected(input, d.target)) {
+        hold->memory_limit_mb = memory_restore;
+        return *std::move(hold);
+      }
       last_up_interval_ = input.interval_index;
     }
     if (d.target.id == input.current.id) {
@@ -444,7 +214,7 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
           Explanation(ExplanationCode::kScaleUpBudgetConstrained,
                       unconstrained.name);
       d.explanation.args[0] = unconstrained.price_per_interval;
-      d.explanation.args[1] = AvailableBudget();
+      d.explanation.args[1] = guardrails_.AvailableBudget();
     } else {
       d.explanation = Explanation(ExplanationCode::kScaleUpDemand,
                                   est.SummaryIncrease());
@@ -497,10 +267,10 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   // Latency slack (Section 2.3): when the goal is comfortably met, a
   // smaller container may still meet it — try one rung down even when the
   // estimator sees demand that is merely "not high".
+  const double slack_ratio = options_.guardrails.down_latency_slack_ratio;
   const bool slack_low =
-      has_goal && options_.down_latency_slack_ratio > 0.0 &&
-      signals.latency_ms <= options_.down_latency_slack_ratio *
-                                knobs_.latency_goal->target_ms;
+      has_goal && slack_ratio > 0.0 &&
+      signals.latency_ms <= slack_ratio * knobs_.latency_goal->target_ms;
   const bool demand_low =
       est.SuggestsShrink() || memory_low_confirmed_ || slack_low;
   if (!demand_low) {
@@ -509,12 +279,11 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
                        Explanation(ExplanationCode::kHoldDemandSteady));
   }
   ++low_streak_;
-  if (low_streak_ < DownPatience()) {
-    return HoldCurrent(
-        input,
-        Explanation(ExplanationCode::kHoldDownPatience,
-                    static_cast<double>(low_streak_),
-                    static_cast<double>(DownPatience())));
+  const int patience = options_.guardrails.DownPatience(knobs_.sensitivity);
+  if (low_streak_ < patience) {
+    return HoldCurrent(input, Explanation(ExplanationCode::kHoldDownPatience,
+                                          static_cast<double>(low_streak_),
+                                          static_cast<double>(patience)));
   }
 
   ResourceVector desired = input.current.resources;
@@ -530,7 +299,8 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     while (target_rung < cur_rung) {
       const double alloc = catalog_.rung(target_rung).resources.Get(kind);
       if (alloc <= 0.0 ||
-          100.0 * usage / alloc <= options_.down_projected_util_guard_pct) {
+          100.0 * usage / alloc <=
+              options_.guardrails.down_projected_util_guard_pct) {
         break;
       }
       ++target_rung;
@@ -548,13 +318,13 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
                 catalog_.rung(cur_rung - 1).resources.memory_mb);
   }
 
-  auto chosen = catalog_.CheapestDominating(desired, AvailableBudget());
-  if (chosen.ok() && chosen->id == rejected_target_id_ &&
-      input.interval_index < rejected_until_interval_) {
-    Explanation e(ExplanationCode::kHoldResizeRejected, chosen->name);
-    e.args[0] = static_cast<double>(rejected_until_interval_ -
-                                    input.interval_index);
-    return HoldCurrent(input, std::move(e));
+  auto chosen =
+      catalog_.CheapestDominating(desired, guardrails_.AvailableBudget());
+  if (chosen.ok()) {
+    if (std::optional<ScalingDecision> hold =
+            guardrails_.RefuseRejected(input, *chosen)) {
+      return *std::move(hold);
+    }
   }
   if (chosen.ok() && chosen->price_per_interval <
                          input.current.price_per_interval) {

@@ -21,7 +21,6 @@
 #define DBSCALE_SCALER_AUTOSCALER_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "src/container/catalog.h"
@@ -30,60 +29,25 @@
 #include "src/scaler/budget_manager.h"
 #include "src/scaler/categories.h"
 #include "src/scaler/demand_estimator.h"
+#include "src/scaler/guardrails.h"
 #include "src/scaler/knobs.h"
 #include "src/scaler/policy.h"
-#include "src/scaler/thresholds.h"
 
 namespace dbscale::scaler {
 
 struct AutoScalerOptions {
-  SignalThresholds thresholds = SignalThresholds::Default();
-  DemandEstimatorOptions estimator;
-  CategorizeOptions categorize;
+  /// Signal interpretation, patience, cooldowns, budget strategy and
+  /// resize resilience — shared with every policy's guardrails.
+  GuardrailOptions guardrails;
   BalloonOptions balloon;
   bool enable_ballooning = true;
-  /// Consecutive low-demand intervals required before scaling down, by
-  /// sensitivity.
-  int down_patience_high = 5;
-  int down_patience_medium = 3;
-  int down_patience_low = 1;
-  /// With LOW sensitivity, consecutive BAD intervals required to scale up.
-  int up_patience_low_sensitivity = 2;
-  /// Latency-slack scale-down (Section 2.3: meet the goal with a smaller
-  /// container even when demand is high): when latency stays at or below
-  /// this fraction of the goal, try stepping one rung down even without
-  /// low-demand signals. <= 0 disables.
-  double down_latency_slack_ratio = 0.5;
-  /// Intervals to wait after a scale-up before scaling up again: a resize
-  /// takes effect online but queued backlog and the robust-aggregation
-  /// window keep latency looking bad for a little while; reacting to that
-  /// stale signal overshoots.
-  int up_cooldown_intervals = 2;
-  /// Scale-down saturation guard: a dimension only shrinks if its projected
-  /// utilization on the smaller allocation (current usage / new allocation)
-  /// stays below this percentage. Prevents shrinking straight into a
-  /// queueing cliff (the "buffer for performance" both online techniques
-  /// keep, Section 7.3).
-  double down_projected_util_guard_pct = 75.0;
-  BudgetStrategy budget_strategy = BudgetStrategy::kAggressive;
-  int budget_conservative_k = 4;
-  /// Resize-lifecycle resilience (fault injection, Section 5 operational
-  /// notes): total attempts per target before the scaler abandons the
-  /// resize, and the exponential backoff (in billing intervals) between
-  /// attempts: base * multiplier^(failures-1), capped at the max.
-  int resize_max_attempts = 4;
-  int resize_backoff_base_intervals = 1;
-  double resize_backoff_multiplier = 2.0;
-  int resize_backoff_max_intervals = 8;
-  /// Intervals a permanently-rejected target stays off-limits before the
-  /// scaler may request it again.
-  int resize_rejection_cooldown_intervals = 10;
 };
 
 /// \brief The paper's "Auto" policy.
 class AutoScaler : public ScalingPolicy {
  public:
-  /// Errors if knobs are invalid or the budget cannot cover the period.
+  /// Errors if knobs or options are invalid or the budget cannot cover the
+  /// period.
   static Result<std::unique_ptr<AutoScaler>> Create(
       const container::Catalog& catalog, const TenantKnobs& knobs,
       const AutoScalerOptions& options = {});
@@ -96,7 +60,7 @@ class AutoScaler : public ScalingPolicy {
   std::string name() const override { return "Auto"; }
 
   /// Introspection (tests, drill-down experiments).
-  const BudgetManager* budget() const { return budget_.get(); }
+  const BudgetManager* budget() const { return guardrails_.budget(); }
   const BalloonController& balloon() const { return balloon_; }
   const DemandEstimator& estimator() const { return estimator_; }
   const TenantKnobs& knobs() const { return knobs_; }
@@ -104,56 +68,25 @@ class AutoScaler : public ScalingPolicy {
   const CategorizedSignals& last_categories() const { return last_cats_; }
   const DemandEstimate& last_estimate() const { return last_estimate_; }
   /// Full decision history (Section 4's explanations + diagnostics).
-  const AuditLog& audit() const { return audit_; }
+  const AuditLog& audit() const { return guardrails_.audit(); }
 
  private:
   AutoScaler(const container::Catalog& catalog, const TenantKnobs& knobs,
-             const AutoScalerOptions& options,
-             std::unique_ptr<BudgetManager> budget);
+             const AutoScalerOptions& options, Guardrails guardrails);
 
   ScalingDecision DecideUnclamped(const PolicyInput& input);
-  /// Processes `input.actuation` lifecycle feedback (local resizes and
-  /// migrations alike); returns a hold decision (pending / backoff /
-  /// rejected / abandoned / saturated) or nullopt when the normal decision
-  /// cycle should proceed.
-  std::optional<ScalingDecision> HandleActuationFeedback(
-      const PolicyInput& input);
-  /// Backoff before attempt `failed_attempts + 1`, in intervals (>= 1).
-  int BackoffIntervals(int failed_attempts) const;
-  int DownPatience() const;
-  double AvailableBudget() const;
-  ScalingDecision HoldCurrent(const PolicyInput& input,
-                              Explanation explanation) const;
   /// Finishes a "balloon" trace span and bumps the tick/abort/completion
   /// counters for one advice.
   static void RecordBalloonAdvice(const BalloonController::Advice& advice,
                                   obs::SpanId span,
                                   const PolicyInput& input);
-  /// Dominant non-scalable wait class summary ("Lock 92% of waits"), used
-  /// in not-scaling explanations.
-  static std::string DominantWaitNote(
-      const telemetry::SignalSnapshot& signals);
 
   container::Catalog catalog_;
   TenantKnobs knobs_;
   AutoScalerOptions options_;
   DemandEstimator estimator_;
-  std::unique_ptr<BudgetManager> budget_;
+  Guardrails guardrails_;
   BalloonController balloon_;
-
-  /// Scheduled retry after a transient resize failure.
-  struct RetryPlan {
-    container::ContainerSpec target;
-    int failed_attempts = 0;
-    /// Interval index at which the retry is due.
-    int retry_at_interval = 0;
-  };
-  std::optional<RetryPlan> retry_;
-  /// Permanently-rejected target and the interval its cooldown expires.
-  int rejected_target_id_ = -1;
-  int rejected_until_interval_ = -1000;
-  /// Attempt number carried by the decision being audited (retries > 1).
-  int decision_attempt_ = 1;
 
   int low_streak_ = 0;
   int bad_streak_ = 0;
@@ -164,7 +97,6 @@ class AutoScaler : public ScalingPolicy {
 
   CategorizedSignals last_cats_;
   DemandEstimate last_estimate_;
-  AuditLog audit_;
 };
 
 }  // namespace dbscale::scaler

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/telemetry/wait_class.h"
 
@@ -20,30 +19,10 @@ using container::ResourceVector;
 // ---------------------------------------------------------------------------
 
 Status DiagonalOptions::Validate() const {
-  DBSCALE_RETURN_IF_ERROR(thresholds.Validate());
+  DBSCALE_RETURN_IF_ERROR(guardrails.Validate());
   if (target_utilization_pct <= 0.0 || target_utilization_pct > 100.0) {
     return Status::InvalidArgument(
         "target_utilization_pct must be in (0, 100]");
-  }
-  if (down_latency_slack_ratio >= 1.0) {
-    return Status::InvalidArgument(
-        "down_latency_slack_ratio must be < 1 (<= 0 disables)");
-  }
-  if (down_patience_high < 1 || down_patience_medium < 1 ||
-      down_patience_low < 1) {
-    return Status::InvalidArgument("down patience values must be >= 1");
-  }
-  if (up_patience_low_sensitivity < 1) {
-    return Status::InvalidArgument(
-        "up_patience_low_sensitivity must be >= 1");
-  }
-  if (up_cooldown_intervals < 0) {
-    return Status::InvalidArgument("up_cooldown_intervals must be >= 0");
-  }
-  if (down_projected_util_guard_pct <= 0.0 ||
-      down_projected_util_guard_pct > 100.0) {
-    return Status::InvalidArgument(
-        "down_projected_util_guard_pct must be in (0, 100]");
   }
   if (wait_directed_up_min_pct > 100.0) {
     return Status::InvalidArgument(
@@ -59,20 +38,6 @@ Status DiagonalOptions::Validate() const {
   if (down_breach_window_intervals < 0) {
     return Status::InvalidArgument(
         "down_breach_window_intervals must be >= 0");
-  }
-  if (budget_conservative_k < 1) {
-    return Status::InvalidArgument("budget_conservative_k must be >= 1");
-  }
-  if (resize_max_attempts < 1) {
-    return Status::InvalidArgument("resize_max_attempts must be >= 1");
-  }
-  if (resize_backoff_base_intervals < 1 || resize_backoff_multiplier < 1.0 ||
-      resize_backoff_max_intervals < resize_backoff_base_intervals) {
-    return Status::InvalidArgument("invalid resize backoff options");
-  }
-  if (resize_rejection_cooldown_intervals < 0) {
-    return Status::InvalidArgument(
-        "resize_rejection_cooldown_intervals must be >= 0");
   }
   return Status::OK();
 }
@@ -307,55 +272,16 @@ ContainerSpec DiagonalOptimizer::Materialize(const Target& target) const {
 // DiagonalScaler
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct DominantWait {
-  telemetry::WaitClass wait_class = telemetry::WaitClass::kSystem;
-  double pct = -1.0;
-};
-
-DominantWait FindDominantWait(const telemetry::SignalSnapshot& signals) {
-  DominantWait dominant;
-  for (telemetry::WaitClass wc : telemetry::kAllWaitClasses) {
-    const double pct = signals.wait_pct_by_class[static_cast<size_t>(wc)];
-    if (pct > dominant.pct) {
-      dominant.pct = pct;
-      dominant.wait_class = wc;
-    }
-  }
-  return dominant;
-}
-
-std::string DominantWaitNote(const telemetry::SignalSnapshot& signals) {
-  const DominantWait dominant = FindDominantWait(signals);
-  if (dominant.pct <= 0.0) return "no waits observed";
-  return StrFormat("dominant waits: %s %.0f%%",
-                   telemetry::WaitClassToString(dominant.wait_class),
-                   dominant.pct);
-}
-
-}  // namespace
-
 Result<std::unique_ptr<DiagonalScaler>> DiagonalScaler::Create(
     const container::Catalog& catalog, const TenantKnobs& knobs,
     const DiagonalOptions& options) {
   DBSCALE_RETURN_IF_ERROR(knobs.Validate());
   DBSCALE_RETURN_IF_ERROR(options.Validate());
-  std::unique_ptr<BudgetManager> budget;
-  if (knobs.budget.has_value()) {
-    BudgetManagerOptions bm;
-    bm.total_budget = knobs.budget->total_budget;
-    bm.num_intervals = knobs.budget->num_intervals;
-    bm.min_cost = catalog.smallest().price_per_interval;
-    bm.max_cost = catalog.largest().price_per_interval;
-    bm.strategy = options.budget_strategy;
-    bm.conservative_k = options.budget_conservative_k;
-    DBSCALE_ASSIGN_OR_RETURN(BudgetManager manager,
-                             BudgetManager::Create(bm));
-    budget = std::make_unique<BudgetManager>(std::move(manager));
-  }
+  DBSCALE_ASSIGN_OR_RETURN(
+      Guardrails guardrails,
+      Guardrails::Create(catalog, knobs, options.guardrails));
   return std::unique_ptr<DiagonalScaler>(
-      new DiagonalScaler(catalog, knobs, options, std::move(budget)));
+      new DiagonalScaler(catalog, knobs, options, std::move(guardrails)));
 }
 
 // Validation happens in Create(); this constructor is private and only
@@ -364,38 +290,13 @@ Result<std::unique_ptr<DiagonalScaler>> DiagonalScaler::Create(
 DiagonalScaler::DiagonalScaler(const container::Catalog& catalog,
                                const TenantKnobs& knobs,
                                const DiagonalOptions& options,
-                               std::unique_ptr<BudgetManager> budget)
+                               Guardrails guardrails)
     : catalog_(catalog),
       knobs_(knobs),
       options_(options),
-      estimator_(options.estimator),
-      budget_(std::move(budget)),
+      estimator_(options.guardrails.estimator),
+      guardrails_(std::move(guardrails)),
       optimizer_(catalog) {}
-
-int DiagonalScaler::DownPatience() const {
-  switch (knobs_.sensitivity) {
-    case Sensitivity::kHigh:
-      return options_.down_patience_high;
-    case Sensitivity::kMedium:
-      return options_.down_patience_medium;
-    case Sensitivity::kLow:
-      return options_.down_patience_low;
-  }
-  return options_.down_patience_medium;
-}
-
-double DiagonalScaler::AvailableBudget() const {
-  return budget_ ? budget_->available()
-                 : std::numeric_limits<double>::infinity();
-}
-
-ScalingDecision DiagonalScaler::HoldCurrent(const PolicyInput& input,
-                                            Explanation explanation) const {
-  ScalingDecision d;
-  d.target = input.current;
-  d.explanation = std::move(explanation);
-  return d;
-}
 
 ResourceVector DiagonalScaler::UsageVector(const PolicyInput& input) const {
   if (input.usage.AnyPositive()) return input.usage;
@@ -407,110 +308,8 @@ ResourceVector DiagonalScaler::UsageVector(const PolicyInput& input) const {
   return usage;
 }
 
-int DiagonalScaler::BackoffIntervals(int failed_attempts) const {
-  double intervals =
-      static_cast<double>(options_.resize_backoff_base_intervals);
-  for (int i = 1; i < failed_attempts; ++i) {
-    intervals *= options_.resize_backoff_multiplier;
-  }
-  intervals = std::min(
-      intervals, static_cast<double>(options_.resize_backoff_max_intervals));
-  return std::max(1, static_cast<int>(intervals));
-}
-
-std::optional<ScalingDecision> DiagonalScaler::HandleActuationFeedback(
-    const PolicyInput& input) {
-  const ActuationFeedback& fb = input.actuation;
-  const bool migration = fb.kind == ActuationKind::kMigration;
-  switch (fb.phase) {
-    case ActuationPhase::kNone:
-      break;
-    case ActuationPhase::kApplied:
-      retry_.reset();
-      audit_.NoteResizeOutcome(ResizeOutcome::kApplied, fb.attempt);
-      break;
-    case ActuationPhase::kPending:
-      if (migration) {
-        return HoldCurrent(
-            input, Explanation(ExplanationCode::kHoldMigrationPending,
-                               static_cast<double>(fb.attempt),
-                               static_cast<double>(fb.downtime_intervals)));
-      }
-      return HoldCurrent(input,
-                         Explanation(ExplanationCode::kHoldResizePending,
-                                     static_cast<double>(fb.attempt)));
-    case ActuationPhase::kRejected: {
-      retry_.reset();
-      audit_.NoteResizeOutcome(ResizeOutcome::kRejected, fb.attempt);
-      rejected_target_id_ = fb.target.id;
-      rejected_until_interval_ =
-          input.interval_index + options_.resize_rejection_cooldown_intervals;
-      Explanation e(migration ? ExplanationCode::kHoldHostSaturated
-                              : ExplanationCode::kHoldResizeRejected,
-                    fb.target.name);
-      e.args[0] =
-          static_cast<double>(options_.resize_rejection_cooldown_intervals);
-      return HoldCurrent(input, std::move(e));
-    }
-    case ActuationPhase::kFailed: {
-      if (fb.attempt >= options_.resize_max_attempts) {
-        retry_.reset();
-        audit_.NoteResizeOutcome(ResizeOutcome::kAbandoned, fb.attempt);
-        return HoldCurrent(
-            input, Explanation(ExplanationCode::kHoldResizeAbandoned,
-                               static_cast<double>(fb.attempt)));
-      }
-      audit_.NoteResizeOutcome(ResizeOutcome::kFailed, fb.attempt);
-      const int backoff = BackoffIntervals(fb.attempt);
-      retry_ =
-          RetryPlan{fb.target, fb.attempt, input.interval_index + backoff};
-      return HoldCurrent(input,
-                         Explanation(ExplanationCode::kHoldResizeBackoff,
-                                     static_cast<double>(fb.attempt),
-                                     static_cast<double>(backoff)));
-    }
-  }
-
-  if (retry_.has_value()) {
-    if (input.interval_index < retry_->retry_at_interval) {
-      return HoldCurrent(
-          input,
-          Explanation(ExplanationCode::kHoldResizeBackoff,
-                      static_cast<double>(retry_->failed_attempts),
-                      static_cast<double>(retry_->retry_at_interval -
-                                          input.interval_index)));
-    }
-    const RetryPlan plan = *retry_;
-    retry_.reset();
-    const int attempt = plan.failed_attempts + 1;
-    const obs::Sink& sink = input.obs;
-    const obs::SpanId retry_span = sink.trace.Start("decide.retry", input.now);
-    sink.trace.Attr(retry_span, "attempt", attempt);
-    sink.trace.Attr(retry_span, "target_rung", plan.target.base_rung);
-    sink.trace.End(retry_span, input.now);
-    if (sink.pipeline != nullptr) {
-      sink.metrics.Add(sink.pipeline->resize_retries_total, 1.0);
-    }
-    decision_attempt_ = attempt;
-    ScalingDecision d;
-    d.target = plan.target;
-    d.explanation =
-        Explanation(ExplanationCode::kScaleRetryResize, plan.target.name);
-    d.explanation.args[0] = static_cast<double>(attempt);
-    return d;
-  }
-  return std::nullopt;
-}
-
 ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
-  if (budget_ && input.charged_cost > 0.0) {
-    const Status status = budget_->ChargeAndRefill(input.charged_cost);
-    if (!status.ok()) {
-      DBSCALE_LOG(kError) << "budget charge failed: " << status.ToString();
-    }
-  }
-
-  decision_attempt_ = 1;
+  guardrails_.BeginDecision(input);
   const obs::Sink& sink = input.obs;
   const obs::SpanId diag_span = sink.trace.Start("decide.diagonal", input.now);
   ScalingDecision d = DecideUnclamped(input);
@@ -521,54 +320,19 @@ ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
   sink.trace.Attr(diag_span, "price", d.target.price_per_interval);
   sink.trace.End(diag_span, input.now);
 
-  const obs::SpanId budget_span = sink.trace.Start("budget_check", input.now);
-  const double budget = AvailableBudget();
-  bool clamped = false;
-  if (d.target.price_per_interval > budget) {
-    // The budget is a hard constraint: even "hold" must fit the interval's
-    // tokens. Re-solve for the current resources under the remaining budget
-    // — on a flexible catalog this sheds exactly the binding dimensions
-    // instead of dropping a whole rung.
-    const DiagonalOptimizer::Target forced_target =
-        optimizer_.Solve(d.target.resources, budget);
-    if (forced_target.feasible) {
-      d.target = optimizer_.Materialize(forced_target);
-      Explanation forced(ExplanationCode::kScaleDownForcedByBudget, budget);
-      forced.detail = d.explanation.ToString();
-      d.explanation = std::move(forced);
-      low_streak_ = 0;
-      clamped = true;
-    }
-    // No affordable bundle at all would mean Create() admitted an
-    // infeasible budget; keep the current container in that case.
-  }
-  if (budget_) sink.trace.Attr(budget_span, "available", budget);
-  sink.trace.Attr(budget_span, "price", d.target.price_per_interval);
-  sink.trace.Attr(budget_span, "clamped", clamped ? 1.0 : 0.0);
-  sink.trace.End(budget_span, input.now);
-  if (sink.pipeline != nullptr && budget_ != nullptr) {
-    sink.metrics.Set(sink.pipeline->budget_available, budget_->available());
-    sink.metrics.Set(sink.pipeline->budget_spent, budget_->spent());
-    if (clamped) sink.metrics.Add(sink.pipeline->budget_clamps_total, 1.0);
-  }
-
-  if (input.placement.present && d.target.id != input.current.id &&
-      d.target.price_per_interval > input.current.price_per_interval) {
-    bool fits_locally = true;
-    for (const auto kind : container::kAllResources) {
-      const double delta = d.target.resources.Get(kind) -
-                           input.current.resources.Get(kind);
-      if (delta > input.placement.free.Get(kind)) {
-        fits_locally = false;
-        break;
-      }
-    }
-    if (!fits_locally) {
-      Explanation e(ExplanationCode::kScaleTriggersMigration, d.target.name);
-      e.args[0] = static_cast<double>(d.target.base_rung);
-      d.explanation = std::move(e);
-    }
-  }
+  const bool clamped = guardrails_.FinishDecision(
+      input, last_cats_, last_estimate_, &d,
+      [this](const ContainerSpec& target,
+             double budget) -> std::optional<ContainerSpec> {
+        // Re-solve for the target's resources under the remaining budget —
+        // on a flexible catalog this sheds exactly the binding dimensions
+        // instead of dropping a whole rung.
+        const DiagonalOptimizer::Target forced =
+            optimizer_.Solve(target.resources, budget);
+        if (!forced.feasible) return std::nullopt;
+        return optimizer_.Materialize(forced);
+      });
+  if (clamped) low_streak_ = 0;
 
   // Remember any move that lowered a dimension (rule shed, slack shed,
   // rebalance, budget clamp): if latency breaks inside the breach window,
@@ -589,8 +353,6 @@ ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
       last_down_to_ = to;
     }
   }
-
-  audit_.Record(input, last_cats_, last_estimate_, d, decision_attempt_);
   return d;
 }
 
@@ -599,7 +361,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   const obs::Sink& sink = input.obs;
   last_estimate_demand_ = ResourceVector{};
 
-  if (std::optional<ScalingDecision> d = HandleActuationFeedback(input)) {
+  if (std::optional<ScalingDecision> d = guardrails_.HandleFeedback(input)) {
     low_streak_ = 0;
     return *std::move(d);
   }
@@ -615,8 +377,8 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   }
 
   const obs::SpanId cat_span = sink.trace.Start("categorize", input.now);
-  last_cats_ = Categorize(signals, options_.thresholds, knobs_.latency_goal,
-                          options_.categorize);
+  last_cats_ = Categorize(signals, options_.guardrails.thresholds,
+                          knobs_.latency_goal, options_.guardrails.categorize);
   last_estimate_ = estimator_.Estimate(last_cats_);
   sink.trace.AttrStr(cat_span, "latency",
                      LatencyCategoryToString(last_cats_.latency));
@@ -678,13 +440,12 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
                  optimizer_.ValueAt(kind, revert[static_cast<size_t>(kind)]));
       }
       const DiagonalOptimizer::Target solved =
-          optimizer_.Solve(want, AvailableBudget());
+          optimizer_.Solve(want, guardrails_.AvailableBudget());
       if (solved.feasible) {
         ScalingDecision d;
         d.target = optimizer_.Materialize(solved);
         if (d.target.id != input.current.id &&
-            !(d.target.id == rejected_target_id_ &&
-              input.interval_index < rejected_until_interval_)) {
+            !guardrails_.RefuseRejected(input, d.target)) {
           low_streak_ = 0;
           last_up_interval_ = input.interval_index;
           d.explanation = Explanation(ExplanationCode::kScaleDiagonalUp,
@@ -707,7 +468,8 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     perf_trigger = true;
   } else if (knobs_.sensitivity == Sensitivity::kLow) {
     perf_trigger =
-        latency_bad && bad_streak_ >= options_.up_patience_low_sensitivity;
+        latency_bad &&
+        bad_streak_ >= options_.guardrails.up_patience_low_sensitivity;
   } else {
     perf_trigger = latency_bad || degrading;
   }
@@ -730,7 +492,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
 
   const bool in_up_cooldown =
       input.interval_index - last_up_interval_ <
-      options_.up_cooldown_intervals;
+      options_.guardrails.up_cooldown_intervals;
   if (wants_up && in_up_cooldown) {
     low_streak_ = 0;
     return HoldCurrent(input, Explanation(ExplanationCode::kHoldUpCooldown));
@@ -766,8 +528,9 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
         cand = std::max(0, cand);
         while (cand < cur[d]) {
           const double alloc = optimizer_.ValueAt(kind, cand);
-          if (alloc <= 0.0 || 100.0 * usage.Get(kind) / alloc <=
-                                  options_.down_projected_util_guard_pct) {
+          if (alloc <= 0.0 ||
+              100.0 * usage.Get(kind) / alloc <=
+                  options_.guardrails.down_projected_util_guard_pct) {
             break;
           }
           ++cand;
@@ -782,32 +545,28 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
                optimizer_.ValueAt(kind, need[static_cast<size_t>(kind)]));
     }
     const DiagonalOptimizer::Target solved =
-        optimizer_.Solve(want, AvailableBudget());
+        optimizer_.Solve(want, guardrails_.AvailableBudget());
     if (!solved.feasible) {
       return HoldCurrent(
           input, Explanation(ExplanationCode::kHoldNoAffordableContainer));
     }
     ScalingDecision d;
     d.target = optimizer_.Materialize(solved);
-    if (d.target.id != input.current.id &&
-        d.target.id == rejected_target_id_ &&
-        input.interval_index < rejected_until_interval_) {
-      Explanation e(ExplanationCode::kHoldResizeRejected, d.target.name);
-      e.args[0] = static_cast<double>(rejected_until_interval_ -
-                                      input.interval_index);
-      return HoldCurrent(input, std::move(e));
-    }
     if (d.target.id == input.current.id) {
       if (solved.budget_limited) {
         Explanation e(ExplanationCode::kHoldBudgetBindingDimension,
                       solved.binding_dimension);
         e.args[0] = static_cast<double>(solved.shortfall_steps);
-        e.args[1] = AvailableBudget();
+        e.args[1] = guardrails_.AvailableBudget();
         return HoldCurrent(input, std::move(e));
       }
       return HoldCurrent(input,
                          Explanation(ExplanationCode::kHoldNoLargerAffordable,
                                      est.SummaryIncrease()));
+    }
+    if (std::optional<ScalingDecision> hold =
+            guardrails_.RefuseRejected(input, d.target)) {
+      return *std::move(hold);
     }
     last_up_interval_ = input.interval_index;
     int ups = 0;
@@ -823,7 +582,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
           Explanation(ExplanationCode::kScaleUpBudgetConstrained,
                       optimizer_.Materialize(unconstrained).name);
       d.explanation.args[0] = unconstrained.price;
-      d.explanation.args[1] = AvailableBudget();
+      d.explanation.args[1] = guardrails_.AvailableBudget();
     } else if (ups > 0 && downs > 0) {
       d.explanation = Explanation(ExplanationCode::kScaleDiagonalRebalance,
                                   d.target.name);
@@ -858,10 +617,10 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   }
 
   // -------- Scale-down path --------
+  const double slack_ratio = options_.guardrails.down_latency_slack_ratio;
   const bool slack_low =
-      has_goal && options_.down_latency_slack_ratio > 0.0 &&
-      signals.latency_ms <= options_.down_latency_slack_ratio *
-                                knobs_.latency_goal->target_ms;
+      has_goal && slack_ratio > 0.0 &&
+      signals.latency_ms <= slack_ratio * knobs_.latency_goal->target_ms;
   // Utilization headroom is low-demand evidence of its own here: with
   // per-dimension pricing, every grid step of headroom is money on the
   // table even when no Section 4 shrink rule fires.
@@ -892,11 +651,11 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
                                    "keeping latency headroom"));
   }
   ++low_streak_;
-  if (low_streak_ < DownPatience()) {
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldDownPatience,
-                           static_cast<double>(low_streak_),
-                           static_cast<double>(DownPatience())));
+  const int patience = options_.guardrails.DownPatience(knobs_.sensitivity);
+  if (low_streak_ < patience) {
+    return HoldCurrent(input, Explanation(ExplanationCode::kHoldDownPatience,
+                                          static_cast<double>(low_streak_),
+                                          static_cast<double>(patience)));
   }
 
   // Memory shrinks on the same per-dimension evidence as everything else:
@@ -921,8 +680,9 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     cand = std::max(0, std::min(cand, cur[d]));
     while (cand < cur[d]) {
       const double alloc = optimizer_.ValueAt(kind, cand);
-      if (alloc <= 0.0 || 100.0 * usage.Get(kind) / alloc <=
-                              options_.down_projected_util_guard_pct) {
+      if (alloc <= 0.0 ||
+          100.0 * usage.Get(kind) / alloc <=
+              options_.guardrails.down_projected_util_guard_pct) {
         break;
       }
       ++cand;
@@ -935,20 +695,18 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     want.Set(kind, optimizer_.ValueAt(kind, need[static_cast<size_t>(kind)]));
   }
   const DiagonalOptimizer::Target solved =
-      optimizer_.Solve(want, AvailableBudget());
+      optimizer_.Solve(want, guardrails_.AvailableBudget());
   if (!solved.feasible) {
     return HoldCurrent(
         input, Explanation(ExplanationCode::kHoldNoAffordableContainer));
   }
   ScalingDecision d;
   d.target = optimizer_.Materialize(solved);
-  if (d.target.id != input.current.id &&
-      d.target.id == rejected_target_id_ &&
-      input.interval_index < rejected_until_interval_) {
-    Explanation e(ExplanationCode::kHoldResizeRejected, d.target.name);
-    e.args[0] = static_cast<double>(rejected_until_interval_ -
-                                    input.interval_index);
-    return HoldCurrent(input, std::move(e));
+  if (d.target.id != input.current.id) {
+    if (std::optional<ScalingDecision> hold =
+            guardrails_.RefuseRejected(input, d.target)) {
+      return *std::move(hold);
+    }
   }
   if (d.target.id == input.current.id ||
       d.target.price_per_interval >= input.current.price_per_interval) {

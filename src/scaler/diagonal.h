@@ -23,7 +23,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,36 +31,20 @@
 #include "src/scaler/budget_manager.h"
 #include "src/scaler/categories.h"
 #include "src/scaler/demand_estimator.h"
+#include "src/scaler/guardrails.h"
 #include "src/scaler/knobs.h"
 #include "src/scaler/policy.h"
-#include "src/scaler/thresholds.h"
 
 namespace dbscale::scaler {
 
 struct DiagonalOptions {
-  SignalThresholds thresholds = SignalThresholds::Default();
-  DemandEstimatorOptions estimator;
-  CategorizeOptions categorize;
+  /// Signal interpretation, patience, cooldowns, budget strategy and
+  /// resize resilience — the same guardrails as Auto's.
+  GuardrailOptions guardrails;
   /// Demand for a dimension is usage / (target_utilization_pct / 100): the
   /// allocation at which observed usage would sit at the target utilization
   /// (the "buffer for performance" Section 7.3 keeps).
   double target_utilization_pct = 70.0;
-  /// Consecutive low-demand intervals required before shrinking, by
-  /// sensitivity (same knob semantics as Auto).
-  int down_patience_high = 5;
-  int down_patience_medium = 3;
-  int down_patience_low = 1;
-  /// With LOW sensitivity, consecutive BAD intervals required to scale up.
-  int up_patience_low_sensitivity = 2;
-  /// Latency-slack scale-down: latency at or below this fraction of the
-  /// goal allows shedding one grid step per dimension even without
-  /// low-demand rule hits. <= 0 disables.
-  double down_latency_slack_ratio = 0.5;
-  /// Intervals to wait after a scale-up before scaling up again.
-  int up_cooldown_intervals = 2;
-  /// A dimension only shrinks if projected utilization on the smaller
-  /// allocation stays below this percentage.
-  double down_projected_util_guard_pct = 75.0;
   /// No shed happens while latency exceeds this fraction of the goal:
   /// near the goal, queueing at low utilization means an "idle"
   /// dimension can still be load-bearing. <= 0 disables.
@@ -80,14 +63,6 @@ struct DiagonalOptions {
   /// behind the dominant wait class grows one grid level, provided that
   /// class holds at least this share of waits. <= 0 disables.
   double wait_directed_up_min_pct = 25.0;
-  BudgetStrategy budget_strategy = BudgetStrategy::kAggressive;
-  int budget_conservative_k = 4;
-  /// Resize-lifecycle resilience (same semantics as AutoScalerOptions).
-  int resize_max_attempts = 4;
-  int resize_backoff_base_intervals = 1;
-  double resize_backoff_multiplier = 2.0;
-  int resize_backoff_max_intervals = 8;
-  int resize_rejection_cooldown_intervals = 10;
 
   Status Validate() const;
 };
@@ -169,8 +144,9 @@ class DiagonalOptimizer {
 };
 
 /// \brief The diagonal scaling policy: per-resource demand vector +
-/// budgeted multi-dimensional optimizer, with Auto's operational guardrails
-/// (warmup, actuation lifecycle, cooldowns, patience, saturation guard).
+/// budgeted multi-dimensional optimizer, inside the same Guardrails as Auto
+/// (budget, actuation lifecycle, migration note, audit) and with Auto's
+/// warmup, cooldowns, patience and saturation guard.
 ///
 /// Differences from Auto, by design:
 ///   * Each dimension moves independently — one decision can grow CPU while
@@ -193,26 +169,18 @@ class DiagonalScaler : public ScalingPolicy {
   std::string name() const override { return "Diagonal"; }
 
   /// Introspection (tests, drill-down experiments).
-  const BudgetManager* budget() const { return budget_.get(); }
+  const BudgetManager* budget() const { return guardrails_.budget(); }
   const DiagonalOptimizer& optimizer() const { return optimizer_; }
   const TenantKnobs& knobs() const { return knobs_; }
   const CategorizedSignals& last_categories() const { return last_cats_; }
   const DemandEstimate& last_estimate() const { return last_estimate_; }
-  const AuditLog& audit() const { return audit_; }
+  const AuditLog& audit() const { return guardrails_.audit(); }
 
  private:
   DiagonalScaler(const container::Catalog& catalog, const TenantKnobs& knobs,
-                 const DiagonalOptions& options,
-                 std::unique_ptr<BudgetManager> budget);
+                 const DiagonalOptions& options, Guardrails guardrails);
 
   ScalingDecision DecideUnclamped(const PolicyInput& input);
-  std::optional<ScalingDecision> HandleActuationFeedback(
-      const PolicyInput& input);
-  int BackoffIntervals(int failed_attempts) const;
-  int DownPatience() const;
-  double AvailableBudget() const;
-  ScalingDecision HoldCurrent(const PolicyInput& input,
-                              Explanation explanation) const;
   /// Mean absolute per-resource usage for the ended interval: engine truth
   /// when the harness provides it, utilization x allocation otherwise.
   container::ResourceVector UsageVector(const PolicyInput& input) const;
@@ -221,18 +189,8 @@ class DiagonalScaler : public ScalingPolicy {
   TenantKnobs knobs_;
   DiagonalOptions options_;
   DemandEstimator estimator_;
-  std::unique_ptr<BudgetManager> budget_;
+  Guardrails guardrails_;
   DiagonalOptimizer optimizer_;
-
-  struct RetryPlan {
-    container::ContainerSpec target;
-    int failed_attempts = 0;
-    int retry_at_interval = 0;
-  };
-  std::optional<RetryPlan> retry_;
-  int rejected_target_id_ = -1;
-  int rejected_until_interval_ = -1000;
-  int decision_attempt_ = 1;
 
   int low_streak_ = 0;
   int bad_streak_ = 0;

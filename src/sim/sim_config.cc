@@ -15,7 +15,7 @@ SimulationOptions SimConfig::EffectiveSimulationOptions() const {
 
 Status SimConfig::Validate() const {
   DBSCALE_RETURN_IF_ERROR(knobs.Validate());
-  DBSCALE_RETURN_IF_ERROR(scaler.thresholds.Validate());
+  DBSCALE_RETURN_IF_ERROR(scaler.guardrails.Validate());
   DBSCALE_RETURN_IF_ERROR(simulation.workload.Validate());
   if (simulation.trace.empty()) {
     return Status::InvalidArgument("trace is empty");
@@ -36,34 +36,14 @@ Status SimConfig::Validate() const {
   DBSCALE_RETURN_IF_ERROR(simulation.fault.Validate());
   DBSCALE_RETURN_IF_ERROR(simulation.host.Validate());
   DBSCALE_RETURN_IF_ERROR(host.Validate());
-  if (scaler.resize_max_attempts < 1) {
-    return Status::InvalidArgument("resize_max_attempts must be >= 1");
-  }
-  if (scaler.resize_backoff_base_intervals < 1) {
-    return Status::InvalidArgument(
-        "resize_backoff_base_intervals must be >= 1");
-  }
-  if (scaler.resize_backoff_multiplier < 1.0) {
-    return Status::InvalidArgument(
-        "resize_backoff_multiplier must be >= 1");
-  }
-  if (scaler.resize_backoff_max_intervals <
-      scaler.resize_backoff_base_intervals) {
-    return Status::InvalidArgument(
-        "resize_backoff_max_intervals must be >= the base");
-  }
-  if (scaler.resize_rejection_cooldown_intervals < 0) {
-    return Status::InvalidArgument(
-        "resize_rejection_cooldown_intervals must be >= 0");
-  }
   return Status::OK();
 }
 
 Result<std::unique_ptr<scaler::AutoScaler>> SimConfig::MakeAutoScaler()
     const {
   DBSCALE_RETURN_IF_ERROR(Validate());
-  // Create() re-checks knobs/thresholds and additionally verifies budget
-  // feasibility against the catalog's price range.
+  // Create() re-checks knobs and guardrail options and additionally
+  // verifies budget feasibility against the catalog's price range.
   return scaler::AutoScaler::Create(simulation.catalog, knobs, scaler);
 }
 

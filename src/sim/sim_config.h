@@ -6,7 +6,8 @@
 // different layer. SimConfig folds them into a single value with one
 // Validate() covering every cross-cutting constraint (trace vs interval,
 // latency-goal aggregate vs telemetry aggregate, fault probabilities,
-// resize-retry knobs, budget feasibility via AutoScaler::Create).
+// the scaler's guardrail options, budget feasibility via
+// AutoScaler::Create).
 
 #ifndef DBSCALE_SIM_SIM_CONFIG_H_
 #define DBSCALE_SIM_SIM_CONFIG_H_
@@ -37,7 +38,7 @@ struct SimConfig {
   host::HostOptions host;
   /// Tenant-facing knobs (budget, latency goal, sensitivity).
   scaler::TenantKnobs knobs;
-  /// Auto-policy internals (thresholds, ballooning, resize retries).
+  /// Auto-policy internals (guardrail options, ballooning).
   scaler::AutoScalerOptions scaler;
 
   /// Validates every layer and the constraints that span them. A default

@@ -462,7 +462,6 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
         // migration to the policy's chosen destination.
         host::ActuationRequest req;
         req.target = decision.target;
-        req.target_rung = decision.target.base_rung;
         container::ResourceVector up_delta;
         bool held_by_placement = false;
         if (host_enabled) {

@@ -127,7 +127,7 @@ TEST_F(AutoScalerTest, NoScaleUpWithoutResourceDemand) {
 
 TEST_F(AutoScalerTest, UpCooldownPreventsConsecutiveJumps) {
   AutoScalerOptions options;
-  options.up_cooldown_intervals = 2;
+  options.guardrails.up_cooldown_intervals = 2;
   auto scaler = MakeScaler(GoalKnobs(200), options);
   auto s = Snapshot(3, 400);
   SetCpuBottleneck(&s);
@@ -203,7 +203,7 @@ TEST_F(AutoScalerTest, LowSensitivityNeedsPersistentViolation) {
 
 TEST_F(AutoScalerTest, MemoryShrinkGoesThroughBalloon) {
   AutoScalerOptions options;
-  options.down_patience_medium = 1;
+  options.guardrails.down_patience_medium = 1;
   auto scaler = MakeScaler(GoalKnobs(1000), options);
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
@@ -230,7 +230,7 @@ TEST_F(AutoScalerTest, MemoryShrinkGoesThroughBalloon) {
 
 TEST_F(AutoScalerTest, BalloonAbortBlocksMemoryShrink) {
   AutoScalerOptions options;
-  options.down_patience_medium = 1;
+  options.guardrails.down_patience_medium = 1;
   options.balloon.cooldown_ticks = 100;
   auto scaler = MakeScaler(GoalKnobs(1000), options);
   auto s = Snapshot(5, 100);
@@ -255,7 +255,7 @@ TEST_F(AutoScalerTest, BalloonAbortBlocksMemoryShrink) {
 
 TEST_F(AutoScalerTest, DemandReturnMidBalloonRevertsMemory) {
   AutoScalerOptions options;
-  options.down_patience_medium = 1;
+  options.guardrails.down_patience_medium = 1;
   auto scaler = MakeScaler(GoalKnobs(200), options);
   auto idle = Snapshot(5, 100);
   SetAllIdle(&idle);
@@ -274,8 +274,8 @@ TEST_F(AutoScalerTest, DemandReturnMidBalloonRevertsMemory) {
 
 TEST_F(AutoScalerTest, SaturationGuardBlocksShrinkIntoCliff) {
   AutoScalerOptions options;
-  options.down_patience_medium = 1;
-  options.down_latency_slack_ratio = 0.9;  // slack wants to shrink
+  options.guardrails.down_patience_medium = 1;
+  options.guardrails.down_latency_slack_ratio = 0.9;  // slack wants to shrink
   auto scaler = MakeScaler(GoalKnobs(1000), options);
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
@@ -291,7 +291,7 @@ TEST_F(AutoScalerTest, SaturationGuardBlocksShrinkIntoCliff) {
 
 TEST_F(AutoScalerTest, LatencySlackShrinksDespiteSteadyDemand) {
   AutoScalerOptions options;
-  options.down_patience_medium = 2;
+  options.guardrails.down_patience_medium = 2;
   options.enable_ballooning = false;  // keep the test focused
   auto scaler = MakeScaler(GoalKnobs(1000), options);
   auto s = Snapshot(5, /*latency=*/100);  // 10% of goal: lots of slack
@@ -321,7 +321,7 @@ TEST_F(AutoScalerTest, BudgetConstrainsScaleUp) {
   TenantKnobs knobs = GoalKnobs(200);
   knobs.budget = BudgetKnob{/*total=*/7.0 * 100 + 53.0, /*intervals=*/100};
   AutoScalerOptions options;
-  options.budget_strategy = BudgetStrategy::kAggressive;
+  options.guardrails.budget_strategy = BudgetStrategy::kAggressive;
   auto scaler = MakeScaler(knobs, options);
   ASSERT_NE(scaler->budget(), nullptr);
   // Available budget at start: D = B - 99*7 = 60 -> best affordable is S5.

@@ -1,17 +1,26 @@
 // Diagonal scaling: optimizer exactness against brute force, fixed-path
 // equivalence with Catalog::CheapestDominating, the catalog-backend
 // equivalence contract (a coupled FlexibleCatalog is bit-identical to
-// MakeLockStep under Auto), Validate() rejections, and determinism of full
-// diagonal runs.
+// MakeLockStep under Auto), Validate() rejections, determinism of full
+// diagonal runs, and pinned decision trails of both policies through
+// every guardrail branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/container/catalog.h"
+#include "src/obs/export.h"
+#include "src/obs/pipeline.h"
+#include "src/scaler/autoscaler.h"
 #include "src/scaler/diagonal.h"
 #include "src/sim/experiment.h"
 #include "src/sim/sim_config.h"
@@ -239,46 +248,6 @@ TEST(FlexibleCatalogOptionsTest, ValidateRejections) {
   EXPECT_FALSE(Catalog::MakeFlexible(opts).ok());
 }
 
-TEST(DiagonalOptionsTest, ValidateRejections) {
-  DiagonalOptions opts;
-  EXPECT_TRUE(opts.Validate().ok());
-  opts.target_utilization_pct = 0.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.target_utilization_pct = 101.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.down_latency_slack_ratio = 1.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.down_patience_medium = 0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.up_cooldown_intervals = -1;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.down_projected_util_guard_pct = 0.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.resize_max_attempts = 0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.resize_backoff_multiplier = 0.5;
-  EXPECT_FALSE(opts.Validate().ok());
-
-  // Create surfaces the same rejections.
-  scaler::TenantKnobs knobs;
-  DiagonalOptions bad;
-  bad.target_utilization_pct = -5.0;
-  auto catalog = Catalog::MakeFlexible(FlexibleCatalogOptions{});
-  ASSERT_TRUE(catalog.ok());
-  EXPECT_FALSE(DiagonalScaler::Create(*catalog, knobs, bad).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Closed-loop contracts.
-// ---------------------------------------------------------------------------
-
 SimConfig BaseSimConfig() {
   SimConfig config;
   config.simulation.catalog = container::Catalog::MakeLockStep();
@@ -291,6 +260,58 @@ SimConfig BaseSimConfig() {
       scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 900.0};
   return config;
 }
+
+TEST(DiagonalOptionsTest, ValidateRejections) {
+  DiagonalOptions opts;
+  EXPECT_TRUE(opts.Validate().ok());
+  opts.target_utilization_pct = 0.0;
+  EXPECT_FALSE(opts.Validate().ok());
+  opts = {};
+  opts.target_utilization_pct = 101.0;
+  EXPECT_FALSE(opts.Validate().ok());
+
+  // Create surfaces the same rejections.
+  scaler::TenantKnobs knobs;
+  DiagonalOptions bad;
+  bad.target_utilization_pct = -5.0;
+  auto catalog = Catalog::MakeFlexible(FlexibleCatalogOptions{});
+  ASSERT_TRUE(catalog.ok());
+  EXPECT_FALSE(DiagonalScaler::Create(*catalog, knobs, bad).ok());
+
+  // Both policies and SimConfig validate the one shared guardrail option
+  // set, so each guardrail rejection holds on every entry point.
+  ASSERT_TRUE(BaseSimConfig().Validate().ok());
+  void (*const mutations[])(scaler::GuardrailOptions*) = {
+      [](scaler::GuardrailOptions* g) { g->down_latency_slack_ratio = 1.0; },
+      [](scaler::GuardrailOptions* g) { g->down_patience_medium = 0; },
+      [](scaler::GuardrailOptions* g) { g->up_patience_low_sensitivity = 0; },
+      [](scaler::GuardrailOptions* g) { g->up_cooldown_intervals = -1; },
+      [](scaler::GuardrailOptions* g) {
+        g->down_projected_util_guard_pct = 0.0;
+      },
+      [](scaler::GuardrailOptions* g) { g->budget_conservative_k = 0; },
+      [](scaler::GuardrailOptions* g) { g->resize_max_attempts = 0; },
+      [](scaler::GuardrailOptions* g) { g->resize_backoff_multiplier = 0.5; },
+  };
+  for (size_t i = 0; i < std::size(mutations); ++i) {
+    opts = {};
+    mutations[i](&opts.guardrails);
+    EXPECT_FALSE(opts.Validate().ok()) << i;
+    EXPECT_FALSE(DiagonalScaler::Create(*catalog, knobs, opts).ok()) << i;
+    scaler::AutoScalerOptions auto_options;
+    mutations[i](&auto_options.guardrails);
+    EXPECT_FALSE(
+        scaler::AutoScaler::Create(*catalog, knobs, auto_options).ok())
+        << i;
+    SimConfig config = BaseSimConfig();
+    mutations[i](&config.scaler.guardrails);
+    EXPECT_FALSE(config.Validate().ok()) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-loop contracts.
+// ---------------------------------------------------------------------------
 
 double RunDigest(const sim::RunResult& run) {
   double sum = 0.0;
@@ -390,6 +411,115 @@ TEST(DiagonalSimTest, BudgetIsAHardConstraint) {
   double total_cost = 0.0;
   for (const auto& interval : run->intervals) total_cost += interval.cost;
   EXPECT_LE(total_cost, budget.total_budget + 1e-9);
+}
+
+// FNV-1a over each interval's container id, decision code, rendered
+// explanation and resize flag: the whole decision trail of a run.
+uint64_t DecisionTrailDigest(const sim::RunResult& run) {
+  Fnv64Stream h;
+  for (const sim::IntervalRecord& interval : run.intervals) {
+    h.I32(interval.container.id);
+    h.I32(static_cast<int32_t>(interval.decision_code));
+    h.Bytes(interval.decision_explanation.data(),
+            interval.decision_explanation.size());
+    h.I32(interval.resized ? 1 : 0);
+  }
+  return h.value;
+}
+
+// Both policies' decision trails under configs that reach every guardrail
+// branch: feedback holds, retries with backoff, abandons, rejection
+// cooldowns, budget clamps and migrations. One faulty run per policy is
+// observed, pinning its metrics and span exports too.
+TEST(DiagonalSimTest, GuardrailDecisionTrailsArePinned) {
+  FlexibleCatalogOptions fopts;
+  fopts.subdivisions = 1;
+  auto flexible = Catalog::MakeFlexible(fopts);
+  ASSERT_TRUE(flexible.ok());
+  const int intervals =
+      static_cast<int>(BaseSimConfig().simulation.trace.num_steps());
+  ASSERT_EQ(intervals, 360);
+
+  struct Case {
+    const char* name;
+    void (*apply)(SimConfig*, int intervals);
+    std::array<uint64_t, 2> trail;  // Auto, Diagonal
+    bool observed = false;
+  };
+  const Case cases[] = {
+      {"null", [](SimConfig*, int) {},
+       {0x8a0338153fbf7f5eULL, 0x2bff72a80c8b9cc7ULL}},
+      {"acceptance",
+       [](SimConfig* c, int) {
+         c->simulation.fault.resize.failure_probability = 0.1;
+         c->simulation.fault.resize.min_latency_intervals = 1;
+         c->simulation.fault.resize.max_latency_intervals = 2;
+       },
+       {0xecb142dbb491db4cULL, 0x7d7b47214e14ab46ULL},
+       true},
+      {"always-failing",
+       [](SimConfig* c, int) {
+         c->simulation.fault.resize.failure_probability = 1.0;
+       },
+       {0xbf2a8b7f02f4201eULL, 0x2efa5d40cb8367fbULL}},
+      {"fail-and-reject",
+       [](SimConfig* c, int) {
+         c->simulation.fault.resize.failure_probability = 0.1;
+         c->simulation.fault.resize.rejection_probability = 0.2;
+       },
+       {0x39b5a855b5de514bULL, 0x38808ce0d5d8a9f9ULL}},
+      {"budget",
+       [](SimConfig* c, int n) {
+         c->knobs.budget = scaler::BudgetKnob{40.0 * n, n};
+       },
+       {0x8965c3e0f54a9b64ULL, 0xe8f4ef13ed867386ULL}},
+      {"hot-host",
+       [](SimConfig* c, int) {
+         c->host.num_hosts = 2;
+         c->host.hot_hosts = 1;
+         c->host.hot_extra.cpu_cores = 12.5;
+         c->host.migration_latency_intervals = 2;
+         c->host.migration_downtime_intervals = 1;
+       },
+       {0x247bd10dc7033d8bULL, 0x066abd7fe5e6c320ULL}},
+  };
+  const std::array<uint64_t, 2> observed_metrics = {0xcac76f03ec0502a2ULL,
+                                                   0xaec1398991cc4841ULL};
+  const std::array<uint64_t, 2> observed_trace = {0x5c4c69c887939666ULL,
+                                                 0x1086ff8bab021342ULL};
+
+  for (const Case& c : cases) {
+    for (const bool diagonal : {false, true}) {
+      SimConfig config = BaseSimConfig();
+      if (diagonal) config.simulation.catalog = *flexible;
+      c.apply(&config, intervals);
+      ASSERT_TRUE(config.Validate().ok()) << c.name;
+      sim::SimulationOptions options = config.EffectiveSimulationOptions();
+      obs::Observability ob;
+      if (c.observed) options.obs = &ob;
+      std::unique_ptr<scaler::ScalingPolicy> policy;
+      if (diagonal) {
+        auto made = DiagonalScaler::Create(*flexible, config.knobs);
+        ASSERT_TRUE(made.ok()) << made.status().message();
+        policy = std::move(made).value();
+      } else {
+        auto made = scaler::AutoScaler::Create(config.simulation.catalog,
+                                               config.knobs, config.scaler);
+        ASSERT_TRUE(made.ok()) << made.status().message();
+        policy = std::move(made).value();
+      }
+      auto run = sim::Simulation(options).Run(policy.get());
+      ASSERT_TRUE(run.ok()) << run.status().message();
+      const size_t p = diagonal ? 1 : 0;
+      EXPECT_EQ(DecisionTrailDigest(*run), c.trail[p])
+          << c.name << (diagonal ? " / Diagonal" : " / Auto");
+      if (c.observed) {
+        EXPECT_EQ(obs::MetricsDigest(ob.registry(), ob.primary()),
+                  observed_metrics[p]);
+        EXPECT_EQ(obs::TraceDigest(ob.trace()), observed_trace[p]);
+      }
+    }
+  }
 }
 
 TEST(RegisteredPolicyTest, MakesEveryRegisteredPolicy) {

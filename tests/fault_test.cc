@@ -1,18 +1,20 @@
 // Fault-injection layer tests: FaultPlan determinism, the resize actuation
-// channel, the AutoScaler's retry/backoff/degradation handling, and closed
-// loop + fleet behavior under fault profiles.
+// channel, the retry/backoff/rejection/degradation handling both policies
+// share, and closed loop + fleet behavior under fault profiles.
 
 #include "src/fault/fault_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "src/common/check.h"
 #include "src/engine/engine.h"
 #include "src/fault/actuator.h"
 #include "src/fleet/fleet_sim.h"
 #include "src/scaler/autoscaler.h"
+#include "src/scaler/diagonal.h"
 #include "src/sim/experiment.h"
 #include "src/workload/mix.h"
 #include "src/workload/paper_traces.h"
@@ -215,18 +217,31 @@ TEST(EngineResizeApiTest, BeginCompleteAbortSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// AutoScaler resize-lifecycle handling (unit level, synthetic snapshots).
+// Resize-lifecycle handling, identical for both policies (unit level,
+// synthetic snapshots).
 
-class AutoScalerFaultTest : public ::testing::Test {
+template <typename Policy>
+struct OptionsFor;
+template <>
+struct OptionsFor<scaler::AutoScaler> {
+  using type = scaler::AutoScalerOptions;
+};
+template <>
+struct OptionsFor<scaler::DiagonalScaler> {
+  using type = scaler::DiagonalOptions;
+};
+
+template <typename Policy>
+class PolicyFaultTest : public ::testing::Test {
  protected:
-  AutoScalerFaultTest() : catalog_(Catalog::MakeLockStep()) {}
+  PolicyFaultTest() : catalog_(Catalog::MakeLockStep()) {}
 
-  std::unique_ptr<scaler::AutoScaler> MakeScaler(
-      double goal_ms, scaler::AutoScalerOptions options = {}) {
+  std::unique_ptr<Policy> MakeScaler(
+      double goal_ms, typename OptionsFor<Policy>::type options = {}) {
     scaler::TenantKnobs knobs;
     knobs.latency_goal =
         scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, goal_ms};
-    auto result = scaler::AutoScaler::Create(catalog_, knobs, options);
+    auto result = Policy::Create(catalog_, knobs, options);
     DBSCALE_CHECK_OK(result.status());
     return std::move(result).value();
   }
@@ -286,31 +301,35 @@ class AutoScalerFaultTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(AutoScalerFaultTest, PendingResizeHoldsTheChannel) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);  // Would scale up if the channel were free.
-  auto d = scaler->Decide(WithFeedback(
-      Input(s, 3, 5), scaler::ActuationPhase::kPending, 4, 1));
+using PolicyTypes =
+    ::testing::Types<scaler::AutoScaler, scaler::DiagonalScaler>;
+TYPED_TEST_SUITE(PolicyFaultTest, PolicyTypes);
+
+TYPED_TEST(PolicyFaultTest, PendingResizeHoldsTheChannel) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);  // Would scale up if the channel were free.
+  auto d = scaler->Decide(this->WithFeedback(
+      this->Input(s, 3, 5), scaler::ActuationPhase::kPending, 4, 1));
   EXPECT_EQ(d.target.base_rung, 3);
   EXPECT_EQ(d.explanation.code,
             scaler::ExplanationCode::kHoldResizePending);
 }
 
-TEST_F(AutoScalerFaultTest, FailedResizeBacksOffThenRetries) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);
+TYPED_TEST(PolicyFaultTest, FailedResizeBacksOffThenRetries) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
 
   // Attempt 1 toward rung 4 failed: back off one interval.
-  auto hold = scaler->Decide(WithFeedback(
-      Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 1));
+  auto hold = scaler->Decide(this->WithFeedback(
+      this->Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 1));
   EXPECT_EQ(hold.target.base_rung, 3);
   EXPECT_EQ(hold.explanation.code,
             scaler::ExplanationCode::kHoldResizeBackoff);
 
   // Next interval: the retry fires toward the SAME target.
-  auto retry = scaler->Decide(Input(s, 3, 11));
+  auto retry = scaler->Decide(this->Input(s, 3, 11));
   EXPECT_EQ(retry.explanation.code,
             scaler::ExplanationCode::kScaleRetryResize);
   EXPECT_EQ(retry.target.base_rung, 4);
@@ -321,71 +340,147 @@ TEST_F(AutoScalerFaultTest, FailedResizeBacksOffThenRetries) {
             scaler::ResizeOutcome::kRequested);
 }
 
-TEST_F(AutoScalerFaultTest, ExponentialBackoffGrowsBetweenRetries) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);
+TYPED_TEST(PolicyFaultTest, ExponentialBackoffGrowsBetweenRetries) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
 
   // Attempt 2 failed: backoff = base * multiplier^(2-1) = 2 intervals.
-  auto hold = scaler->Decide(WithFeedback(
-      Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 2));
+  auto hold = scaler->Decide(this->WithFeedback(
+      this->Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 2));
   EXPECT_EQ(hold.explanation.code,
             scaler::ExplanationCode::kHoldResizeBackoff);
   // Interval 11: still backing off.
-  auto wait = scaler->Decide(Input(s, 3, 11));
+  auto wait = scaler->Decide(this->Input(s, 3, 11));
   EXPECT_EQ(wait.explanation.code,
             scaler::ExplanationCode::kHoldResizeBackoff);
   EXPECT_EQ(wait.target.base_rung, 3);
   // Interval 12: retry due.
-  auto retry = scaler->Decide(Input(s, 3, 12));
+  auto retry = scaler->Decide(this->Input(s, 3, 12));
   EXPECT_EQ(retry.explanation.code,
             scaler::ExplanationCode::kScaleRetryResize);
 }
 
-TEST_F(AutoScalerFaultTest, AbandonsAfterMaxAttempts) {
-  scaler::AutoScalerOptions options;
-  options.resize_max_attempts = 2;
-  auto scaler = MakeScaler(200, options);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);
+TYPED_TEST(PolicyFaultTest, AbandonsAfterMaxAttempts) {
+  typename OptionsFor<TypeParam>::type options;
+  options.guardrails.resize_max_attempts = 2;
+  auto scaler = this->MakeScaler(200, options);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
 
-  auto abandoned = scaler->Decide(WithFeedback(
-      Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 2));
+  auto abandoned = scaler->Decide(this->WithFeedback(
+      this->Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 2));
   EXPECT_EQ(abandoned.target.base_rung, 3);
   EXPECT_EQ(abandoned.explanation.code,
             scaler::ExplanationCode::kHoldResizeAbandoned);
   // No retry is scheduled: the next cycle runs the normal logic (which may
   // request the resize afresh, attempt 1 — but never as kScaleRetryResize).
-  auto next = scaler->Decide(Input(s, 3, 11));
+  auto next = scaler->Decide(this->Input(s, 3, 11));
   EXPECT_NE(next.explanation.code,
             scaler::ExplanationCode::kScaleRetryResize);
 }
 
-TEST_F(AutoScalerFaultTest, RejectedTargetCoolsDown) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);
+TYPED_TEST(PolicyFaultTest, RejectedTargetCoolsDown) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
 
-  auto rejected = scaler->Decide(WithFeedback(
-      Input(s, 3, 10), scaler::ActuationPhase::kRejected, 4, 1));
+  auto rejected = scaler->Decide(this->WithFeedback(
+      this->Input(s, 3, 10), scaler::ActuationPhase::kRejected, 4, 1));
   EXPECT_EQ(rejected.target.base_rung, 3);
   EXPECT_EQ(rejected.explanation.code,
             scaler::ExplanationCode::kHoldResizeRejected);
 
   // During the cooldown the scale-up path refuses the rejected target.
-  auto held = scaler->Decide(Input(s, 3, 12));
+  auto held = scaler->Decide(this->Input(s, 3, 12));
   EXPECT_EQ(held.target.base_rung, 3);
   EXPECT_EQ(held.explanation.code,
             scaler::ExplanationCode::kHoldResizeRejected);
 
   // After the cooldown (10 intervals by default) the target is fair game.
-  auto scaled = scaler->Decide(Input(s, 3, 25));
+  auto scaled = scaler->Decide(this->Input(s, 3, 25));
   EXPECT_GT(scaled.target.base_rung, 3);
 }
 
+TYPED_TEST(PolicyFaultTest, DegradedTelemetryForcesZeroDemandHold) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);  // Demand signals that would normally scale up.
+  s.degraded = true;
+  s.confidence = 0.4;
+
+  for (int i = 0; i < 5; ++i) {
+    auto d = scaler->Decide(this->Input(s, 3, i));
+    // Degraded windows force demand 0: the container NEVER moves.
+    EXPECT_EQ(d.target.base_rung, 3);
+    EXPECT_EQ(d.explanation.code,
+              scaler::ExplanationCode::kHoldDegradedTelemetry);
+  }
+}
+
+TYPED_TEST(PolicyFaultTest, AppliedFeedbackSettlesAuditOutcome) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
+  auto up = scaler->Decide(this->Input(s, 3, 0));
+  ASSERT_GT(up.target.base_rung, 3);
+  ASSERT_EQ(scaler->audit().back().resize_outcome,
+            scaler::ResizeOutcome::kRequested);
+
+  auto healthy = this->Snapshot(up.target.base_rung, 100);
+  // dbscale-lint: allow(discarded-status)
+  (void)scaler->Decide(
+      this->WithFeedback(this->Input(healthy, up.target.base_rung, 1),
+                         scaler::ActuationPhase::kApplied,
+                         up.target.base_rung, 1));
+  const auto resizes = scaler->audit().Resizes();
+  ASSERT_FALSE(resizes.empty());
+  EXPECT_EQ(resizes.front()->resize_outcome,
+            scaler::ResizeOutcome::kApplied);
+}
+
+TYPED_TEST(PolicyFaultTest, PendingMigrationHoldsWithDowntime) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
+  scaler::PolicyInput input = this->WithFeedback(
+      this->Input(s, 3, 5), scaler::ActuationPhase::kPending, 4, 1);
+  input.actuation.kind = scaler::ActuationKind::kMigration;
+  input.actuation.downtime_intervals = 1;
+  auto d = scaler->Decide(input);
+  EXPECT_EQ(d.target.base_rung, 3);
+  EXPECT_EQ(d.explanation.code,
+            scaler::ExplanationCode::kHoldMigrationPending);
+  EXPECT_DOUBLE_EQ(d.explanation.args[0], 1.0);  // attempt
+  EXPECT_DOUBLE_EQ(d.explanation.args[1], 1.0);  // downtime intervals
+}
+
+TYPED_TEST(PolicyFaultTest, RejectedMigrationMeansHostSaturated) {
+  auto scaler = this->MakeScaler(200);
+  auto s = this->Snapshot(3, 400);
+  this->SetCpuBottleneck(&s);
+  scaler::PolicyInput input = this->WithFeedback(
+      this->Input(s, 3, 10), scaler::ActuationPhase::kRejected, 4, 1);
+  input.actuation.kind = scaler::ActuationKind::kMigration;
+  auto saturated = scaler->Decide(input);
+  EXPECT_EQ(saturated.target.base_rung, 3);
+  EXPECT_EQ(saturated.explanation.code,
+            scaler::ExplanationCode::kHoldHostSaturated);
+  EXPECT_DOUBLE_EQ(saturated.explanation.args[0], 10.0);  // cooldown
+
+  // The same cooldown as a rejected resize: the target stays refused.
+  auto held = scaler->Decide(this->Input(s, 3, 12));
+  EXPECT_EQ(held.target.base_rung, 3);
+  EXPECT_EQ(held.explanation.code,
+            scaler::ExplanationCode::kHoldResizeRejected);
+}
+
+// Ballooning is Auto's alone.
+using AutoScalerFaultTest = PolicyFaultTest<scaler::AutoScaler>;
+
 TEST_F(AutoScalerFaultTest, FailedResizeAbortsBallooning) {
   scaler::AutoScalerOptions options;
-  options.down_patience_medium = 1;
+  options.guardrails.down_patience_medium = 1;
   auto scaler = MakeScaler(1000, options);
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
@@ -404,42 +499,6 @@ TEST_F(AutoScalerFaultTest, FailedResizeAbortsBallooning) {
   ASSERT_TRUE(d1.memory_limit_mb.has_value());
   EXPECT_DOUBLE_EQ(*d1.memory_limit_mb,
                    catalog_.rung(5).resources.memory_mb);
-}
-
-TEST_F(AutoScalerFaultTest, DegradedTelemetryForcesZeroDemandHold) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);  // Demand signals that would normally scale up.
-  s.degraded = true;
-  s.confidence = 0.4;
-
-  for (int i = 0; i < 5; ++i) {
-    auto d = scaler->Decide(Input(s, 3, i));
-    // Degraded windows force demand 0: the container NEVER moves.
-    EXPECT_EQ(d.target.base_rung, 3);
-    EXPECT_EQ(d.explanation.code,
-              scaler::ExplanationCode::kHoldDegradedTelemetry);
-  }
-}
-
-TEST_F(AutoScalerFaultTest, AppliedFeedbackSettlesAuditOutcome) {
-  auto scaler = MakeScaler(200);
-  auto s = Snapshot(3, 400);
-  SetCpuBottleneck(&s);
-  auto up = scaler->Decide(Input(s, 3, 0));
-  ASSERT_GT(up.target.base_rung, 3);
-  ASSERT_EQ(scaler->audit().back().resize_outcome,
-            scaler::ResizeOutcome::kRequested);
-
-  auto healthy = Snapshot(up.target.base_rung, 100);
-  // dbscale-lint: allow(discarded-status)
-  (void)scaler->Decide(WithFeedback(Input(healthy, up.target.base_rung, 1),
-                                    scaler::ActuationPhase::kApplied,
-                                    up.target.base_rung, 1));
-  const auto resizes = scaler->audit().Resizes();
-  ASSERT_FALSE(resizes.empty());
-  EXPECT_EQ(resizes.front()->resize_outcome,
-            scaler::ResizeOutcome::kApplied);
 }
 
 // ---------------------------------------------------------------------------
