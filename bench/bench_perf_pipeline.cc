@@ -11,13 +11,9 @@
 //     bytes, and peak RSS per point — plus a thread-scaling curve whose
 //     aggregate digest must be bit-identical at every thread count;
 //   * TelemetryManager::Compute throughput and heap allocations per call
-//     on a static store, with and without a reusable SignalScratch (both
-//     rows use the batch path so they stay comparable to earlier runs);
-//   * incremental vs batch Compute on a *sliding* store (one appended
-//     sample per call — the deployment access pattern) at window sizes
-//     W in {32, 128, 512}, with per-call allocation counts and an
-//     order-sensitive snapshot digest that must match between the two
-//     paths exactly (the incremental engine's bit-identity contract);
+//     on a static store, with and without a reusable SignalScratch;
+//   * sliding Compute (one appended sample per call) at window sizes
+//     W in {32, 128, 512}, with calls/s and per-call allocation counts;
 //   * observability overhead: Compute with metrics + span capture enabled
 //     vs off, and the fleet run with per-tenant shards vs off — both with
 //     a <2% overhead target and an unchanged-digest requirement.
@@ -25,12 +21,12 @@
 // Numbers are only meaningful relative to `hardware_concurrency`, which is
 // recorded alongside them (as is DBSCALE_NUM_THREADS when set): on a
 // single-core host the parallel runs cannot beat serial and the
-// interesting results are the allocation counts and the incremental
-// speedups, which do not depend on core count.
+// interesting results are the allocation counts, which do not depend on
+// core count.
 //
 // --quick shrinks every section to a few seconds total; ci/check.sh runs
 // it as a smoke stage and asserts on the JSON (zero allocations on the
-// scratch paths, digests match).
+// scratch paths, fleet digests match).
 
 #include <algorithm>
 #include <chrono>
@@ -268,106 +264,53 @@ ComputeStats TimeComputeObserved(const telemetry::TelemetryManager& manager,
   return stats;
 }
 
-double TrendDigest(const stats::TrendResult& t) {
-  return t.slope + 3.0 * t.intercept + 7.0 * t.fraction_positive +
-         11.0 * t.fraction_negative + (t.significant ? 13.0 : 0.0) +
-         17.0 * static_cast<double>(t.direction);
-}
-
-/// Order-sensitive digest over every field of a snapshot. The incremental
-/// and batch paths must produce identical digests over identical sample
-/// streams — any divergence in any signal on any slide changes the sum.
-double SnapshotDigest(const telemetry::SignalSnapshot& snap, double weight) {
-  double sum = snap.latency_ms + TrendDigest(snap.latency_trend) +
-               snap.total_wait_ms + snap.throughput_rps +
-               snap.memory_used_mb + snap.physical_reads_per_sec;
-  for (size_t r = 0; r < container::kNumResources; ++r) {
-    const telemetry::ResourceSignals& rs = snap.resources[r];
-    sum += rs.utilization_pct + rs.wait_ms + rs.wait_ms_per_request +
-           rs.wait_pct + TrendDigest(rs.utilization_trend) +
-           TrendDigest(rs.wait_trend) + rs.wait_latency_correlation +
-           rs.utilization_latency_correlation;
-  }
-  for (double pct : snap.wait_pct_by_class) sum += pct;
-  return weight * sum;
-}
-
-struct SlidingStats {
-  double calls_per_sec = 0.0;
-  double allocs_per_call = 0.0;
-  double digest = 0.0;
+struct SlidingRow {
+  size_t window = 0;
+  int slides = 0;
+  ComputeStats stats;
 };
 
-/// The deployment access pattern: one sample appended per Compute. Only
-/// the Compute calls are timed and allocation-counted (the store's own
-/// append may grow its deque). The same seed gives both managers an
-/// identical sample stream so their digests are comparable bit-for-bit.
-SlidingStats TimeSlidingCompute(const telemetry::TelemetryManager& manager,
-                                const container::Catalog& catalog,
-                                size_t window, int slides, uint64_t seed) {
+/// The deployment access pattern: a sample appended before every Compute,
+/// at trend/correlation window W (aggregation W/2). Only the Compute calls
+/// are timed and allocation-counted (the store's own append may grow its
+/// ring).
+SlidingRow TimeSlidingCompute(const container::Catalog& catalog,
+                              size_t window, int slides) {
+  telemetry::TelemetryManagerOptions options;
+  options.aggregation_samples = window / 2;
+  options.trend_samples = window;
+  options.correlation_samples = window;
+  const telemetry::TelemetryManager manager(options);
   telemetry::TelemetryStore store;
-  Rng rng(seed);
+  Rng rng(29);
   int index = 0;
   for (size_t i = 0; i < window; ++i) {
     store.Append(MakeSlidingSample(catalog, index++, rng));
   }
   telemetry::SignalScratch scratch;
-  // Warm up: sizes scratch / configures the incremental engine.
+  // Warm up: sizes the scratch buffers.
   manager.Compute(store, store.back().period_end, &scratch);
 
-  SlidingStats stats;
   double compute_seconds = 0.0;
   std::int64_t allocs = 0;
-  double weight = 1.0;
+  double sink = 0.0;
   for (int i = 0; i < slides; ++i) {
     store.Append(MakeSlidingSample(catalog, index++, rng));
     const std::int64_t allocs_before = t_alloc_count;
     const double start = NowSeconds();
-    const telemetry::SignalSnapshot snap =
-        manager.Compute(store, store.back().period_end, &scratch);
+    sink += manager.Compute(store, store.back().period_end, &scratch)
+                .latency_ms;
     compute_seconds += NowSeconds() - start;
     allocs += t_alloc_count - allocs_before;
-    weight = weight >= 1e9 ? 1.0 : weight + 1e-3;
-    stats.digest += SnapshotDigest(snap, weight);
   }
-  stats.calls_per_sec = slides / compute_seconds;
-  stats.allocs_per_call =
+  DBSCALE_CHECK(sink > 0.0);
+  SlidingRow row;
+  row.window = window;
+  row.slides = slides;
+  row.stats.calls_per_sec = slides / compute_seconds;
+  row.stats.allocs_per_call =
       static_cast<double>(allocs) / static_cast<double>(slides);
-  return stats;
-}
-
-struct SlidingComparison {
-  size_t window = 0;
-  int slides = 0;
-  SlidingStats incremental;
-  SlidingStats batch;
-};
-
-SlidingComparison CompareSlidingPaths(const container::Catalog& catalog,
-                                      size_t window, int slides) {
-  telemetry::TelemetryManagerOptions options;
-  options.aggregation_samples = window / 2;
-  options.trend_samples = window;
-  options.correlation_samples = window;
-
-  SlidingComparison cmp;
-  cmp.window = window;
-  cmp.slides = slides;
-
-  options.incremental = true;
-  const telemetry::TelemetryManager incremental(options);
-  cmp.incremental =
-      TimeSlidingCompute(incremental, catalog, window, slides, /*seed=*/29);
-
-  options.incremental = false;
-  const telemetry::TelemetryManager batch(options);
-  cmp.batch =
-      TimeSlidingCompute(batch, catalog, window, slides, /*seed=*/29);
-
-  // Bit-identical signals are a hard guarantee, not a tolerance: the
-  // incremental engine must reproduce the batch oracle on every slide.
-  DBSCALE_CHECK(cmp.incremental.digest == cmp.batch.digest);
-  return cmp;
+  return row;
 }
 
 int Main(int argc, char** argv) {
@@ -401,7 +344,7 @@ int Main(int argc, char** argv) {
   if (hw <= 1) {
     std::printf(
         "WARNING: single-core host — fleet speedups cannot exceed 1x here; "
-        "read the allocation counts and incremental-vs-batch rows instead.\n"
+        "read the allocation counts instead.\n"
         "\n");
   }
 
@@ -475,45 +418,36 @@ int Main(int argc, char** argv) {
         std::max(scale_max_speedup, scale_curve.front().seconds / run.seconds);
   }
 
-  // Static-store rows, batch path on both: comparable to historical runs
-  // and isolates what the scratch alone buys.
-  telemetry::TelemetryManagerOptions batch_options;
-  batch_options.incremental = false;
+  // Static-store rows: isolates what the scratch alone buys.
   telemetry::TelemetryStore store = MakeSignalStore(catalog);
-  telemetry::TelemetryManager batch_manager(batch_options);
+  const telemetry::TelemetryManager manager;
   telemetry::SignalScratch scratch;
   const int iterations = quick ? 2000 : 20000;
   ComputeStats no_scratch =
-      TimeCompute(batch_manager, store, nullptr, iterations);
+      TimeCompute(manager, store, nullptr, iterations);
   ComputeStats with_scratch =
-      TimeCompute(batch_manager, store, &scratch, iterations);
-  std::printf("\nTelemetryManager::Compute (static 64-sample store, batch):\n");
+      TimeCompute(manager, store, &scratch, iterations);
+  std::printf("\nTelemetryManager::Compute (static 64-sample store):\n");
   std::printf("  no scratch:   %10.0f calls/s  %6.1f allocs/call\n",
               no_scratch.calls_per_sec, no_scratch.allocs_per_call);
   std::printf("  with scratch: %10.0f calls/s  %6.1f allocs/call\n",
               with_scratch.calls_per_sec, with_scratch.allocs_per_call);
 
-  // Sliding store: incremental engine vs batch oracle at growing windows.
-  // The batch pairwise-slope pass is O(W^2) per call, so its slide counts
-  // shrink with W to keep the section bounded.
-  std::printf("\nSliding Compute, incremental vs batch "
-              "(1 append per call):\n");
-  std::vector<SlidingComparison> sliding;
+  // Sliding store at growing windows. The pairwise-slope pass is O(W^2)
+  // per call, so the slide counts shrink with W to keep the section
+  // bounded.
+  std::printf("\nSliding Compute (1 append per call):\n");
+  std::vector<SlidingRow> sliding;
   const std::vector<std::pair<size_t, int>> sliding_cases =
       quick ? std::vector<std::pair<size_t, int>>{{32, 200}, {128, 60},
                                                   {512, 16}}
             : std::vector<std::pair<size_t, int>>{{32, 4000}, {128, 1000},
                                                   {512, 150}};
   for (const auto& [window, slides] : sliding_cases) {
-    sliding.push_back(CompareSlidingPaths(catalog, window, slides));
-    const SlidingComparison& cmp = sliding.back();
-    std::printf(
-        "  W=%-4zu incremental %10.0f calls/s %5.2f allocs/call | "
-        "batch %10.0f calls/s %5.2f allocs/call | speedup %5.2fx\n",
-        cmp.window, cmp.incremental.calls_per_sec,
-        cmp.incremental.allocs_per_call, cmp.batch.calls_per_sec,
-        cmp.batch.allocs_per_call,
-        cmp.incremental.calls_per_sec / cmp.batch.calls_per_sec);
+    sliding.push_back(TimeSlidingCompute(catalog, window, slides));
+    const SlidingRow& row = sliding.back();
+    std::printf("  W=%-4zu %10.0f calls/s %5.2f allocs/call\n", row.window,
+                row.stats.calls_per_sec, row.stats.allocs_per_call);
   }
 
   // Observability overhead. Compute: metrics + one span tree per call vs
@@ -531,9 +465,9 @@ int Main(int argc, char** argv) {
   std::vector<double> compute_ratios;
   for (int rep = 0; rep < overhead_reps; ++rep) {
     const ComputeStats base =
-        TimeCompute(batch_manager, store, &scratch, overhead_iters);
+        TimeCompute(manager, store, &scratch, overhead_iters);
     const ComputeStats observed = TimeComputeObserved(
-        batch_manager, store, &scratch, overhead_iters, &compute_ob);
+        manager, store, &scratch, overhead_iters, &compute_ob);
     compute_ratios.push_back(base.calls_per_sec / observed.calls_per_sec);
     if (base.calls_per_sec > compute_base.calls_per_sec) compute_base = base;
     if (observed.calls_per_sec > observed_compute.calls_per_sec) {
@@ -670,23 +604,15 @@ int Main(int argc, char** argv) {
                "\"allocs_per_call\": %.2f}\n",
                with_scratch.calls_per_sec, with_scratch.allocs_per_call);
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"incremental_vs_batch\": [\n");
+  std::fprintf(out, "  \"sliding_compute\": [\n");
   for (size_t i = 0; i < sliding.size(); ++i) {
-    const SlidingComparison& cmp = sliding[i];
-    std::fprintf(
-        out,
-        "    {\"window\": %zu, \"slides\": %d,\n"
-        "     \"incremental\": {\"calls_per_sec\": %.0f, "
-        "\"allocs_per_call\": %.4f},\n"
-        "     \"batch\": {\"calls_per_sec\": %.0f, "
-        "\"allocs_per_call\": %.4f},\n"
-        "     \"speedup\": %.4f, \"digest\": %.6f, "
-        "\"digests_match\": true}%s\n",
-        cmp.window, cmp.slides, cmp.incremental.calls_per_sec,
-        cmp.incremental.allocs_per_call, cmp.batch.calls_per_sec,
-        cmp.batch.allocs_per_call,
-        cmp.incremental.calls_per_sec / cmp.batch.calls_per_sec,
-        cmp.incremental.digest, i + 1 < sliding.size() ? "," : "");
+    const SlidingRow& row = sliding[i];
+    std::fprintf(out,
+                 "    {\"window\": %zu, \"slides\": %d, "
+                 "\"calls_per_sec\": %.0f, \"allocs_per_call\": %.4f}%s\n",
+                 row.window, row.slides, row.stats.calls_per_sec,
+                 row.stats.allocs_per_call,
+                 i + 1 < sliding.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"observability\": {\n");

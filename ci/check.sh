@@ -6,8 +6,9 @@
 #   3. UndefinedBehaviorSanitizer build, complete test suite
 #   4. clang-tidy over src/ (skipped with a notice when not installed)
 #   5. custom invariant lint (tools/lint/dbscale_lint.py + its self-test)
-#   6. quick-mode perf-pipeline smoke: hot paths must stay allocation-free
-#      and the incremental signal engine bit-identical to the batch oracle
+#   6. quick-mode perf-pipeline smoke: hot paths (static and sliding
+#      Compute, observed Compute) must stay allocation-free and the fleet
+#      digest identical across thread counts
 #   7. observability smoke: run the decision-trace example and validate
 #      every exporter's output against the stable schemas
 #   8. fault-matrix smoke: null and faulty closed loops are run-twice
@@ -91,8 +92,8 @@ ci/lint.sh
 echo
 echo "=== [6/12] perf-pipeline smoke (quick mode) ==="
 # Small workloads, large signal: any steady-state allocation on a hot path
-# or any bit-level divergence between the incremental signal engine and the
-# batch oracle fails the gate, regardless of throughput numbers.
+# or any fleet digest divergence fails the gate, regardless of throughput
+# numbers.
 SMOKE_JSON="${PREFIX}/bench_smoke.json"
 "${PREFIX}/bench/bench_perf_pipeline" --quick --out="${SMOKE_JSON}" >/dev/null
 python3 - "${SMOKE_JSON}" <<'PY'
@@ -109,13 +110,10 @@ if compute["with_scratch"]["allocs_per_call"] > 0:
     failures.append("TelemetryManager::Compute (scratch path) allocated "
                     f"{compute['with_scratch']['allocs_per_call']}/call")
 
-for case in report["incremental_vs_batch"]:
-    window = case["window"]
-    if case["incremental"]["allocs_per_call"] > 0:
-        failures.append(f"incremental Compute at W={window} allocated "
-                        f"{case['incremental']['allocs_per_call']}/call")
-    if not case["digests_match"]:
-        failures.append(f"incremental vs batch digests diverge at W={window}")
+for case in report["sliding_compute"]:
+    if case["allocs_per_call"] != 0:
+        failures.append(f"sliding Compute at W={case['window']} allocated "
+                        f"{case['allocs_per_call']}/call")
 
 digests = {run["digest"] for run in report["fleet"]["runs"]}
 if len(digests) != 1:
@@ -135,8 +133,8 @@ if failures:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     sys.exit(1)
-print(f"bench smoke ok: {len(report['incremental_vs_batch'])} sliding cases "
-      "bit-identical, hot paths allocation-free")
+print(f"bench smoke ok: {len(report['sliding_compute'])} sliding cases "
+      "and the static/observed paths allocation-free")
 print("observability overhead (quick, noisy): "
       f"compute {obs['compute']['overhead_pct']:+.2f}%, "
       f"fleet {obs['fleet']['overhead_pct']:+.2f}% (<2% full-bench target)")

@@ -82,6 +82,9 @@ void ScalerService::EnsureBuffers() {
   if (producer_next_seq_.size() != options_.max_producers) {
     producer_next_seq_.assign(options_.max_producers, kNoSeqYet);
   }
+  const size_t slices =
+      pool_ != nullptr ? static_cast<size_t>(pool_->num_threads()) : 1;
+  if (scratch_.size() != slices) scratch_.resize(slices);
 }
 
 // dbscale-hot: first pass over every drained batch; allocation-free.
@@ -227,31 +230,38 @@ void ScalerService::EvaluateDue(const obs::Sink& sink) {
   sink.metrics.Observe(metrics_.decide_batch_size, static_cast<double>(n));
 
   uint64_t (*timer)() = options_.timer;
-  const auto prepare = [this, timer](int64_t idx) {
-    const size_t i = static_cast<size_t>(idx);
-    TenantState* t = due_[i];
-    scaler::DecisionSlot& slot = slots_[i];
-    const uint64_t t0 = timer != nullptr ? timer() : 0;
-    slot.policy = t->policy.get();
-    // The exact sim-loop decision input: the boundary clock is the
-    // interval's last sample period_end, billing follows the container in
-    // effect, and resize feedback carries last interval's outcome.
-    slot.input.now = SimTime::FromMicros(t->last_period_end_us);
-    slot.input.signals =
-        manager_.Compute(t->store, slot.input.now, &t->scratch);
-    slot.input.current = t->current;
-    slot.input.interval_index = t->interval_index;
-    slot.input.charged_cost = t->current.price_per_interval;
-    slot.input.actuation = t->feedback;
-    // Workers must not share the drainer's primary shard; the service's
-    // instruments live at the drain/decide stages instead.
-    slot.input.obs = obs::Sink{};
-    compute_ns_[i] = timer != nullptr ? timer() - t0 : 0;
+  // Compute over contiguous slices of due_, slice k on scratch_[k]:
+  // ThreadPool has no worker index, so the slice index is what keeps two
+  // threads off one scratch.
+  const size_t slices = std::min(scratch_.size(), n);
+  const auto prepare = [this, timer, n, slices](int64_t k) {
+    const size_t slice = static_cast<size_t>(k);
+    telemetry::SignalScratch* scratch = &scratch_[slice].signals;
+    for (size_t i = n * slice / slices; i < n * (slice + 1) / slices; ++i) {
+      TenantState* t = due_[i];
+      scaler::DecisionSlot& slot = slots_[i];
+      const uint64_t t0 = timer != nullptr ? timer() : 0;
+      slot.policy = t->policy.get();
+      // The exact sim-loop decision input: the boundary clock is the
+      // interval's last sample period_end, billing follows the container
+      // in effect, and resize feedback carries last interval's outcome.
+      slot.input.now = SimTime::FromMicros(t->last_period_end_us);
+      slot.input.signals =
+          manager_.Compute(t->store, slot.input.now, scratch);
+      slot.input.current = t->current;
+      slot.input.interval_index = t->interval_index;
+      slot.input.charged_cost = t->current.price_per_interval;
+      slot.input.actuation = t->feedback;
+      // Workers must not share the drainer's primary shard; the service's
+      // instruments live at the drain/decide stages instead.
+      slot.input.obs = obs::Sink{};
+      compute_ns_[i] = timer != nullptr ? timer() - t0 : 0;
+    }
   };
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) prepare(static_cast<int64_t>(i));
+  if (slices == 1) {
+    prepare(0);
   } else {
-    pool_->ParallelFor(0, static_cast<int64_t>(n), prepare);
+    pool_->ParallelFor(0, static_cast<int64_t>(slices), prepare);
   }
 
   scaler::DecideBatch(slots_.data(), n, pool_, timer);

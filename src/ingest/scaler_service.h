@@ -4,9 +4,9 @@
 // synchronously at each billing-interval boundary. The service decouples
 // the two halves of that loop: producers push WireSamples into the
 // IngestRing as they arrive; the drainer (this class) pops them in
-// batches, routes each to its tenant's sliding-window store (reusing the
-// incremental signal engine), and evaluates billing-interval decisions in
-// tenant batches over the deterministic ThreadPool.
+// batches, routes each to its tenant's sliding-window store, and evaluates
+// billing-interval decisions in tenant batches over the deterministic
+// ThreadPool.
 //
 // Equivalence contract — service-mode decisions are bit-identical to
 // sim-loop decisions for the same per-tenant sample sequence:
@@ -158,7 +158,6 @@ class ScalerService {
   struct TenantState {
     uint64_t id = 0;
     telemetry::TelemetryStore store;
-    telemetry::SignalScratch scratch;
     std::unique_ptr<scaler::ScalingPolicy> policy;
     container::ContainerSpec current;
     scaler::ActuationFeedback feedback;
@@ -174,6 +173,13 @@ class ScalerService {
     explicit TenantState(size_t retention) : store(retention) {}
   };
 
+  /// One evaluation slice's signal scratch, on cache lines of its own:
+  /// Compute writes the vector headers on every call, and two slices that
+  /// shared a line would stall each other whenever they ran at once.
+  struct alignas(64) SliceScratch {
+    telemetry::SignalScratch signals;
+  };
+
   /// (Re)sizes scratch buffers when the tenant set or options changed;
   /// no-op (and allocation-free) in steady state.
   void EnsureBuffers();
@@ -187,7 +193,8 @@ class ScalerService {
   /// pending decision. Appends newly due tenants to due_.
   void RouteOrPark(const WireSample& wire, std::vector<WireSample>& park);
   /// Batched Compute+Decide over due_ in tenant order; folds digests,
-  /// applies targets, resets interval counters.
+  /// applies targets, resets interval counters. Compute runs over
+  /// contiguous slices of due_, slice k on scratch_[k].
   void EvaluateDue(const obs::Sink& sink);
 
   TenantState* FindTenant(uint64_t tenant_id);
@@ -213,6 +220,10 @@ class ScalerService {
   std::vector<TenantState*> due_;
   std::vector<scaler::DecisionSlot> slots_;
   std::vector<uint64_t> compute_ns_;
+  /// One signal scratch per evaluation slice (pool width, 1 when serial).
+  /// Compute clears every buffer before use, so results cannot depend on
+  /// which slice a tenant lands in.
+  std::vector<SliceScratch> scratch_;
   std::vector<uint64_t> producer_next_seq_;
   size_t sized_tenants_ = 0;
 };

@@ -52,12 +52,6 @@ PipelineMetrics PipelineMetrics::Register(MetricRegistry* registry) {
   m.telemetry_invalid_snapshots_total = r.Counter(
       "dbscale_telemetry_invalid_snapshots_total",
       "Snapshots returned with valid == false (warm-up)");
-  m.telemetry_incremental_computes_total = r.Counter(
-      "dbscale_telemetry_incremental_computes_total",
-      "Computes served by the incremental signal engine");
-  m.telemetry_batch_computes_total = r.Counter(
-      "dbscale_telemetry_batch_computes_total",
-      "Computes served by the batch (oracle) path");
   m.telemetry_degraded_windows_total = r.Counter(
       "dbscale_telemetry_degraded_windows_total",
       "Snapshots whose window coverage fell below min_confidence");

@@ -42,8 +42,6 @@ struct PipelineMetrics {
   // Telemetry manager.
   MetricId telemetry_computes_total;
   MetricId telemetry_invalid_snapshots_total;
-  MetricId telemetry_incremental_computes_total;
-  MetricId telemetry_batch_computes_total;
   MetricId telemetry_degraded_windows_total;
   // Telemetry fault injection (recorded at the ingestion site).
   MetricId telemetry_dropped_samples_total;

@@ -8,6 +8,35 @@
 
 namespace dbscale::stats {
 
+namespace {
+
+/// Placement of the linear-interpolated percentile within `n` sorted
+/// values: blend order statistics `lo` and `hi` (0-based) with weight
+/// `frac`. Requires n >= 1 and p in [0, 100].
+struct PercentilePlacement {
+  size_t lo = 0;
+  size_t hi = 0;
+  double frac = 0.0;
+};
+
+PercentilePlacement PlacePercentile(size_t n, double p) {
+  DBSCALE_DCHECK(n >= 1);
+  DBSCALE_DCHECK(p >= 0.0 && p <= 100.0);
+  PercentilePlacement out;
+  double pos = p / 100.0 * static_cast<double>(n - 1);
+  out.lo = static_cast<size_t>(pos);
+  out.hi = std::min(out.lo + 1, n - 1);
+  out.frac = pos - static_cast<double>(out.lo);
+  return out;
+}
+
+/// The interpolation kernel shared by the sorted and selection variants.
+double InterpolateOrderStats(double lo_value, double hi_value, double frac) {
+  return lo_value * (1.0 - frac) + hi_value * frac;
+}
+
+}  // namespace
+
 double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   double sum = 0.0;
@@ -27,21 +56,6 @@ double StdDev(const std::vector<double>& values) {
 // dbscale-lint: allow(alloc-hot-path)
 Result<double> Median(std::vector<double> values) {
   return MedianInPlace(values);
-}
-
-PercentilePlacement PlacePercentile(size_t n, double p) {
-  DBSCALE_DCHECK(n >= 1);
-  DBSCALE_DCHECK(p >= 0.0 && p <= 100.0);
-  PercentilePlacement out;
-  double pos = p / 100.0 * static_cast<double>(n - 1);
-  out.lo = static_cast<size_t>(pos);
-  out.hi = std::min(out.lo + 1, n - 1);
-  out.frac = pos - static_cast<double>(out.lo);
-  return out;
-}
-
-double InterpolateOrderStats(double lo_value, double hi_value, double frac) {
-  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double PercentileSorted(const std::vector<double>& sorted, double p) {

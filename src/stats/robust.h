@@ -37,24 +37,6 @@ double StdDev(const std::vector<double>& values);
 /// order statistic.
 double PercentileSorted(const std::vector<double>& sorted, double p);
 
-/// Placement of the linear-interpolated percentile within `n` sorted
-/// values: blend order statistics `lo` and `hi` (0-based) with weight
-/// `frac`. Shared by every percentile implementation — batch, in-place, and
-/// the incremental sliding-window engine — so their interpolation is
-/// bit-identical by construction. Requires n >= 1 and p in [0, 100].
-struct PercentilePlacement {
-  size_t lo = 0;
-  size_t hi = 0;
-  double frac = 0.0;
-};
-PercentilePlacement PlacePercentile(size_t n, double p);
-
-/// The interpolation kernel: lo_value * (1 - frac) + hi_value * frac.
-/// Deliberately out of line: a single definition means batch and
-/// incremental paths execute the same machine code, so results stay
-/// bit-identical even under floating-point contraction (-ffp-contract).
-double InterpolateOrderStats(double lo_value, double hi_value, double frac);
-
 /// Selection-based (nth_element) percentile that permutes `values` instead
 /// of sorting or copying. O(n) expected vs O(n log n); returns values
 /// bit-identical to Percentile on the same input.

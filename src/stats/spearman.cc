@@ -6,14 +6,16 @@
 
 namespace dbscale::stats {
 
-namespace detail {
+namespace {
 
+/// Average rank (1-based) assigned to the tie group occupying sorted
+/// positions [first, last] (0-based, inclusive).
 double TieAveragedRank(size_t first, size_t last) {
   return (static_cast<double>(first + 1) + static_cast<double>(last + 1)) /
          2.0;
 }
 
-}  // namespace detail
+}  // namespace
 
 // Allocating convenience wrapper; hot callers use RankWithTiesInto.
 std::vector<double> RankWithTies(  // dbscale-lint: allow(alloc-hot-path)
@@ -40,7 +42,7 @@ void RankWithTiesInto(const std::vector<double>& values,
     size_t j = i;
     while (j + 1 < n && values[order[j + 1]] == values[order[i]]) ++j;
     // Items order[i..j] are tied; assign the average of ranks i+1 .. j+1.
-    double avg_rank = detail::TieAveragedRank(i, j);
+    double avg_rank = TieAveragedRank(i, j);
     for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
     i = j + 1;
   }

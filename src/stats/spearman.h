@@ -15,16 +15,6 @@
 
 namespace dbscale::stats {
 
-namespace detail {
-
-/// Average rank (1-based) assigned to the tie group occupying sorted
-/// positions [first, last] (0-based, inclusive). Shared by the batch
-/// ranking and the incremental sliding-rank window so tie handling is
-/// identical by construction.
-double TieAveragedRank(size_t first, size_t last);
-
-}  // namespace detail
-
 /// Fractional ranks (1-based) with ties assigned their average rank.
 std::vector<double> RankWithTies(const std::vector<double>& values);
 

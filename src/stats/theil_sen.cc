@@ -7,12 +7,15 @@
 
 namespace dbscale::stats {
 
-namespace detail {
+namespace {
 
+/// Intercept of one point given the fitted slope: y - slope * x.
 double InterceptAt(double y, double x, double slope) {
   return y - slope * x;
 }
 
+/// Applies the alpha sign-agreement test: fills fraction_positive /
+/// fraction_negative / significant / direction from the slope-sign counts.
 void ClassifySignAgreement(std::size_t positive, std::size_t negative,
                            std::size_t total_slopes, double accept_fraction,
                            TrendResult* result) {
@@ -32,7 +35,7 @@ void ClassifySignAgreement(std::size_t positive, std::size_t negative,
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 const char* TrendDirectionToString(TrendDirection d) {
   switch (d) {
@@ -116,12 +119,12 @@ Result<TrendResult> TheilSenEstimator::FitImpl(
   intercepts.reserve(n);  // dbscale-lint: allow(alloc-hot-path)
   for (size_t i = 0; i < n; ++i) {
     const double xi = x != nullptr ? (*x)[i] : static_cast<double>(i);
-    intercepts.push_back(detail::InterceptAt(y[i], xi, result.slope));
+    intercepts.push_back(InterceptAt(y[i], xi, result.slope));
   }
   DBSCALE_ASSIGN_OR_RETURN(result.intercept, MedianInPlace(intercepts));
 
-  detail::ClassifySignAgreement(positive, negative, slopes.size(),
-                                accept_fraction_, &result);
+  ClassifySignAgreement(positive, negative, slopes.size(), accept_fraction_,
+                        &result);
   return result;
 }
 

@@ -53,29 +53,11 @@ struct TrendResult {
 ///
 /// Memory bound: `slopes` grows to n*(n-1)/2 doubles for the largest window
 /// ever fitted — quadratic in the window size, capped by kMaxTheilSenPoints
-/// (Fit rejects larger inputs). The incremental sliding path
-/// (stats/incremental.h) instead keeps its pairwise slopes in a single
-/// engine-wide SlopeArena sized once, shared by every tracked series.
+/// (Fit rejects larger inputs).
 struct TheilSenScratch {
   std::vector<double> slopes;
   std::vector<double> intercepts;
 };
-
-namespace detail {
-
-/// Intercept of one point given the fitted slope: y - slope * x. Out of
-/// line on purpose: batch and incremental paths call the one definition so
-/// their intercept medians stay bit-identical under FP contraction.
-double InterceptAt(double y, double x, double slope);
-
-/// Applies the alpha sign-agreement test: fills fraction_positive /
-/// fraction_negative / significant / direction from the slope-sign counts.
-/// Shared by the batch fit and the incremental engine.
-void ClassifySignAgreement(std::size_t positive, std::size_t negative,
-                           std::size_t total_slopes, double accept_fraction,
-                           TrendResult* result);
-
-}  // namespace detail
 
 /// \brief Theil-Sen estimator with a sign-agreement significance test.
 ///

@@ -1,7 +1,6 @@
 #include "src/telemetry/manager.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/common/check.h"
 #include "src/common/string_util.h"
@@ -46,42 +45,9 @@ double CorrelationOrZero(const std::vector<double>& x,
   return rho.ok() ? *rho : 0.0;
 }
 
-// Incremental mirrors of the three helpers above. Each applies the same
-// not-enough-data / error conventions so the two paths agree on every
-// input, not just the happy path.
-
-double SlidingMedianOrZero(const stats::SlidingOrderStats& window) {
-  if (window.count() == 0) return 0.0;
-  return window.Median();
-}
-
-stats::TrendResult SlidingTrendOrNone(const stats::TheilSenEstimator& estimator,
-                                      const stats::IncrementalTheilSen& window,
-                                      stats::TheilSenScratch* scratch) {
-  if (window.count() < 3) return stats::TrendResult{};
-  auto result = window.Fit(estimator, scratch);
-  return result.ok() ? *result : stats::TrendResult{};
-}
-
-double SlidingCorrelationOrZero(stats::SlidingRankWindow& x,
-                                stats::SlidingRankWindow& y) {
-  if (x.size() < 3 || x.size() != y.size()) return 0.0;
-  // Spearman's rho is Pearson on the tie-averaged ranks; both paths end in
-  // the same PearsonCorrelation call on identical rank vectors.
-  auto rho = stats::PearsonCorrelation(x.Ranks(), y.Ranks());
-  return rho.ok() ? *rho : 0.0;
-}
-
-/// The engine's latency series matches the batch `latency_of` lambda.
-double LatencyOf(const TelemetrySample& s, LatencyAggregate agg) {
-  return agg == LatencyAggregate::kAverage ? s.latency_avg_ms
-                                           : s.latency_p95_ms;
-}
-
 /// Fraction of the aggregation window's time span covered by samples.
 /// Dropped/rejected samples leave gaps (the span grows, the covered time
-/// does not); shared by the batch and incremental paths so both report
-/// bit-identical confidence.
+/// does not).
 double WindowCoverage(const std::vector<const TelemetrySample*>& agg) {
   if (agg.size() < 2) return 1.0;
   double covered = 0.0;
@@ -91,126 +57,7 @@ double WindowCoverage(const std::vector<const TelemetrySample*>& agg) {
   return span > covered ? covered / span : 1.0;
 }
 
-bool SameEngineConfig(const TelemetryManagerOptions& a,
-                      const TelemetryManagerOptions& b) {
-  // Only fields that shape the engine's *state*. trend_accept_fraction is
-  // applied at Fit time and incremental never stores state, so changes to
-  // either need no rebuild.
-  return a.aggregation_samples == b.aggregation_samples &&
-         a.trend_samples == b.trend_samples &&
-         a.correlation_samples == b.correlation_samples &&
-         a.latency_aggregate == b.latency_aggregate;
-}
-
 }  // namespace
-
-bool IncrementalSignalEngine::Sync(const TelemetryStore& store,
-                                   const TelemetryManagerOptions& options) {
-  const size_t max_window =
-      std::max({options.aggregation_samples, options.trend_samples,
-                options.correlation_samples});
-  if (max_window > store.max_samples()) {
-    // A window larger than retention would make the engine remember
-    // samples the batch path can no longer see — fall back to batch.
-    return false;
-  }
-  if (options.trend_samples > stats::kMaxTheilSenPoints) {
-    // Batch reports the misconfiguration per fit; let it.
-    return false;
-  }
-
-  bool rebuild = !configured_ || store_ != &store ||
-                 clear_epoch_ != store.clear_epoch() ||
-                 observed_ > store.total_appended() ||
-                 !SameEngineConfig(config_, options);
-  if (!rebuild && store.total_appended() - observed_ > store.size()) {
-    // Samples we never observed were already evicted; the rings can no
-    // longer be patched, only rebuilt from what the store retains.
-    rebuild = true;
-  }
-  if (rebuild) {
-    Configure(options);
-    store_ = &store;
-    clear_epoch_ = store.clear_epoch();
-    // Replaying the last max_window samples reproduces exactly the state
-    // of having observed everything: no structure looks further back.
-    const size_t replay = std::min(store.size(), max_window);
-    for (size_t i = store.size() - replay; i < store.size(); ++i) {
-      Observe(store.at(i));
-    }
-  } else {
-    const size_t gap =
-        static_cast<size_t>(store.total_appended() - observed_);
-    for (size_t i = store.size() - gap; i < store.size(); ++i) {
-      Observe(store.at(i));
-    }
-  }
-  observed_ = store.total_appended();
-  return true;
-}
-
-void IncrementalSignalEngine::Configure(
-    const TelemetryManagerOptions& options) {
-  config_ = options;
-  configured_ = true;
-  const size_t w = options.trend_samples;
-  const size_t slopes_per_series = w * (w - 1) / 2;
-  const size_t trend_series = 1 + 2 * container::kNumResources;
-  slope_arena_.Reset(trend_series * slopes_per_series);
-
-  agg_latency_.Reset(options.aggregation_samples);
-  agg_throughput_.Reset(options.aggregation_samples);
-  agg_memory_.Reset(options.aggregation_samples);
-  agg_reads_.Reset(options.aggregation_samples);
-  agg_total_wait_.Reset(options.aggregation_samples);
-  trend_latency_.Reset(w, &slope_arena_);
-  corr_latency_.Reset(options.correlation_samples);
-  for (PerResource& r : resources_) {
-    r.agg_util.Reset(options.aggregation_samples);
-    r.agg_wait.Reset(options.aggregation_samples);
-    r.agg_wait_per_req.Reset(options.aggregation_samples);
-    r.trend_util.Reset(w, &slope_arena_);
-    r.trend_wait.Reset(w, &slope_arena_);
-    r.corr_util.Reset(options.correlation_samples);
-    r.corr_wait.Reset(options.correlation_samples);
-  }
-}
-
-void IncrementalSignalEngine::Observe(const TelemetrySample& s) {
-  const double lat = LatencyOf(s, config_.latency_aggregate);
-  // The aggregate and trend latency series skip idle samples (batch
-  // filters on requests_completed); correlation uses the raw series.
-  if (s.requests_completed > 0) {
-    agg_latency_.Push(lat);
-    trend_latency_.Push(lat);
-  } else {
-    agg_latency_.PushAbsent();
-    trend_latency_.PushAbsent();
-  }
-  corr_latency_.Push(lat);
-
-  agg_throughput_.Push(s.throughput_rps());
-  agg_memory_.Push(s.memory_used_mb);
-  const double sec = s.duration_sec();
-  agg_reads_.Push(
-      sec > 0 ? static_cast<double>(s.physical_reads) / sec : 0.0);
-  agg_total_wait_.Push(s.total_wait_ms());
-
-  for (ResourceKind kind : container::kAllResources) {
-    PerResource& r = resources_[static_cast<size_t>(kind)];
-    const double util = s.utilization_pct[static_cast<size_t>(kind)];
-    const double wait = ResourceWaitMs(s, kind);
-    r.agg_util.Push(util);
-    r.agg_wait.Push(wait);
-    r.agg_wait_per_req.Push(
-        wait / static_cast<double>(
-                   std::max<int64_t>(1, s.requests_completed)));
-    r.trend_util.Push(util);
-    r.trend_wait.Push(wait);
-    r.corr_util.Push(util);
-    r.corr_wait.Push(wait);
-  }
-}
 
 const char* LatencyAggregateToString(LatencyAggregate agg) {
   switch (agg) {
@@ -268,29 +115,9 @@ Status TelemetryManager::Validate() const {
 SignalSnapshot TelemetryManager::Compute(const TelemetryStore& store,
                                          SimTime now, SignalScratch* scratch,
                                          const obs::Sink& sink) const {
-  // The incremental engine only pays off when its state survives between
-  // calls, so it requires a caller-owned scratch; one-shot (nullptr)
-  // callers take the batch path.
-  SignalSnapshot snap;
-  bool served_incrementally = false;
-  if (options_.incremental && scratch != nullptr) {
-    if (scratch->incremental == nullptr) {
-      // One-time setup for this scratch's lifetime.
-      // dbscale-lint: allow(alloc-hot-path)
-      scratch->incremental = std::make_unique<IncrementalSignalEngine>();
-    }
-    if (scratch->incremental->Sync(store, options_)) {
-      snap = ComputeIncremental(store, now, scratch);
-      served_incrementally = true;
-    }
-  }
-  if (!served_incrementally) snap = ComputeBatch(store, now, scratch);
+  SignalSnapshot snap = ComputeBatch(store, now, scratch);
   if (sink.pipeline != nullptr) {
     sink.metrics.Add(sink.pipeline->telemetry_computes_total, 1.0);
-    sink.metrics.Add(served_incrementally
-                         ? sink.pipeline->telemetry_incremental_computes_total
-                         : sink.pipeline->telemetry_batch_computes_total,
-                     1.0);
     if (!snap.valid) {
       sink.metrics.Add(sink.pipeline->telemetry_invalid_snapshots_total, 1.0);
     }
@@ -452,84 +279,6 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
         CorrelationOrZero(wait_c, corr_latency, &scratch->spearman);
     r.utilization_latency_correlation =
         CorrelationOrZero(util_c, corr_latency, &scratch->spearman);
-  }
-
-  return snap;
-}
-
-SignalSnapshot TelemetryManager::ComputeIncremental(
-    const TelemetryStore& store, SimTime now, SignalScratch* scratch) const {
-  IncrementalSignalEngine& eng = *scratch->incremental;
-
-  SignalSnapshot snap;
-  snap.time = now;
-  snap.latency_aggregate = options_.latency_aggregate;
-  if (store.size() < 2) {
-    snap.valid = false;
-    return snap;
-  }
-  snap.valid = true;
-
-  // Medians and percentiles read straight off the sorted rings.
-  snap.latency_ms = SlidingMedianOrZero(eng.agg_latency_);
-  snap.latency_trend = SlidingTrendOrNone(trend_estimator_, eng.trend_latency_,
-                                          &scratch->theil_sen);
-  snap.throughput_rps = SlidingMedianOrZero(eng.agg_throughput_);
-  snap.memory_used_mb = SlidingMedianOrZero(eng.agg_memory_);
-  snap.physical_reads_per_sec = SlidingMedianOrZero(eng.agg_reads_);
-  snap.total_wait_ms = SlidingMedianOrZero(eng.agg_total_wait_);
-  snap.allocation = store.back().allocation;
-
-  // Wait-share sums stay as the batch path's ordered O(W_agg) loops:
-  // maintaining running sums would reorder the floating-point additions
-  // and break the bit-exactness contract, and the loops are linear in a
-  // small window anyway.
-  store.RecentInto(options_.aggregation_samples, scratch->agg_window);
-  const auto& agg = scratch->agg_window;
-  snap.confidence = WindowCoverage(agg);
-  snap.degraded = snap.confidence < options_.min_confidence;
-  {
-    double grand_total = 0.0;
-    std::array<double, kNumWaitClasses> sums{};
-    for (const TelemetrySample* s : agg) {
-      for (int wc = 0; wc < kNumWaitClasses; ++wc) {
-        sums[static_cast<size_t>(wc)] += s->wait_ms[static_cast<size_t>(wc)];
-        grand_total += s->wait_ms[static_cast<size_t>(wc)];
-      }
-    }
-    for (int wc = 0; wc < kNumWaitClasses; ++wc) {
-      snap.wait_pct_by_class[static_cast<size_t>(wc)] =
-          grand_total > 0.0
-              ? 100.0 * sums[static_cast<size_t>(wc)] / grand_total
-              : 0.0;
-    }
-  }
-
-  for (ResourceKind kind : container::kAllResources) {
-    ResourceSignals& r = snap.resources[static_cast<size_t>(kind)];
-    IncrementalSignalEngine::PerResource& e =
-        eng.resources_[static_cast<size_t>(kind)];
-
-    r.utilization_pct = SlidingMedianOrZero(e.agg_util);
-    r.wait_ms = SlidingMedianOrZero(e.agg_wait);
-    r.wait_ms_per_request = SlidingMedianOrZero(e.agg_wait_per_req);
-
-    double wait_sum = 0.0, total_sum = 0.0;
-    for (const TelemetrySample* s : agg) {
-      wait_sum += ResourceWaitMs(*s, kind);
-      total_sum += s->total_wait_ms();
-    }
-    r.wait_pct = total_sum > 0.0 ? 100.0 * wait_sum / total_sum : 0.0;
-
-    r.utilization_trend =
-        SlidingTrendOrNone(trend_estimator_, e.trend_util,
-                           &scratch->theil_sen);
-    r.wait_trend = SlidingTrendOrNone(trend_estimator_, e.trend_wait,
-                                      &scratch->theil_sen);
-    r.wait_latency_correlation =
-        SlidingCorrelationOrZero(e.corr_wait, eng.corr_latency_);
-    r.utilization_latency_correlation =
-        SlidingCorrelationOrZero(e.corr_util, eng.corr_latency_);
   }
 
   return snap;

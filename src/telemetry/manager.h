@@ -17,13 +17,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/obs/pipeline.h"
-#include "src/stats/incremental.h"
 #include "src/stats/spearman.h"
 #include "src/stats/theil_sen.h"
 #include "src/telemetry/store.h"
@@ -112,82 +110,14 @@ struct TelemetryManagerOptions {
   /// Minimum aggregation-window coverage below which the snapshot is
   /// flagged degraded (graceful degradation under telemetry faults).
   double min_confidence = 0.7;
-  /// Maintain signals incrementally across Compute calls (requires the
-  /// caller to reuse one SignalScratch per store). Results are
-  /// bit-identical to the batch recomputation, which remains available as
-  /// the oracle by setting this false; Compute also falls back to batch
-  /// when no scratch is passed or a window exceeds store retention.
-  bool incremental = true;
-};
-
-/// \brief Sliding state behind the incremental Compute path.
-///
-/// Owns one incremental structure per signal series: sorted rings for the
-/// robust aggregates, slope multisets (over one shared SlopeArena) for the
-/// Theil-Sen trends, and rank windows for the Spearman correlations.
-/// Sync() diffs the store's append counter against its own high-water mark
-/// and feeds each newly appended sample through every structure, so a
-/// steady-state Compute does O(W log W) work instead of recomputing the
-/// O(W^2) pairwise-slope pass from scratch.
-///
-/// Every signal read off this engine is bit-identical to the batch path on
-/// the same store (see stats/incremental.h for why); the batch path stays
-/// in the code as the oracle.
-class IncrementalSignalEngine {
- public:
-  /// Brings the derived state up to date with `store` under `options`.
-  /// Rebuilds from retained history when the store, its clear epoch, or
-  /// the window configuration changed, or when more samples arrived than
-  /// the store still retains. Returns false when the incremental path
-  /// cannot serve this configuration (a window exceeds store retention or
-  /// the Theil-Sen point cap) and the caller must use the batch path.
-  bool Sync(const TelemetryStore& store,
-            const TelemetryManagerOptions& options);
-
- private:
-  friend class TelemetryManager;
-
-  struct PerResource {
-    stats::SlidingOrderStats agg_util;
-    stats::SlidingOrderStats agg_wait;
-    stats::SlidingOrderStats agg_wait_per_req;
-    stats::IncrementalTheilSen trend_util;
-    stats::IncrementalTheilSen trend_wait;
-    stats::SlidingRankWindow corr_util;
-    stats::SlidingRankWindow corr_wait;
-  };
-
-  /// Resets every structure for `options` (the one allocating step).
-  void Configure(const TelemetryManagerOptions& options);
-  /// Feeds one appended sample through every sliding structure.
-  void Observe(const TelemetrySample& sample);
-
-  // Identity of the observed history: which store, as of which clear
-  // epoch, through how many total appends.
-  const TelemetryStore* store_ = nullptr;
-  uint64_t clear_epoch_ = 0;
-  uint64_t observed_ = 0;
-  bool configured_ = false;
-  TelemetryManagerOptions config_{};
-
-  /// Shared node pool for all Theil-Sen slope multisets, sized once at
-  /// Configure: (1 latency + 2 per resource) * W*(W-1)/2 nodes.
-  stats::SlopeArena slope_arena_;
-
-  stats::SlidingOrderStats agg_latency_;
-  stats::SlidingOrderStats agg_throughput_;
-  stats::SlidingOrderStats agg_memory_;
-  stats::SlidingOrderStats agg_reads_;
-  stats::SlidingOrderStats agg_total_wait_;
-  stats::IncrementalTheilSen trend_latency_;
-  stats::SlidingRankWindow corr_latency_;
-  std::array<PerResource, container::kNumResources> resources_{};
 };
 
 /// Reusable buffers for Compute. The per-interval signal path is hot at
 /// fleet scale (one Compute per tenant-interval); handing the same scratch
 /// to every call makes Compute allocation-free after the first interval.
-/// One scratch per caller thread — never share across threads.
+/// Compute clears every buffer before use, so one scratch may serve any
+/// number of stores; one scratch per caller thread — never share across
+/// threads.
 struct SignalScratch {
   std::vector<const TelemetrySample*> agg_window;
   std::vector<const TelemetrySample*> trend_window;
@@ -201,10 +131,6 @@ struct SignalScratch {
   std::vector<double> corr_latency;
   stats::TheilSenScratch theil_sen;
   stats::SpearmanScratch spearman;
-  /// Incremental engine, created lazily by the first incremental Compute.
-  /// Living in the scratch (not the manager) keeps TelemetryManager const
-  /// and shareable across threads: one engine per caller thread/store.
-  std::unique_ptr<IncrementalSignalEngine> incremental;
 };
 
 /// \brief Computes SignalSnapshots from a TelemetryStore.
@@ -218,17 +144,12 @@ class TelemetryManager {
   /// Computes the signal snapshot as of `now`. If fewer than 2 samples are
   /// available the snapshot is returned with valid = false. Passing the
   /// same `scratch` every interval eliminates all per-call heap
-  /// allocations; nullptr falls back to call-local buffers.
+  /// allocations; nullptr falls back to call-local buffers. Every signal is
+  /// recomputed from the store's current windows, so results never depend
+  /// on which scratch served the call.
   ///
-  /// With options().incremental (the default) and a reused scratch, the
-  /// signals are maintained across calls by the scratch's
-  /// IncrementalSignalEngine — O(W log W) per interval instead of the
-  /// O(W^2) batch recomputation — with bit-identical results. Without a
-  /// scratch, or when the engine cannot serve the configuration, the batch
-  /// path runs.
-  ///
-  /// `sink` (when enabled) counts computes, invalid snapshots, and which
-  /// path served the call — allocation-free, like the rest of Compute.
+  /// `sink` (when enabled) counts computes, invalid snapshots, and degraded
+  /// windows — allocation-free, like the rest of Compute.
   SignalSnapshot Compute(const TelemetryStore& store, SimTime now,
                          SignalScratch* scratch = nullptr,
                          const obs::Sink& sink = obs::Sink()) const;
@@ -236,13 +157,9 @@ class TelemetryManager {
   const TelemetryManagerOptions& options() const { return options_; }
 
  private:
-  /// Full recomputation from the store — the oracle the incremental path
-  /// is tested against, and the fallback when it cannot run.
+  /// The signal pass itself: one recomputation over the store's windows.
   SignalSnapshot ComputeBatch(const TelemetryStore& store, SimTime now,
                               SignalScratch* scratch) const;
-  /// Reads every signal off the scratch's synced incremental engine.
-  SignalSnapshot ComputeIncremental(const TelemetryStore& store, SimTime now,
-                                    SignalScratch* scratch) const;
 
   TelemetryManagerOptions options_;
   stats::TheilSenEstimator trend_estimator_;

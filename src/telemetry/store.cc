@@ -26,13 +26,11 @@ void TelemetryStore::Append(TelemetrySample sample) {
     ++head_;
     if (head_ == samples_.size()) head_ = 0;
   }
-  ++total_appended_;
 }
 
 void TelemetryStore::Clear() {
   samples_.clear();
   head_ = 0;
-  ++clear_epoch_;
 }
 
 std::vector<const TelemetrySample*> TelemetryStore::Range(

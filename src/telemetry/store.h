@@ -7,7 +7,6 @@
 #ifndef DBSCALE_TELEMETRY_STORE_H_
 #define DBSCALE_TELEMETRY_STORE_H_
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -31,18 +30,6 @@ class TelemetryStore {
   }
   /// Logical index: 0 is the oldest retained sample, size()-1 the newest.
   const TelemetrySample& at(size_t i) const { return samples_[Phys(i)]; }
-
-  /// Retention bound this store was constructed with.
-  size_t max_samples() const { return max_samples_; }
-
-  /// Total samples ever appended (monotone; unaffected by eviction).
-  /// Incremental consumers diff this against their own high-water mark to
-  /// learn how many samples arrived since they last observed the store.
-  uint64_t total_appended() const { return total_appended_; }
-
-  /// Bumped by every Clear(). A changed epoch tells incremental consumers
-  /// that history was discarded and their derived state must be rebuilt.
-  uint64_t clear_epoch() const { return clear_epoch_; }
 
   /// Samples whose period_end falls in (since, until], oldest first.
   std::vector<const TelemetrySample*> Range(SimTime since, SimTime until) const;
@@ -69,8 +56,6 @@ class TelemetryStore {
   size_t max_samples_;
   std::vector<TelemetrySample> samples_;
   size_t head_ = 0;  ///< physical slot of the oldest sample once full
-  uint64_t total_appended_ = 0;
-  uint64_t clear_epoch_ = 0;
 };
 
 }  // namespace dbscale::telemetry

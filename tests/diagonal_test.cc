@@ -483,8 +483,8 @@ TEST(DiagonalSimTest, GuardrailDecisionTrailsArePinned) {
        },
        {0x247bd10dc7033d8bULL, 0x066abd7fe5e6c320ULL}},
   };
-  const std::array<uint64_t, 2> observed_metrics = {0xcac76f03ec0502a2ULL,
-                                                   0xaec1398991cc4841ULL};
+  const std::array<uint64_t, 2> observed_metrics = {0x018db21e3dd9060fULL,
+                                                   0x00355947efd601d4ULL};
   const std::array<uint64_t, 2> observed_trace = {0x5c4c69c887939666ULL,
                                                  0x1086ff8bab021342ULL};
 

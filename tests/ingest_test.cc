@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -27,6 +28,7 @@
 #include "src/ingest/wire_sample.h"
 #include "src/scaler/autoscaler.h"
 #include "src/scaler/batch_eval.h"
+#include "src/scaler/diagonal.h"
 #include "src/telemetry/sample.h"
 
 namespace dbscale::ingest {
@@ -528,6 +530,116 @@ TEST(IngestServiceTest, AutoScalerPolicyDigestMatchesAcrossPaths) {
   const uint64_t direct = run(/*via_ring=*/false, /*threads=*/0);
   EXPECT_EQ(run(true, 0), direct);
   EXPECT_EQ(run(true, 4), direct);
+}
+
+/// Seeded random sample #i of a tenant whose load alternates between
+/// quiet and busy stretches of `period` samples, so the policies see real
+/// scale-up and scale-down evidence. Around the load: ~10% idle samples (no
+/// completions), utilization quantized to 5% steps so slope and rank ties
+/// are common, and waits that are zero 30% of the time.
+TelemetrySample RandomServiceSample(Rng& rng, int i, int period) {
+  const bool busy = (i / period) % 2 == 1;
+  const double load = (busy ? 0.9 : 0.15) * rng.Uniform(0.8, 1.1);
+  TelemetrySample s;
+  s.period_start = SimTime::FromMicros(i * kPeriodUs);
+  s.period_end = SimTime::FromMicros((i + 1) * kPeriodUs);
+  s.requests_completed = rng.Bernoulli(0.1) ? 0 : rng.UniformInt(1, 500);
+  s.requests_started = s.requests_completed;
+  s.latency_avg_ms = (2.0 + 60.0 * load * load) * rng.Uniform(0.7, 1.3);
+  s.latency_p95_ms = s.latency_avg_ms * rng.Uniform(1.5, 3.0);
+  s.latency_max_ms = s.latency_p95_ms * 1.5;
+  s.memory_used_mb = rng.Uniform(100.0, 4000.0);
+  s.memory_active_mb = s.memory_used_mb * rng.Uniform(0.3, 1.0);
+  s.physical_reads = rng.UniformInt(0, 10000);
+  for (size_t r = 0; r < container::kNumResources; ++r) {
+    const double pct = std::min(100.0, 100.0 * load * rng.Uniform(0.8, 1.2));
+    s.utilization_pct[r] = std::floor(pct / 5.0) * 5.0;
+  }
+  for (size_t w = 0; w < telemetry::kNumWaitClasses; ++w) {
+    s.wait_ms[w] =
+        rng.Bernoulli(0.3) ? 0.0 : 900.0 * load * load * rng.Uniform(0.5, 1.5);
+  }
+  s.allocation = {4.0, 8192.0, 1000.0, 50.0};
+  s.container_id = 3;
+  return s;
+}
+
+/// ScalerService at the default signal windows (12/24/24) with the
+/// production retention of the svc workloads: half the tenants run
+/// AutoScaler on the lock-step catalog, half DiagonalScaler on the
+/// flexible one. Samples go through the ring and a `threads`-wide pool
+/// (0 = serial); returns the service digest.
+uint64_t DefaultWindowServiceDigest(size_t samples_per_interval,
+                                    int intervals, int threads) {
+  constexpr uint64_t kTenants = 8;
+  const container::Catalog lockstep = container::Catalog::MakeLockStep();
+  auto flexible = container::Catalog::MakeFlexible(
+      container::FlexibleCatalogOptions{.subdivisions = 1});
+  DBSCALE_CHECK_OK(flexible.status());
+  scaler::TenantKnobs knobs;
+  knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 40.0};
+
+  IngestRing ring(IngestRingOptions{.capacity = 1 << 12});
+  ScalerServiceOptions options;
+  options.store_retention = 64;
+  options.samples_per_interval = samples_per_interval;
+  options.max_drain_batch = 256;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  ScalerService service(&ring, options, pool.get());
+  std::vector<Rng> rngs;
+  for (uint64_t t = 1; t <= kTenants; ++t) {
+    std::unique_ptr<scaler::ScalingPolicy> policy;
+    ContainerSpec initial;
+    if (t % 2 == 1) {
+      auto created = scaler::AutoScaler::Create(lockstep, knobs);
+      DBSCALE_CHECK_OK(created.status());
+      policy = std::move(created).value();
+      initial = lockstep.at(3);
+    } else {
+      auto created = scaler::DiagonalScaler::Create(*flexible, knobs);
+      DBSCALE_CHECK_OK(created.status());
+      policy = std::move(created).value();
+      initial = flexible->at(3);
+    }
+    DBSCALE_CHECK_OK(service.AddTenant(t, std::move(policy), initial));
+    rngs.emplace_back(1000 + t);
+  }
+  std::vector<IngestProducer> producers;
+  producers.reserve(2);
+  producers.emplace_back(&ring, 0);
+  producers.emplace_back(&ring, 1);
+  const int steps = intervals * static_cast<int>(samples_per_interval);
+  // Load flips every few decisions whatever the interval length.
+  const int period = 3 * static_cast<int>(samples_per_interval);
+  for (int i = 0; i < steps; ++i) {
+    for (uint64_t t = 1; t <= kTenants; ++t) {
+      DBSCALE_CHECK(producers[t % 2].Publish(
+                        t, RandomServiceSample(rngs[t - 1], i, period)) ==
+                    PublishOutcome::kPublished);
+    }
+    if (i % 7 == 0) service.DrainOnce();
+  }
+  service.DrainAll();
+  DBSCALE_CHECK(service.counters().decisions ==
+                kTenants * static_cast<uint64_t>(intervals));
+  return service.Digest();
+}
+
+TEST(IngestServiceTest, DefaultWindowDigestIsPinned) {
+  // The two svc shapes: 12 samples per decision (aligned boundaries) and
+  // 720 (hourly, where every interval overruns the 64-sample retention).
+  constexpr uint64_t kBoundaryPin = 0xaa827ad7f4a9ce07ull;
+  constexpr uint64_t kHourlyPin = 0x7634fcfb71b86ff2ull;
+  EXPECT_EQ(DefaultWindowServiceDigest(12, 30, 2), kBoundaryPin);
+  EXPECT_EQ(DefaultWindowServiceDigest(720, 8, 2), kHourlyPin);
+  // The service keeps one signal scratch per evaluation slice and slices
+  // by pool width; decisions must not follow the slicing.
+  for (int threads : {0, 4}) {
+    EXPECT_EQ(DefaultWindowServiceDigest(12, 30, threads), kBoundaryPin)
+        << "threads=" << threads;
+  }
 }
 
 TEST(IngestServiceTest, UnknownTenantAndSeqViolationCounted) {

@@ -88,7 +88,6 @@ HOT_PATH_FILES = (
     "src/stats/robust.cc",
     "src/stats/theil_sen.cc",
     "src/stats/spearman.cc",
-    "src/stats/incremental.cc",
     "src/stats/cdf.cc",
     "src/sim/report.cc",
     # Observability record paths: metric shard writes and span capture run
