@@ -74,10 +74,10 @@ void RunAblation(const char* title, sim::SimulationOptions options,
   for (const Variant& variant : Variants()) {
     scaler::TenantKnobs knobs;
     knobs.latency_goal = goal;
-    scaler::AutoScalerOptions scaler_options;
-    scaler_options.guardrails.estimator = variant.estimator;
+    scaler::GuardrailOptions scaler_options;
+    scaler_options.estimator = variant.estimator;
     if (variant.thresholds.has_value()) {
-      scaler_options.guardrails.thresholds = *variant.thresholds;
+      scaler_options.thresholds = *variant.thresholds;
     }
     auto scaler =
         scaler::AutoScaler::Create(options.catalog, knobs, scaler_options);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Custom invariant lint: runs the linter's own self-test (tokenizer
-# goldens, fixture trees, and the parity gate against the frozen regex
-# engine), then the token-stream linter over src/ and tests/. The full
-# run carries a 5-second wall budget — the linter is meant to be cheap
-# enough to run on every commit, and a blowup is a regression.
+# Custom invariant lint: runs the linter's own self-test (tokenizer and
+# structure goldens, fixture trees), then the token-stream linter over
+# src/ and tests/. The full run carries a 5-second wall budget — the
+# linter is meant to be cheap enough to run on every commit, and a
+# blowup is a regression.
 #
 # Usage: ci/lint.sh [--diff]
 #   --diff  lint only files changed vs the merge-base with main
@@ -26,7 +26,7 @@ if [[ "${1:-}" == "--diff" ]]; then
   MODE="changed files (vs merge-base with main)"
 fi
 
-echo "--- dbscale_lint self-test (tokenizer, fixtures, parity) ---"
+echo "--- dbscale_lint self-test (tokenizer, structure, fixtures) ---"
 "${PY}" tools/lint/lint_test.py
 
 echo "--- dbscale_lint over ${MODE} ---"

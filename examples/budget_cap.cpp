@@ -31,7 +31,7 @@ Result<sim::RunResult> RunWithBudget(const sim::SimulationOptions& options,
   config.knobs.latency_goal = goal;
   config.knobs.budget = scaler::BudgetKnob{
       budget, static_cast<int>(options.trace.num_steps())};
-  config.scaler.guardrails.budget_strategy = strategy;
+  config.scaler.budget_strategy = strategy;
   DBSCALE_ASSIGN_OR_RETURN(sim::SimConfigRun run, config.Run());
   return std::move(run.result);
 }

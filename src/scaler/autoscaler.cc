@@ -10,27 +10,32 @@ using container::ContainerSpec;
 using container::ResourceKind;
 using container::ResourceVector;
 
+namespace {
+
+// Auto balloons at BalloonOptions' defaults: a third of the gap per tick,
+// abort on reads above 1.5x the baseline plus a margin (25/s, or 5% of
+// the container's disk IOPS when larger), and 10 ticks of cooldown after
+// an abort.
+constexpr BalloonOptions kBalloon{};
+
+}  // namespace
+
+// Knobs and options are validated by Guardrails::Create.
+// dbscale-lint: allow(options-validate)
 Result<std::unique_ptr<AutoScaler>> AutoScaler::Create(
     const container::Catalog& catalog, const TenantKnobs& knobs,
-    const AutoScalerOptions& options) {
-  DBSCALE_RETURN_IF_ERROR(knobs.Validate());
-  DBSCALE_ASSIGN_OR_RETURN(
-      Guardrails guardrails,
-      Guardrails::Create(catalog, knobs, options.guardrails));
+    const GuardrailOptions& options) {
+  DBSCALE_ASSIGN_OR_RETURN(Guardrails guardrails,
+                           Guardrails::Create(catalog, knobs, options));
   return std::unique_ptr<AutoScaler>(
-      new AutoScaler(catalog, knobs, options, std::move(guardrails)));
+      new AutoScaler(catalog, std::move(guardrails)));
 }
 
 AutoScaler::AutoScaler(const container::Catalog& catalog,
-                       const TenantKnobs& knobs,
-                       const AutoScalerOptions& options,
                        Guardrails guardrails)
     : catalog_(catalog),
-      knobs_(knobs),
-      options_(options),
-      estimator_(options.guardrails.estimator),
       guardrails_(std::move(guardrails)),
-      balloon_(options.balloon) {}
+      balloon_(kBalloon) {}
 
 void AutoScaler::RecordBalloonAdvice(const BalloonController::Advice& advice,
                                      obs::SpanId span,
@@ -56,10 +61,9 @@ void AutoScaler::RecordBalloonAdvice(const BalloonController::Advice& advice,
 }
 
 ScalingDecision AutoScaler::Decide(const PolicyInput& input) {
-  guardrails_.BeginDecision(input);
   ScalingDecision d = DecideUnclamped(input);
   const bool clamped = guardrails_.FinishDecision(
-      input, last_cats_, last_estimate_, &d,
+      input, &d,
       [this](const ContainerSpec&,
              double budget) -> std::optional<ContainerSpec> {
         // Downsize to the most expensive affordable container.
@@ -70,7 +74,6 @@ ScalingDecision AutoScaler::Decide(const PolicyInput& input) {
   if (clamped) {
     balloon_.Reset();
     memory_low_confirmed_ = false;
-    low_streak_ = 0;
   }
   return d;
 }
@@ -78,48 +81,24 @@ ScalingDecision AutoScaler::Decide(const PolicyInput& input) {
 ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   const telemetry::SignalSnapshot& signals = input.signals;
   const obs::Sink& sink = input.obs;
-  // Actuation-lifecycle feedback first: an in-flight, backing-off, rejected
-  // or abandoned resize/migration preempts the signal-driven cycle.
-  if (std::optional<ScalingDecision> d = guardrails_.HandleFeedback(input)) {
+  if (std::optional<ScalingDecision> hold = guardrails_.Open(input)) {
     if (input.actuation.phase == ActuationPhase::kFailed) {
       // A failed resize aborts ballooning mid-flight: the memory override
       // was staged toward a container that will not arrive.
       if (balloon_.active()) {
         balloon_.Reset();
-        d->memory_limit_mb = input.current.resources.memory_mb;
+        hold->memory_limit_mb = input.current.resources.memory_mb;
       }
       memory_low_confirmed_ = false;
     }
-    low_streak_ = 0;
-    return *std::move(d);
+    return *std::move(hold);
   }
-  if (!signals.valid) {
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldWarmup));
-  }
-  if (signals.degraded) {
-    // Graceful degradation: an incomplete telemetry window (dropped or
-    // rejected samples) cannot support a demand estimate — force demand to
-    // 0 and hold rather than act on partial data.
-    low_streak_ = 0;
-    bad_streak_ = 0;
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldDegradedTelemetry,
-                           100.0 * signals.confidence));
-  }
-
-  const obs::SpanId cat_span = sink.trace.Start("categorize", input.now);
-  last_cats_ = Categorize(signals, options_.guardrails.thresholds,
-                          knobs_.latency_goal, options_.guardrails.categorize);
-  last_estimate_ = estimator_.Estimate(last_cats_);
-  sink.trace.AttrStr(cat_span, "latency",
-                     LatencyCategoryToString(last_cats_.latency));
-  sink.trace.End(cat_span, input.now);
+  const DemandEstimate& est = guardrails_.estimate();
   if (sink.trace.enabled()) {
     // One rule_eval span per resource: which Section 4 rule fired (if any)
     // and the demand steps it implied.
     for (ResourceKind kind : container::kAllResources) {
-      const ResourceDemand& rd = last_estimate_.For(kind);
+      const ResourceDemand& rd = est.For(kind);
       const obs::SpanId rule_span = sink.trace.Start("rule_eval", input.now);
       sink.trace.AttrStr(rule_span, "resource",
                          container::ResourceKindToString(kind));
@@ -129,43 +108,14 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
       sink.trace.End(rule_span, input.now);
     }
   }
-  const CategorizedSignals& cats = last_cats_;
-  const DemandEstimate& est = last_estimate_;
-
-  const bool has_goal = knobs_.latency_goal.has_value();
-  const bool latency_bad =
-      has_goal && cats.latency == LatencyCategory::kBad;
-  const bool degrading = has_goal && cats.latency_degrading;
-  bad_streak_ = latency_bad ? bad_streak_ + 1 : 0;
 
   const int cur_rung = input.current.base_rung;
 
   // -------- Scale-up path --------
-  bool perf_trigger = false;
-  if (!has_goal) {
-    // No latency goal: scale purely on demand (Section 2.3).
-    perf_trigger = true;
-  } else if (knobs_.sensitivity == Sensitivity::kLow) {
-    // LOW sensitivity: slow to scale up — require persistent violations,
-    // and ignore mere degradation trends.
-    perf_trigger =
-        latency_bad &&
-        bad_streak_ >= options_.guardrails.up_patience_low_sensitivity;
-  } else {
-    perf_trigger = latency_bad || degrading;
-  }
-
-  const bool in_up_cooldown =
-      input.interval_index - last_up_interval_ <
-      options_.guardrails.up_cooldown_intervals;
-  if (perf_trigger && est.AnyIncrease() && in_up_cooldown) {
-    low_streak_ = 0;
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldUpCooldown));
-  }
-
-  if (perf_trigger && est.AnyIncrease()) {
-    low_streak_ = 0;
+  if (guardrails_.perf_trigger() && est.AnyIncrease()) {
+    if (std::optional<ScalingDecision> hold = guardrails_.BeginUp(input)) {
+      return *std::move(hold);
+    }
     std::optional<double> memory_restore;
     if (balloon_.active()) {
       // Demand returned mid-balloon: cancel and restore the allocation.
@@ -204,7 +154,7 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
         hold->memory_limit_mb = memory_restore;
         return *std::move(hold);
       }
-      last_up_interval_ = input.interval_index;
+      guardrails_.NoteScaleUp(input);
     }
     if (d.target.id == input.current.id) {
       d.explanation = Explanation(ExplanationCode::kHoldNoLargerAffordable,
@@ -222,29 +172,18 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     return d;
   }
 
-  if (latency_bad || degrading) {
-    // Latency violated without resource demand: more resources will not
-    // help (poor application code, lock contention, ...). Do not scale
-    // (Section 2.3: latency goals are a knob, not a guarantee).
-    low_streak_ = 0;
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldLatencyNotResource,
-                           DominantWaitNote(signals)));
-  }
-
-  if (has_goal && est.AnyIncrease()) {
-    // Latency goal met: convert slack into savings by not chasing demand.
-    low_streak_ = 0;
-    if (balloon_.active()) {
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldWithoutUpMove(input)) {
+    if (hold->explanation.code == ExplanationCode::kHoldGoalMetSavings &&
+        balloon_.active()) {
+      // Demand returned mid-balloon with the goal met: no scale-up, but
+      // cancel the balloon and restore the allocation.
       balloon_.Reset();
-      ScalingDecision d = HoldCurrent(
-          input, Explanation(ExplanationCode::kHoldBalloonRevert));
-      d.memory_limit_mb = input.current.resources.memory_mb;
-      return d;
+      hold = HoldCurrent(input,
+                         Explanation(ExplanationCode::kHoldBalloonRevert));
+      hold->memory_limit_mb = input.current.resources.memory_mb;
     }
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldGoalMetSavings,
-                                   est.SummaryIncrease()));
+    return *std::move(hold);
   }
 
   // -------- Balloon progression --------
@@ -264,56 +203,37 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   }
 
   // -------- Scale-down path --------
-  // Latency slack (Section 2.3): when the goal is comfortably met, a
-  // smaller container may still meet it — try one rung down even when the
-  // estimator sees demand that is merely "not high".
-  const double slack_ratio = options_.guardrails.down_latency_slack_ratio;
-  const bool slack_low =
-      has_goal && slack_ratio > 0.0 &&
-      signals.latency_ms <= slack_ratio * knobs_.latency_goal->target_ms;
-  const bool demand_low =
-      est.SuggestsShrink() || memory_low_confirmed_ || slack_low;
-  if (!demand_low) {
-    low_streak_ = 0;
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldDemandSteady));
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldWithoutShrinkEvidence(input, memory_low_confirmed_)) {
+    return *std::move(hold);
   }
-  ++low_streak_;
-  const int patience = options_.guardrails.DownPatience(knobs_.sensitivity);
-  if (low_streak_ < patience) {
-    return HoldCurrent(input, Explanation(ExplanationCode::kHoldDownPatience,
-                                          static_cast<double>(low_streak_),
-                                          static_cast<double>(patience)));
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldForDownPatience(input)) {
+    return *std::move(hold);
   }
 
+  // Latency slack shrinks one rung even when the estimator's demand is
+  // merely "not high".
+  const bool slack_low = guardrails_.slack_low();
   ResourceVector desired = input.current.resources;
   for (ResourceKind kind : container::kAllResources) {
     if (kind == ResourceKind::kMemory) continue;
     int target_rung = cur_rung + std::min(est.For(kind).steps, 0);
     if (slack_low) target_rung = std::min(target_rung, cur_rung - 1);
     target_rung = catalog_.ClampRung(target_rung);
-    // Saturation guard: raise the target rung until the dimension's
-    // current usage fits under the guard utilization.
     const double usage = signals.resource(kind).utilization_pct / 100.0 *
                          input.current.resources.Get(kind);
-    while (target_rung < cur_rung) {
-      const double alloc = catalog_.rung(target_rung).resources.Get(kind);
-      if (alloc <= 0.0 ||
-          100.0 * usage / alloc <=
-              options_.guardrails.down_projected_util_guard_pct) {
-        break;
-      }
-      ++target_rung;
-    }
+    target_rung = Guardrails::GuardShrink(
+        target_rung, cur_rung, usage, [&](int rung) {
+          return catalog_.rung(rung).resources.Get(kind);
+        });
     if (target_rung < cur_rung) {
       desired.Set(kind, catalog_.rung(target_rung).resources.Get(kind));
     }
   }
-  // Memory shrinks one rung at a time, and (with ballooning enabled) only
-  // after a balloon pass confirmed the working set survives it.
-  const bool memory_may_shrink =
-      memory_low_confirmed_ || !options_.enable_ballooning;
-  if (memory_may_shrink && cur_rung > 0) {
+  // Memory shrinks one rung at a time, and only after a balloon pass
+  // confirmed the working set survives it.
+  if (memory_low_confirmed_ && cur_rung > 0) {
     desired.Set(ResourceKind::kMemory,
                 catalog_.rung(cur_rung - 1).resources.memory_mb);
   }
@@ -329,7 +249,7 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   if (chosen.ok() && chosen->price_per_interval <
                          input.current.price_per_interval) {
     const bool memory_was_confirmed = memory_low_confirmed_;
-    low_streak_ = 0;
+    guardrails_.ResetLowStreak();
     memory_low_confirmed_ = false;
     balloon_.Reset();
     ScalingDecision d;
@@ -343,7 +263,8 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     } else {
       d.explanation =
           Explanation(ExplanationCode::kScaleDownLatencySlack,
-                      signals.latency_ms, knobs_.latency_goal->target_ms);
+                      signals.latency_ms,
+                      guardrails_.knobs().latency_goal->target_ms);
     }
     return d;
   }
@@ -352,17 +273,17 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   // with a balloon pass before touching it. (If a pass already confirmed
   // low memory demand, the shrink is merely waiting on the other
   // dimensions — do not balloon again.)
-  if (options_.enable_ballooning && cur_rung > 0 &&
-      !memory_low_confirmed_ && balloon_.CanStart(input.interval_index)) {
+  if (cur_rung > 0 && !memory_low_confirmed_ &&
+      balloon_.CanStart(input.interval_index)) {
     const double target_mb =
         catalog_.rung(cur_rung - 1).resources.memory_mb;
     const double start_mb = input.current.resources.memory_mb;
     if (target_mb < start_mb) {
       // Margin scaled to the container's disk capacity: cold-page churn on
       // a large container is not a meaningful I/O increase.
-      const double margin = std::max(
-          options_.balloon.io_abort_margin_rps,
-          0.05 * input.current.resources.disk_iops);
+      const double margin =
+          std::max(kBalloon.io_abort_margin_rps,
+                   0.05 * input.current.resources.disk_iops);
       const Status started =
           balloon_.Start(start_mb, target_mb,
                          signals.physical_reads_per_sec,

@@ -14,33 +14,32 @@ using container::GridLevels;
 using container::ResourceKind;
 using container::ResourceVector;
 
-// ---------------------------------------------------------------------------
-// DiagonalOptions
-// ---------------------------------------------------------------------------
+namespace {
 
-Status DiagonalOptions::Validate() const {
-  DBSCALE_RETURN_IF_ERROR(guardrails.Validate());
-  if (target_utilization_pct <= 0.0 || target_utilization_pct > 100.0) {
-    return Status::InvalidArgument(
-        "target_utilization_pct must be in (0, 100]");
-  }
-  if (wait_directed_up_min_pct > 100.0) {
-    return Status::InvalidArgument(
-        "wait_directed_up_min_pct must be <= 100 (<= 0 disables)");
-  }
-  if (down_latency_gate_ratio >= 1.0) {
-    return Status::InvalidArgument(
-        "down_latency_gate_ratio must be < 1 (<= 0 disables)");
-  }
-  if (down_max_levels_per_move < 1) {
-    return Status::InvalidArgument("down_max_levels_per_move must be >= 1");
-  }
-  if (down_breach_window_intervals < 0) {
-    return Status::InvalidArgument(
-        "down_breach_window_intervals must be >= 0");
-  }
-  return Status::OK();
-}
+/// Demand for a dimension is usage / (kTargetUtilizationPct / 100): the
+/// allocation at which observed usage would sit at the target utilization
+/// (the "buffer for performance" Section 7.3 keeps).
+constexpr double kTargetUtilizationPct = 70.0;
+/// No shed happens while latency exceeds this fraction of the goal: near
+/// the goal, queueing at low utilization means an "idle" dimension can
+/// still be load-bearing.
+constexpr double kDownLatencyGateRatio = 0.65;
+/// Grid levels a dimension may shed in a single down move.
+constexpr int kDownMaxLevelsPerMove = 1;
+/// A latency breach within this many intervals of a down move floors the
+/// shed dimensions at their pre-shed levels...
+constexpr int kDownBreachWindowIntervals = 3;
+/// ...for this long. Floors expire so post-burst descents are not locked
+/// out forever.
+constexpr int kDownFloorTtlIntervals = 90;
+/// Wait-directed correction: when latency is bad but no Section 4 rule
+/// fires (waits pile up in a dimension whose utilization looks idle —
+/// exactly the state a per-dimension shed can create), the dimension
+/// behind the dominant wait class grows one grid level, provided that
+/// class holds at least this share of waits.
+constexpr double kWaitDirectedUpMinPct = 25.0;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DiagonalOptimizer
@@ -69,11 +68,9 @@ DiagonalOptimizer::DiagonalOptimizer(const container::Catalog& catalog)
   if (!flexible_) {
     const std::vector<ContainerSpec>& specs = catalog.specs();
     spec_price_.reserve(specs.size());
-    spec_res_.reserve(specs.size());
     spec_cover_.reserve(specs.size());
     for (const ContainerSpec& spec : specs) {
       spec_price_.push_back(spec.price_per_interval);
-      spec_res_.push_back(spec.resources);
       GridLevels cover{};
       for (ResourceKind kind : container::kAllResources) {
         cover[static_cast<size_t>(kind)] =
@@ -272,29 +269,20 @@ ContainerSpec DiagonalOptimizer::Materialize(const Target& target) const {
 // DiagonalScaler
 // ---------------------------------------------------------------------------
 
+// Knobs and options are validated by Guardrails::Create.
+// dbscale-lint: allow(options-validate)
 Result<std::unique_ptr<DiagonalScaler>> DiagonalScaler::Create(
     const container::Catalog& catalog, const TenantKnobs& knobs,
-    const DiagonalOptions& options) {
-  DBSCALE_RETURN_IF_ERROR(knobs.Validate());
-  DBSCALE_RETURN_IF_ERROR(options.Validate());
-  DBSCALE_ASSIGN_OR_RETURN(
-      Guardrails guardrails,
-      Guardrails::Create(catalog, knobs, options.guardrails));
+    const GuardrailOptions& options) {
+  DBSCALE_ASSIGN_OR_RETURN(Guardrails guardrails,
+                           Guardrails::Create(catalog, knobs, options));
   return std::unique_ptr<DiagonalScaler>(
-      new DiagonalScaler(catalog, knobs, options, std::move(guardrails)));
+      new DiagonalScaler(catalog, std::move(guardrails)));
 }
 
-// Validation happens in Create(); this constructor is private and only
-// reachable through it.
-// dbscale-lint: allow(options-validate)
 DiagonalScaler::DiagonalScaler(const container::Catalog& catalog,
-                               const TenantKnobs& knobs,
-                               const DiagonalOptions& options,
                                Guardrails guardrails)
     : catalog_(catalog),
-      knobs_(knobs),
-      options_(options),
-      estimator_(options.guardrails.estimator),
       guardrails_(std::move(guardrails)),
       optimizer_(catalog) {}
 
@@ -309,7 +297,6 @@ ResourceVector DiagonalScaler::UsageVector(const PolicyInput& input) const {
 }
 
 ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
-  guardrails_.BeginDecision(input);
   const obs::Sink& sink = input.obs;
   const obs::SpanId diag_span = sink.trace.Start("decide.diagonal", input.now);
   ScalingDecision d = DecideUnclamped(input);
@@ -320,8 +307,8 @@ ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
   sink.trace.Attr(diag_span, "price", d.target.price_per_interval);
   sink.trace.End(diag_span, input.now);
 
-  const bool clamped = guardrails_.FinishDecision(
-      input, last_cats_, last_estimate_, &d,
+  guardrails_.FinishDecision(
+      input, &d,
       [this](const ContainerSpec& target,
              double budget) -> std::optional<ContainerSpec> {
         // Re-solve for the target's resources under the remaining budget —
@@ -332,7 +319,6 @@ ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
         if (!forced.feasible) return std::nullopt;
         return optimizer_.Materialize(forced);
       });
-  if (clamped) low_streak_ = 0;
 
   // Remember any move that lowered a dimension (rule shed, slack shed,
   // rebalance, budget clamp): if latency breaks inside the breach window,
@@ -358,33 +344,12 @@ ScalingDecision DiagonalScaler::Decide(const PolicyInput& input) {
 
 ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   const telemetry::SignalSnapshot& signals = input.signals;
-  const obs::Sink& sink = input.obs;
   last_estimate_demand_ = ResourceVector{};
 
-  if (std::optional<ScalingDecision> d = guardrails_.HandleFeedback(input)) {
-    low_streak_ = 0;
-    return *std::move(d);
+  if (std::optional<ScalingDecision> hold = guardrails_.Open(input)) {
+    return *std::move(hold);
   }
-  if (!signals.valid) {
-    return HoldCurrent(input, Explanation(ExplanationCode::kHoldWarmup));
-  }
-  if (signals.degraded) {
-    low_streak_ = 0;
-    bad_streak_ = 0;
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldDegradedTelemetry,
-                           100.0 * signals.confidence));
-  }
-
-  const obs::SpanId cat_span = sink.trace.Start("categorize", input.now);
-  last_cats_ = Categorize(signals, options_.guardrails.thresholds,
-                          knobs_.latency_goal, options_.guardrails.categorize);
-  last_estimate_ = estimator_.Estimate(last_cats_);
-  sink.trace.AttrStr(cat_span, "latency",
-                     LatencyCategoryToString(last_cats_.latency));
-  sink.trace.End(cat_span, input.now);
-  const CategorizedSignals& cats = last_cats_;
-  const DemandEstimate& est = last_estimate_;
+  const DemandEstimate& est = guardrails_.estimate();
 
   // The per-resource demand vector: the allocation at which current usage
   // would sit at the target utilization. This is what the optimizer covers;
@@ -392,8 +357,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   const ResourceVector usage = UsageVector(input);
   ResourceVector demand;
   for (ResourceKind kind : container::kAllResources) {
-    demand.Set(kind,
-               usage.Get(kind) / (options_.target_utilization_pct / 100.0));
+    demand.Set(kind, usage.Get(kind) / (kTargetUtilizationPct / 100.0));
   }
   last_estimate_demand_ = demand;
 
@@ -406,26 +370,20 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   }
   const int step = optimizer_.levels_per_rung();
 
-  const bool has_goal = knobs_.latency_goal.has_value();
-  const bool latency_bad = has_goal && cats.latency == LatencyCategory::kBad;
-  const bool degrading = has_goal && cats.latency_degrading;
-  bad_streak_ = latency_bad ? bad_streak_ + 1 : 0;
-
   // Floor learning: a breach right after a down move indicts the shed
   // dimensions. Floor them at their pre-shed levels for the TTL — the
   // probe is not repeated the next time latency dips under the gate —
   // and revert immediately rather than recovering one corrective level
   // at a time (every extra interval of recovery is a missed goal).
-  if (latency_bad && options_.down_floor_ttl_intervals > 0 &&
+  if (guardrails_.latency_bad() &&
       input.interval_index - last_down_interval_ <=
-          options_.down_breach_window_intervals) {
+          kDownBreachWindowIntervals) {
     GridLevels revert = cur;
     bool grew = false;
     for (int d = 0; d < container::kNumResources; ++d) {
       if (last_down_to_[d] < last_down_from_[d]) {
         down_floor_[d] = std::max(down_floor_[d], last_down_from_[d]);
-        down_floor_until_[d] =
-            input.interval_index + options_.down_floor_ttl_intervals;
+        down_floor_until_[d] = input.interval_index + kDownFloorTtlIntervals;
         const int top =
             optimizer_.grid_size(static_cast<ResourceKind>(d)) - 1;
         revert[d] = std::max(revert[d], std::min(top, last_down_from_[d]));
@@ -446,8 +404,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
         d.target = optimizer_.Materialize(solved);
         if (d.target.id != input.current.id &&
             !guardrails_.RefuseRejected(input, d.target)) {
-          low_streak_ = 0;
-          last_up_interval_ = input.interval_index;
+          guardrails_.NoteScaleUp(input);
           d.explanation = Explanation(ExplanationCode::kScaleDiagonalUp,
                                       "revert: latency broke after shed");
           d.explanation.args[0] = d.target.price_per_interval;
@@ -463,17 +420,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   }
 
   // -------- Scale-up / rebalance path --------
-  bool perf_trigger = false;
-  if (!has_goal) {
-    perf_trigger = true;
-  } else if (knobs_.sensitivity == Sensitivity::kLow) {
-    perf_trigger =
-        latency_bad &&
-        bad_streak_ >= options_.guardrails.up_patience_low_sensitivity;
-  } else {
-    perf_trigger = latency_bad || degrading;
-  }
-
+  const bool perf_trigger = guardrails_.perf_trigger();
   // Wait-directed correction: per-dimension sheds can manufacture a state
   // the Section 4 rules never see on the rung ladder — latency bad, waits
   // piled on one resource, yet that resource's utilization low because the
@@ -484,22 +431,15 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
       telemetry::WaitClassResource(dominant.wait_class);
   const bool wait_directed =
       perf_trigger && !est.AnyIncrease() && wait_dim.has_value() &&
-      options_.wait_directed_up_min_pct > 0.0 &&
-      dominant.pct >= options_.wait_directed_up_min_pct &&
+      dominant.pct >= kWaitDirectedUpMinPct &&
       cur[static_cast<size_t>(*wait_dim)] <
           optimizer_.grid_size(*wait_dim) - 1;
   const bool wants_up = perf_trigger && (est.AnyIncrease() || wait_directed);
 
-  const bool in_up_cooldown =
-      input.interval_index - last_up_interval_ <
-      options_.guardrails.up_cooldown_intervals;
-  if (wants_up && in_up_cooldown) {
-    low_streak_ = 0;
-    return HoldCurrent(input, Explanation(ExplanationCode::kHoldUpCooldown));
-  }
-
   if (wants_up) {
-    low_streak_ = 0;
+    if (std::optional<ScalingDecision> hold = guardrails_.BeginUp(input)) {
+      return *std::move(hold);
+    }
     GridLevels need = cur;
     for (ResourceKind kind : container::kAllResources) {
       const size_t d = static_cast<size_t>(kind);
@@ -526,16 +466,9 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
         int cand = std::max(util_level[d], cur[d] + steps * step);
         cand = std::max(cand, std::min(cur[d], down_floor_[d]));
         cand = std::max(0, cand);
-        while (cand < cur[d]) {
-          const double alloc = optimizer_.ValueAt(kind, cand);
-          if (alloc <= 0.0 ||
-              100.0 * usage.Get(kind) / alloc <=
-                  options_.guardrails.down_projected_util_guard_pct) {
-            break;
-          }
-          ++cand;
-        }
-        need[d] = cand;
+        need[d] = Guardrails::GuardShrink(
+            cand, cur[d], usage.Get(kind),
+            [&](int level) { return optimizer_.ValueAt(kind, level); });
       }
     }
 
@@ -568,7 +501,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
             guardrails_.RefuseRejected(input, d.target)) {
       return *std::move(hold);
     }
-    last_up_interval_ = input.interval_index;
+    guardrails_.NoteScaleUp(input);
     int ups = 0;
     int downs = 0;
     for (int dd = 0; dd < container::kNumResources; ++dd) {
@@ -602,25 +535,12 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     return d;
   }
 
-  if (latency_bad || degrading) {
-    low_streak_ = 0;
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldLatencyNotResource,
-                           DominantWaitNote(signals)));
-  }
-
-  if (has_goal && est.AnyIncrease()) {
-    low_streak_ = 0;
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldGoalMetSavings,
-                                   est.SummaryIncrease()));
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldWithoutUpMove(input)) {
+    return *std::move(hold);
   }
 
   // -------- Scale-down path --------
-  const double slack_ratio = options_.guardrails.down_latency_slack_ratio;
-  const bool slack_low =
-      has_goal && slack_ratio > 0.0 &&
-      signals.latency_ms <= slack_ratio * knobs_.latency_goal->target_ms;
   // Utilization headroom is low-demand evidence of its own here: with
   // per-dimension pricing, every grid step of headroom is money on the
   // table even when no Section 4 shrink rule fires.
@@ -630,32 +550,26 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     if (util_level[d] > cur[d]) util_at_or_below = false;
     if (util_level[d] < cur[d]) util_strictly_below = true;
   }
-  const bool util_headroom = util_at_or_below && util_strictly_below;
-  const bool demand_low =
-      est.SuggestsShrink() || slack_low || util_headroom;
-  if (!demand_low) {
-    low_streak_ = 0;
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldDemandSteady));
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldWithoutShrinkEvidence(
+              input, util_at_or_below && util_strictly_below)) {
+    return *std::move(hold);
   }
   // Shedding is only safe with latency headroom: near the goal, even a
   // one-level shed of an "idle" dimension can tip p95 over (queueing at
   // low utilization — the engine's bursty arrivals). Declining the saving
   // here is what keeps attainment at Auto's level while costing less.
-  if (has_goal && options_.down_latency_gate_ratio > 0.0 &&
-      signals.latency_ms > options_.down_latency_gate_ratio *
-                               knobs_.latency_goal->target_ms) {
-    low_streak_ = 0;
+  const std::optional<LatencyGoal>& goal = guardrails_.knobs().latency_goal;
+  if (goal.has_value() &&
+      signals.latency_ms > kDownLatencyGateRatio * goal->target_ms) {
+    guardrails_.ResetLowStreak();
     return HoldCurrent(input,
                        Explanation(ExplanationCode::kHoldGoalMetSavings,
                                    "keeping latency headroom"));
   }
-  ++low_streak_;
-  const int patience = options_.guardrails.DownPatience(knobs_.sensitivity);
-  if (low_streak_ < patience) {
-    return HoldCurrent(input, Explanation(ExplanationCode::kHoldDownPatience,
-                                          static_cast<double>(low_streak_),
-                                          static_cast<double>(patience)));
+  if (std::optional<ScalingDecision> hold =
+          guardrails_.HoldForDownPatience(input)) {
+    return *std::move(hold);
   }
 
   // Memory shrinks on the same per-dimension evidence as everything else:
@@ -667,7 +581,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     int cand = cur[d];
     const int steps = est.For(kind).steps;
     if (steps < 0) cand = cur[d] + steps * step;
-    if (slack_low) cand = std::min(cand, cur[d] - step);
+    if (guardrails_.slack_low()) cand = std::min(cand, cur[d] - step);
     if (util_level[d] < cur[d]) {
       // Pure utilization headroom sheds at most one rung-step at a time.
       cand = std::min(cand, std::max(util_level[d], cur[d] - step));
@@ -675,19 +589,12 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     // Sub-rung grids make small sheds cheap to take and cheap to undo;
     // descending one grid level per move keeps each step's latency impact
     // observable before the next.
-    cand = std::max(cand, cur[d] - options_.down_max_levels_per_move);
+    cand = std::max(cand, cur[d] - kDownMaxLevelsPerMove);
     cand = std::max(cand, std::min(cur[d], down_floor_[d]));
     cand = std::max(0, std::min(cand, cur[d]));
-    while (cand < cur[d]) {
-      const double alloc = optimizer_.ValueAt(kind, cand);
-      if (alloc <= 0.0 ||
-          100.0 * usage.Get(kind) / alloc <=
-              options_.guardrails.down_projected_util_guard_pct) {
-        break;
-      }
-      ++cand;
-    }
-    need[d] = cand;
+    need[d] = Guardrails::GuardShrink(
+        cand, cur[d], usage.Get(kind),
+        [&](int level) { return optimizer_.ValueAt(kind, level); });
   }
 
   ResourceVector want;
@@ -713,7 +620,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     return HoldCurrent(input,
                        Explanation(ExplanationCode::kHoldDemandSteady));
   }
-  low_streak_ = 0;
+  guardrails_.ResetLowStreak();
   d.explanation = Explanation(
       ExplanationCode::kScaleDiagonalDown,
       est.AnyDecrease() ? est.SummaryDecrease()

@@ -29,43 +29,11 @@
 #include "src/container/catalog.h"
 #include "src/scaler/audit.h"
 #include "src/scaler/budget_manager.h"
-#include "src/scaler/categories.h"
-#include "src/scaler/demand_estimator.h"
 #include "src/scaler/guardrails.h"
 #include "src/scaler/knobs.h"
 #include "src/scaler/policy.h"
 
 namespace dbscale::scaler {
-
-struct DiagonalOptions {
-  /// Signal interpretation, patience, cooldowns, budget strategy and
-  /// resize resilience — the same guardrails as Auto's.
-  GuardrailOptions guardrails;
-  /// Demand for a dimension is usage / (target_utilization_pct / 100): the
-  /// allocation at which observed usage would sit at the target utilization
-  /// (the "buffer for performance" Section 7.3 keeps).
-  double target_utilization_pct = 70.0;
-  /// No shed happens while latency exceeds this fraction of the goal:
-  /// near the goal, queueing at low utilization means an "idle"
-  /// dimension can still be load-bearing. <= 0 disables.
-  double down_latency_gate_ratio = 0.65;
-  /// Grid levels a dimension may shed in a single down move.
-  int down_max_levels_per_move = 1;
-  /// A latency breach within this many intervals of a down move floors
-  /// the shed dimensions at their pre-shed levels...
-  int down_breach_window_intervals = 3;
-  /// ...for this long. Floors expire so post-burst descents are not
-  /// locked out forever. <= 0 disables floor learning.
-  int down_floor_ttl_intervals = 90;
-  /// Wait-directed correction: when latency is bad but no Section 4 rule
-  /// fires (waits pile up in a dimension whose utilization looks idle —
-  /// exactly the state a per-dimension shed can create), the dimension
-  /// behind the dominant wait class grows one grid level, provided that
-  /// class holds at least this share of waits. <= 0 disables.
-  double wait_directed_up_min_pct = 25.0;
-
-  Status Validate() const;
-};
 
 /// \brief Exact budgeted multi-dimensional bundle search over a Catalog's
 /// per-dimension offer grids.
@@ -136,17 +104,18 @@ class DiagonalOptimizer {
   /// remaining dimension's level-0 price component (budget lower bound).
   std::array<double, container::kNumResources + 1> min_rest_{};
   /// Fixed-path tables (empty on flexible catalogs): per listed spec
-  /// (ascending price), its price, resources, and the largest grid level
-  /// each dimension covers.
+  /// (ascending price), its price and the largest grid level each
+  /// dimension covers.
   std::vector<double> spec_price_;
-  std::vector<container::ResourceVector> spec_res_;
   std::vector<container::GridLevels> spec_cover_;
 };
 
 /// \brief The diagonal scaling policy: per-resource demand vector +
-/// budgeted multi-dimensional optimizer, inside the same Guardrails as Auto
-/// (budget, actuation lifecycle, migration note, audit) and with Auto's
-/// warmup, cooldowns, patience and saturation guard.
+/// budgeted multi-dimensional optimizer, run through the same Guardrails
+/// cycle as Auto (warm-up and degraded holds, up trigger and cooldown,
+/// down patience, saturation guard, budget, actuation lifecycle,
+/// migration note, audit). It adds shed-floor learning, wait-directed
+/// growth and a latency gate on sheds.
 ///
 /// Differences from Auto, by design:
 ///   * Each dimension moves independently — one decision can grow CPU while
@@ -163,22 +132,17 @@ class DiagonalScaler : public ScalingPolicy {
   /// period.
   static Result<std::unique_ptr<DiagonalScaler>> Create(
       const container::Catalog& catalog, const TenantKnobs& knobs,
-      const DiagonalOptions& options = {});
+      const GuardrailOptions& options = {});
 
   ScalingDecision Decide(const PolicyInput& input) override;
   std::string name() const override { return "Diagonal"; }
 
   /// Introspection (tests, drill-down experiments).
   const BudgetManager* budget() const { return guardrails_.budget(); }
-  const DiagonalOptimizer& optimizer() const { return optimizer_; }
-  const TenantKnobs& knobs() const { return knobs_; }
-  const CategorizedSignals& last_categories() const { return last_cats_; }
-  const DemandEstimate& last_estimate() const { return last_estimate_; }
   const AuditLog& audit() const { return guardrails_.audit(); }
 
  private:
-  DiagonalScaler(const container::Catalog& catalog, const TenantKnobs& knobs,
-                 const DiagonalOptions& options, Guardrails guardrails);
+  DiagonalScaler(const container::Catalog& catalog, Guardrails guardrails);
 
   ScalingDecision DecideUnclamped(const PolicyInput& input);
   /// Mean absolute per-resource usage for the ended interval: engine truth
@@ -186,19 +150,12 @@ class DiagonalScaler : public ScalingPolicy {
   container::ResourceVector UsageVector(const PolicyInput& input) const;
 
   container::Catalog catalog_;
-  TenantKnobs knobs_;
-  DiagonalOptions options_;
-  DemandEstimator estimator_;
   Guardrails guardrails_;
   DiagonalOptimizer optimizer_;
 
-  int low_streak_ = 0;
-  int bad_streak_ = 0;
-  int last_up_interval_ = -1000;
-
   /// Shed-floor learning: the last decision that lowered any dimension,
   /// and per-dimension floors raised when latency broke within
-  /// down_breach_window_intervals of it. A bad shed gets probed once, not
+  /// kDownBreachWindowIntervals of it. A bad shed gets probed once, not
   /// every time latency dips back under the gate.
   int last_down_interval_ = -1000;
   container::GridLevels last_down_from_{};
@@ -206,12 +163,9 @@ class DiagonalScaler : public ScalingPolicy {
   container::GridLevels down_floor_{};
   std::array<int, container::kNumResources> down_floor_until_{};
 
-  CategorizedSignals last_cats_;
-  DemandEstimate last_estimate_;
   /// Demand vector computed during the last Decide (zero before the signal
   /// window warms up); copied into every decision's `demand` field.
   container::ResourceVector last_estimate_demand_;
-  AuditLog audit_;
 };
 
 }  // namespace dbscale::scaler

@@ -11,63 +11,88 @@ namespace dbscale::scaler {
 
 using container::ContainerSpec;
 
+namespace {
+
+// Categorization runs at CategorizeOptions' defaults: the 120 s latency
+// projection and the 0.92 BAD fraction of the goal (Section 7.3's buffer
+// for performance).
+constexpr CategorizeOptions kCategorize{};
+
+/// Consecutive low-demand intervals required before scaling down, by
+/// sensitivity.
+constexpr int kDownPatienceHigh = 5;
+constexpr int kDownPatienceMedium = 3;
+constexpr int kDownPatienceLow = 1;
+/// With LOW sensitivity, consecutive BAD intervals required to scale up.
+constexpr int kUpPatienceLowSensitivity = 2;
+/// Latency-slack scale-down (Section 2.3: meet the goal with a smaller
+/// container even when demand is high): when latency stays at or below
+/// this fraction of the goal, try shrinking one step even without
+/// low-demand signals.
+constexpr double kDownLatencySlackRatio = 0.5;
+/// Intervals to wait after a scale-up before scaling up again: a resize
+/// takes effect online but queued backlog and the robust-aggregation
+/// window keep latency looking bad for a little while; reacting to that
+/// stale signal overshoots.
+constexpr int kUpCooldownIntervals = 2;
+/// Scale-down saturation guard: a dimension only shrinks if its projected
+/// utilization on the smaller allocation (current usage / new allocation)
+/// stays below this percentage. Prevents shrinking straight into a
+/// queueing cliff (the "buffer for performance" both online techniques
+/// keep, Section 7.3).
+constexpr double kDownProjectedUtilGuardPct = 75.0;
+/// Resize-lifecycle resilience (fault injection, Section 5 operational
+/// notes): total attempts per target before the scaler abandons the
+/// resize, and the exponential backoff (in billing intervals) between
+/// attempts: base * multiplier^(failures-1), capped at the max.
+constexpr int kResizeMaxAttempts = 4;
+constexpr int kResizeBackoffBaseIntervals = 1;
+constexpr double kResizeBackoffMultiplier = 2.0;
+constexpr int kResizeBackoffMaxIntervals = 8;
+/// Intervals a permanently-rejected target stays off-limits before the
+/// scaler may request it again.
+constexpr int kResizeRejectionCooldownIntervals = 10;
+
+/// Consecutive low-demand intervals required before scaling down.
+int DownPatience(Sensitivity sensitivity) {
+  switch (sensitivity) {
+    case Sensitivity::kHigh:
+      return kDownPatienceHigh;
+    case Sensitivity::kMedium:
+      return kDownPatienceMedium;
+    case Sensitivity::kLow:
+      return kDownPatienceLow;
+  }
+  return kDownPatienceMedium;
+}
+
+/// Backoff before attempt `failed_attempts + 1`, in intervals (>= 1).
+int BackoffIntervals(int failed_attempts) {
+  double intervals = static_cast<double>(kResizeBackoffBaseIntervals);
+  for (int i = 1; i < failed_attempts; ++i) {
+    intervals *= kResizeBackoffMultiplier;
+  }
+  intervals =
+      std::min(intervals, static_cast<double>(kResizeBackoffMaxIntervals));
+  return std::max(1, static_cast<int>(intervals));
+}
+
+}  // namespace
+
 Status GuardrailOptions::Validate() const {
   DBSCALE_RETURN_IF_ERROR(thresholds.Validate());
-  if (down_latency_slack_ratio >= 1.0) {
-    return Status::InvalidArgument(
-        "down_latency_slack_ratio must be < 1 (<= 0 disables)");
-  }
-  if (down_patience_high < 1 || down_patience_medium < 1 ||
-      down_patience_low < 1) {
-    return Status::InvalidArgument("down patience values must be >= 1");
-  }
-  if (up_patience_low_sensitivity < 1) {
-    return Status::InvalidArgument(
-        "up_patience_low_sensitivity must be >= 1");
-  }
-  if (up_cooldown_intervals < 0) {
-    return Status::InvalidArgument("up_cooldown_intervals must be >= 0");
-  }
-  if (down_projected_util_guard_pct <= 0.0 ||
-      down_projected_util_guard_pct > 100.0) {
-    return Status::InvalidArgument(
-        "down_projected_util_guard_pct must be in (0, 100]");
-  }
   if (budget_conservative_k < 1) {
     return Status::InvalidArgument("budget_conservative_k must be >= 1");
   }
-  if (resize_max_attempts < 1) {
-    return Status::InvalidArgument("resize_max_attempts must be >= 1");
-  }
-  if (resize_backoff_base_intervals < 1 || resize_backoff_multiplier < 1.0 ||
-      resize_backoff_max_intervals < resize_backoff_base_intervals) {
-    return Status::InvalidArgument("invalid resize backoff options");
-  }
-  if (resize_rejection_cooldown_intervals < 0) {
-    return Status::InvalidArgument(
-        "resize_rejection_cooldown_intervals must be >= 0");
-  }
   return Status::OK();
-}
-
-int GuardrailOptions::DownPatience(Sensitivity sensitivity) const {
-  switch (sensitivity) {
-    case Sensitivity::kHigh:
-      return down_patience_high;
-    case Sensitivity::kMedium:
-      return down_patience_medium;
-    case Sensitivity::kLow:
-      return down_patience_low;
-  }
-  return down_patience_medium;
 }
 
 Result<Guardrails> Guardrails::Create(const container::Catalog& catalog,
                                       const TenantKnobs& knobs,
                                       const GuardrailOptions& options) {
+  DBSCALE_RETURN_IF_ERROR(knobs.Validate());
   DBSCALE_RETURN_IF_ERROR(options.Validate());
-  Guardrails guardrails;
-  guardrails.options_ = options;
+  Guardrails guardrails(knobs, options);
   if (knobs.budget.has_value()) {
     BudgetManagerOptions bm;
     bm.total_budget = knobs.budget->total_budget;
@@ -83,7 +108,14 @@ Result<Guardrails> Guardrails::Create(const container::Catalog& catalog,
   return guardrails;
 }
 
-void Guardrails::BeginDecision(const PolicyInput& input) {
+// Validation happens in Create(); this constructor is private and only
+// reachable through it.
+// dbscale-lint: allow(options-validate)
+Guardrails::Guardrails(const TenantKnobs& knobs,
+                       const GuardrailOptions& options)
+    : options_(options), knobs_(knobs), estimator_(options.estimator) {}
+
+std::optional<ScalingDecision> Guardrails::Open(const PolicyInput& input) {
   if (budget_ && input.charged_cost > 0.0) {
     // The price of the interval that just ended arrives with the decision
     // cycle; Decide() sizes within available(), so a failed charge is a
@@ -94,22 +126,125 @@ void Guardrails::BeginDecision(const PolicyInput& input) {
     }
   }
   decision_attempt_ = 1;
+  // Until Categorize runs, this decision has no reading of its own: the
+  // audit record of a hold below carries no categories or estimate.
+  cats_.valid = false;
+
+  // Actuation-lifecycle feedback first: an in-flight, backing-off, rejected
+  // or abandoned resize/migration preempts the signal-driven cycle.
+  if (std::optional<ScalingDecision> d = HandleFeedback(input)) {
+    low_streak_ = 0;
+    return d;
+  }
+  const telemetry::SignalSnapshot& signals = input.signals;
+  if (!signals.valid) {
+    return HoldCurrent(input, Explanation(ExplanationCode::kHoldWarmup));
+  }
+  if (signals.degraded) {
+    // Graceful degradation: an incomplete telemetry window (dropped or
+    // rejected samples) cannot support a demand estimate — force demand to
+    // 0 and hold rather than act on partial data.
+    low_streak_ = 0;
+    bad_streak_ = 0;
+    return HoldCurrent(
+        input, Explanation(ExplanationCode::kHoldDegradedTelemetry,
+                           100.0 * signals.confidence));
+  }
+
+  const obs::Sink& sink = input.obs;
+  const obs::SpanId cat_span = sink.trace.Start("categorize", input.now);
+  cats_ = Categorize(signals, options_.thresholds, knobs_.latency_goal,
+                     kCategorize);
+  estimate_ = estimator_.Estimate(cats_);
+  sink.trace.AttrStr(cat_span, "latency",
+                     LatencyCategoryToString(cats_.latency));
+  sink.trace.End(cat_span, input.now);
+
+  const bool has_goal = knobs_.latency_goal.has_value();
+  latency_bad_ = has_goal && cats_.latency == LatencyCategory::kBad;
+  degrading_ = has_goal && cats_.latency_degrading;
+  bad_streak_ = latency_bad_ ? bad_streak_ + 1 : 0;
+  if (!has_goal) {
+    // No latency goal: scale purely on demand (Section 2.3).
+    perf_trigger_ = true;
+  } else if (knobs_.sensitivity == Sensitivity::kLow) {
+    // LOW sensitivity: slow to scale up — require persistent violations,
+    // and ignore mere degradation trends.
+    perf_trigger_ = latency_bad_ && bad_streak_ >= kUpPatienceLowSensitivity;
+  } else {
+    perf_trigger_ = latency_bad_ || degrading_;
+  }
+  return std::nullopt;
+}
+
+std::optional<ScalingDecision> Guardrails::BeginUp(const PolicyInput& input) {
+  low_streak_ = 0;
+  if (input.interval_index - last_up_interval_ < kUpCooldownIntervals) {
+    return HoldCurrent(input, Explanation(ExplanationCode::kHoldUpCooldown));
+  }
+  return std::nullopt;
+}
+
+void Guardrails::NoteScaleUp(const PolicyInput& input) {
+  low_streak_ = 0;
+  last_up_interval_ = input.interval_index;
+}
+
+std::optional<ScalingDecision> Guardrails::HoldWithoutUpMove(
+    const PolicyInput& input) {
+  if (latency_bad_ || degrading_) {
+    // Latency violated without resource demand: more resources will not
+    // help (poor application code, lock contention, ...). Do not scale
+    // (Section 2.3: latency goals are a knob, not a guarantee).
+    low_streak_ = 0;
+    return HoldCurrent(
+        input, Explanation(ExplanationCode::kHoldLatencyNotResource,
+                           DominantWaitNote(input.signals)));
+  }
+  if (knobs_.latency_goal.has_value() && estimate_.AnyIncrease()) {
+    // Latency goal met: convert slack into savings by not chasing demand.
+    low_streak_ = 0;
+    return HoldCurrent(input,
+                       Explanation(ExplanationCode::kHoldGoalMetSavings,
+                                   estimate_.SummaryIncrease()));
+  }
+  return std::nullopt;
+}
+
+std::optional<ScalingDecision> Guardrails::HoldWithoutShrinkEvidence(
+    const PolicyInput& input, bool policy_evidence) {
+  // Latency slack (Section 2.3): when the goal is comfortably met, a
+  // smaller container may still meet it — try shrinking even when the
+  // estimator sees demand that is merely "not high".
+  slack_low_ = knobs_.latency_goal.has_value() &&
+               input.signals.latency_ms <=
+                   kDownLatencySlackRatio * knobs_.latency_goal->target_ms;
+  if (estimate_.SuggestsShrink() || slack_low_ || policy_evidence) {
+    return std::nullopt;
+  }
+  low_streak_ = 0;
+  return HoldCurrent(input, Explanation(ExplanationCode::kHoldDemandSteady));
+}
+
+std::optional<ScalingDecision> Guardrails::HoldForDownPatience(
+    const PolicyInput& input) {
+  ++low_streak_;
+  const int patience = DownPatience(knobs_.sensitivity);
+  if (low_streak_ < patience) {
+    return HoldCurrent(input, Explanation(ExplanationCode::kHoldDownPatience,
+                                          static_cast<double>(low_streak_),
+                                          static_cast<double>(patience)));
+  }
+  return std::nullopt;
+}
+
+bool Guardrails::ShrinkFits(double usage, double alloc) {
+  return alloc <= 0.0 || 100.0 * usage / alloc <= kDownProjectedUtilGuardPct;
 }
 
 double Guardrails::AvailableBudget() const {
   return budget_ ? budget_->available()
                  : std::numeric_limits<double>::infinity();
-}
-
-int Guardrails::BackoffIntervals(int failed_attempts) const {
-  double intervals =
-      static_cast<double>(options_.resize_backoff_base_intervals);
-  for (int i = 1; i < failed_attempts; ++i) {
-    intervals *= options_.resize_backoff_multiplier;
-  }
-  intervals = std::min(
-      intervals, static_cast<double>(options_.resize_backoff_max_intervals));
-  return std::max(1, static_cast<int>(intervals));
 }
 
 std::optional<ScalingDecision> Guardrails::HandleFeedback(
@@ -141,18 +276,17 @@ std::optional<ScalingDecision> Guardrails::HandleFeedback(
       audit_.NoteResizeOutcome(ResizeOutcome::kRejected, fb.attempt);
       rejected_target_id_ = fb.target.id;
       rejected_until_interval_ =
-          input.interval_index + options_.resize_rejection_cooldown_intervals;
+          input.interval_index + kResizeRejectionCooldownIntervals;
       // A rejected migration means no host in the fleet had capacity —
       // same cooldown bookkeeping, distinct explanation.
       Explanation e(migration ? ExplanationCode::kHoldHostSaturated
                               : ExplanationCode::kHoldResizeRejected,
                     fb.target.name);
-      e.args[0] =
-          static_cast<double>(options_.resize_rejection_cooldown_intervals);
+      e.args[0] = static_cast<double>(kResizeRejectionCooldownIntervals);
       return HoldCurrent(input, std::move(e));
     }
     case ActuationPhase::kFailed: {
-      if (fb.attempt >= options_.resize_max_attempts) {
+      if (fb.attempt >= kResizeMaxAttempts) {
         retry_.reset();
         audit_.NoteResizeOutcome(ResizeOutcome::kAbandoned, fb.attempt);
         return HoldCurrent(
@@ -213,15 +347,13 @@ std::optional<ScalingDecision> Guardrails::RefuseRejected(
   return HoldCurrent(input, std::move(e));
 }
 
-bool Guardrails::Finish(const PolicyInput& input,
-                        const CategorizedSignals& cats,
-                        const DemandEstimate& estimate,
-                        obs::SpanId budget_span, double budget,
-                        std::optional<ContainerSpec> forced,
+bool Guardrails::Finish(const PolicyInput& input, obs::SpanId budget_span,
+                        double budget, std::optional<ContainerSpec> forced,
                         ScalingDecision* d) {
   const obs::Sink& sink = input.obs;
   const bool clamped = forced.has_value();
   if (clamped) {
+    low_streak_ = 0;
     d->target = *std::move(forced);
     Explanation e(ExplanationCode::kScaleDownForcedByBudget, budget);
     e.detail = d->explanation.ToString();
@@ -260,7 +392,7 @@ bool Guardrails::Finish(const PolicyInput& input,
     }
   }
 
-  audit_.Record(input, cats, estimate, *d, decision_attempt_);
+  audit_.Record(input, cats_, estimate_, *d, decision_attempt_);
   return clamped;
 }
 

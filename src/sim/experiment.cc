@@ -185,8 +185,7 @@ Result<ComparisonResult> RunComparison(const SimulationOptions& base_in,
            knobs.sensitivity = options.sensitivity;
            DBSCALE_ASSIGN_OR_RETURN(
                auto auto_scaler,
-               scaler::AutoScaler::Create(online_base.catalog, knobs,
-                                          options.auto_scaler));
+               scaler::AutoScaler::Create(online_base.catalog, knobs));
            return RunWithPolicy(online_base, auto_scaler.get(),
                                 options.online_initial_rung);
          }});

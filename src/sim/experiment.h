@@ -44,7 +44,6 @@ struct ComparisonOptions {
   telemetry::LatencyAggregate goal_aggregate =
       telemetry::LatencyAggregate::kP95;
   scaler::Sensitivity sensitivity = scaler::Sensitivity::kMedium;
-  scaler::AutoScalerOptions auto_scaler;
   /// Initial rung for the online policies (Util, Auto).
   int online_initial_rung = 3;
   /// Run these subsets only (empty = all six).

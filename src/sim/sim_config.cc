@@ -15,7 +15,7 @@ SimulationOptions SimConfig::EffectiveSimulationOptions() const {
 
 Status SimConfig::Validate() const {
   DBSCALE_RETURN_IF_ERROR(knobs.Validate());
-  DBSCALE_RETURN_IF_ERROR(scaler.guardrails.Validate());
+  DBSCALE_RETURN_IF_ERROR(scaler.Validate());
   DBSCALE_RETURN_IF_ERROR(simulation.workload.Validate());
   if (simulation.trace.empty()) {
     return Status::InvalidArgument("trace is empty");

@@ -1,9 +1,9 @@
 // SimConfig: one validated bundle for a full closed-loop run.
 //
 // Before this type, a complete experiment scattered its knobs across four
-// structs (SimulationOptions, TelemetryManagerOptions, TenantKnobs,
-// AutoScalerOptions) plus the fault plan, each validated — or not — at a
-// different layer. SimConfig folds them into a single value with one
+// structs (SimulationOptions, TelemetryManagerOptions, TenantKnobs, the
+// scaler's GuardrailOptions) plus the fault plan, each validated — or not —
+// at a different layer. SimConfig folds them into a single value with one
 // Validate() covering every cross-cutting constraint (trace vs interval,
 // latency-goal aggregate vs telemetry aggregate, fault probabilities,
 // the scaler's guardrail options, budget feasibility via
@@ -38,8 +38,9 @@ struct SimConfig {
   host::HostOptions host;
   /// Tenant-facing knobs (budget, latency goal, sensitivity).
   scaler::TenantKnobs knobs;
-  /// Auto-policy internals (guardrail options, ballooning).
-  scaler::AutoScalerOptions scaler;
+  /// The scaler's settable options: signal thresholds, estimator ablation
+  /// switches and budget strategy.
+  scaler::GuardrailOptions scaler;
 
   /// Validates every layer and the constraints that span them. A default
   /// SimConfig fails only on the empty trace/workload.

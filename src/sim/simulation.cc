@@ -155,6 +155,40 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
   const int whole_samples =
       std::max(1, static_cast<int>(samples_per_interval));
 
+  // An applied resize or migration: the engine, the host plane and the
+  // counters follow the new container, and the policy hears of it before
+  // its next decision.
+  auto apply = [&](const host::ActuationOutcome& ev) {
+    DBSCALE_CHECK(engine.CompleteResize().ok());
+    ++result.container_changes;
+    if (host_enabled) {
+      if (ev.kind == host::ActuationKind::kMigration) {
+        // Cutover: the tenant leaves its source host and lands on the
+        // destination under the new container.
+        host_map->CompleteMigration(tenant_host, ev.to_host,
+                                    current.resources, ev.target.resources);
+        tenant_host = ev.to_host;
+        if (sink.pipeline != nullptr) {
+          sink.metrics.Add(sink.pipeline->host_migrations_total, 1.0);
+        }
+      } else {
+        host_map->CommitLocal(
+            tenant_host, host::UpDelta(current.resources, ev.target.resources),
+            current.resources, ev.target.resources);
+      }
+    }
+    if (sink.pipeline != nullptr) {
+      sink.metrics.Add(sink.pipeline->sim_resizes_total, 1.0);
+      sink.metrics.Add(ev.target.base_rung > current.base_rung
+                           ? sink.pipeline->sim_scale_ups_total
+                           : sink.pipeline->sim_scale_downs_total,
+                       1.0);
+      sink.metrics.Add(sink.pipeline->resize_applies_total, 1.0);
+    }
+    current = ev.target;
+    feedback = ev;
+  };
+
   SimTime interval_start = SimTime::Zero();
   for (size_t i = 0; i < num_intervals; ++i) {
     const SimTime interval_end =
@@ -168,47 +202,16 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     // actuation succeeded) is in effect, and therefore billed, for the
     // whole interval.
     if (channel.pending()) {
-      const bool was_migration =
-          channel.request().kind == host::ActuationKind::kMigration;
       const host::ActuationOutcome ev = channel.Tick();
       switch (ev.phase) {
         case host::ActuationPhase::kApplied:
-          DBSCALE_CHECK(engine.CompleteResize().ok());
-          ++result.container_changes;
-          if (host_enabled) {
-            if (was_migration) {
-              // Cutover: the tenant leaves its source host and lands on
-              // the destination under the new container.
-              host_map->CompleteMigration(tenant_host, ev.to_host,
-                                          current.resources,
-                                          ev.target.resources);
-              tenant_host = ev.to_host;
-              if (sink.pipeline != nullptr) {
-                sink.metrics.Add(sink.pipeline->host_migrations_total, 1.0);
-              }
-            } else {
-              host_map->CommitLocal(
-                  tenant_host,
-                  host::UpDelta(current.resources, ev.target.resources),
-                  current.resources, ev.target.resources);
-            }
-          }
-          if (sink.pipeline != nullptr) {
-            sink.metrics.Add(sink.pipeline->sim_resizes_total, 1.0);
-            sink.metrics.Add(ev.target.base_rung > current.base_rung
-                                 ? sink.pipeline->sim_scale_ups_total
-                                 : sink.pipeline->sim_scale_downs_total,
-                             1.0);
-            sink.metrics.Add(sink.pipeline->resize_applies_total, 1.0);
-          }
-          current = ev.target;
-          feedback = ev;
+          apply(ev);
           break;
         case host::ActuationPhase::kFailed:
           DBSCALE_CHECK(engine.AbortResize().ok());
           ++result.resize_failures;
           if (host_enabled) {
-            if (was_migration) {
+            if (ev.kind == host::ActuationKind::kMigration) {
               // Failure is revealed at cutover (the tenant already
               // suffered the blackout); the destination reservation is
               // released, the source accounting was never touched.
@@ -438,119 +441,82 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
       if (isink.pipeline != nullptr) {
         isink.metrics.Add(isink.pipeline->resize_requests_total, 1.0);
       }
-      if (!faulty && !host_enabled) {
-        ++result.container_changes;
-        if (isink.pipeline != nullptr) {
-          isink.metrics.Add(isink.pipeline->sim_resizes_total, 1.0);
-          isink.metrics.Add(decision.target.base_rung > current.base_rung
-                                ? isink.pipeline->sim_scale_ups_total
-                                : isink.pipeline->sim_scale_downs_total,
-                            1.0);
-          isink.metrics.Add(isink.pipeline->resize_applies_total, 1.0);
-        }
-        current = decision.target;
-        DBSCALE_CHECK(engine.BeginResize(current).ok());
-        DBSCALE_CHECK(engine.CompleteResize().ok());
-        // Settle the audit trail's outcome even without fault injection
-        // (the kApplied feedback branch is decision-neutral).
-        feedback.phase = host::ActuationPhase::kApplied;
-        feedback.target = current;
-        feedback.attempt = 1;
-      } else {
-        // Placement-aware actuation: classify the decision as a local
-        // resize (delta fits next to the host's other commitments) or a
-        // migration to the policy's chosen destination.
-        host::ActuationRequest req;
-        req.target = decision.target;
-        container::ResourceVector up_delta;
-        bool held_by_placement = false;
-        if (host_enabled) {
-          up_delta =
-              host::UpDelta(current.resources, decision.target.resources);
-          if (!host_map->FitsOn(tenant_host, up_delta)) {
-            req.kind = host::ActuationKind::kMigration;
-            req.host_hint = placement->ChooseHost(
-                *host_map, decision.target.resources, tenant_host);
-            if (req.host_hint < 0) {
-              // No host in the fleet has capacity: held before actuation
-              // (nothing is drawn from the fault plan), reported to the
-              // policy as a rejected migration so its cooldown applies.
-              host_map->AddPlacementHold();
-              feedback.phase = host::ActuationPhase::kRejected;
-              feedback.kind = host::ActuationKind::kMigration;
-              feedback.target = decision.target;
-              feedback.attempt = 1;
-              held_by_placement = true;
-              if (isink.pipeline != nullptr) {
-                isink.metrics.Add(isink.pipeline->host_placement_holds_total,
-                                  1.0);
-              }
+      // Placement-aware actuation: classify the decision as a local
+      // resize (delta fits next to the host's other commitments) or a
+      // migration to the policy's chosen destination. Without a fault
+      // plan or host plane every request resolves at Begin as kApplied,
+      // attempt 1, with no draw from any RNG stream.
+      host::ActuationRequest req;
+      req.target = decision.target;
+      container::ResourceVector up_delta;
+      bool held_by_placement = false;
+      if (host_enabled) {
+        up_delta = host::UpDelta(current.resources, decision.target.resources);
+        if (!host_map->FitsOn(tenant_host, up_delta)) {
+          req.kind = host::ActuationKind::kMigration;
+          req.host_hint = placement->ChooseHost(
+              *host_map, decision.target.resources, tenant_host);
+          if (req.host_hint < 0) {
+            // No host in the fleet has capacity: held before actuation
+            // (nothing is drawn from the fault plan), reported to the
+            // policy as a rejected migration so its cooldown applies.
+            host_map->AddPlacementHold();
+            feedback.phase = host::ActuationPhase::kRejected;
+            feedback.kind = host::ActuationKind::kMigration;
+            feedback.target = decision.target;
+            feedback.attempt = 1;
+            held_by_placement = true;
+            if (isink.pipeline != nullptr) {
+              isink.metrics.Add(isink.pipeline->host_placement_holds_total,
+                                1.0);
             }
           }
         }
-        if (!held_by_placement) {
-          const host::ActuationOutcome ev = channel.Begin(req, tenant_host);
-          if (host_enabled && ev.phase != host::ActuationPhase::kRejected) {
-            if (req.kind == host::ActuationKind::kMigration) {
-              host_map->BeginMigration(req.host_hint,
-                                       decision.target.resources);
-              if (isink.pipeline != nullptr) {
-                isink.metrics.Add(isink.pipeline->host_migrations_begun_total,
-                                  1.0);
-              }
-            } else {
-              host_map->ReserveLocal(tenant_host, up_delta);
+      }
+      if (!held_by_placement) {
+        const host::ActuationOutcome ev = channel.Begin(req, tenant_host);
+        if (host_enabled && ev.phase != host::ActuationPhase::kRejected) {
+          if (req.kind == host::ActuationKind::kMigration) {
+            host_map->BeginMigration(req.host_hint, decision.target.resources);
+            if (isink.pipeline != nullptr) {
+              isink.metrics.Add(isink.pipeline->host_migrations_begun_total,
+                                1.0);
             }
+          } else {
+            host_map->ReserveLocal(tenant_host, up_delta);
           }
-          switch (ev.phase) {
-            case host::ActuationPhase::kApplied:
-              // Zero actuation latency (local resizes only — a migration
-              // always spends its copy + blackout intervals pending): in
-              // effect from the next interval, exactly like the null path.
-              DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
-              DBSCALE_CHECK(engine.CompleteResize().ok());
-              ++result.container_changes;
-              if (host_enabled) {
-                host_map->CommitLocal(tenant_host, up_delta,
-                                      current.resources,
-                                      ev.target.resources);
-              }
-              if (isink.pipeline != nullptr) {
-                isink.metrics.Add(isink.pipeline->sim_resizes_total, 1.0);
-                isink.metrics.Add(ev.target.base_rung > current.base_rung
-                                      ? isink.pipeline->sim_scale_ups_total
-                                      : isink.pipeline->sim_scale_downs_total,
-                                  1.0);
-                isink.metrics.Add(isink.pipeline->resize_applies_total, 1.0);
-              }
-              current = ev.target;
-              feedback = ev;
-              break;
-            case host::ActuationPhase::kPending:
-              // Stage the change in the engine; it completes (or aborts)
-              // when the actuation latency elapses.
-              DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
-              feedback = ev;
-              break;
-            case host::ActuationPhase::kFailed:
-              ++result.resize_failures;
-              if (host_enabled) host_map->AbortLocal(tenant_host, up_delta);
-              if (isink.pipeline != nullptr) {
-                isink.metrics.Add(isink.pipeline->resize_failures_total, 1.0);
-              }
-              feedback = ev;
-              break;
-            case host::ActuationPhase::kRejected:
-              ++result.resize_rejections;
-              if (isink.pipeline != nullptr) {
-                isink.metrics.Add(isink.pipeline->resize_rejections_total,
-                                  1.0);
-              }
-              feedback = ev;
-              break;
-            default:
-              break;
-          }
+        }
+        switch (ev.phase) {
+          case host::ActuationPhase::kApplied:
+            // Zero actuation latency (local resizes only — a migration
+            // always spends its copy + blackout intervals pending): in
+            // effect from the next interval.
+            DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
+            apply(ev);
+            break;
+          case host::ActuationPhase::kPending:
+            // Stage the change in the engine; it completes (or aborts)
+            // when the actuation latency elapses.
+            DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
+            feedback = ev;
+            break;
+          case host::ActuationPhase::kFailed:
+            ++result.resize_failures;
+            if (host_enabled) host_map->AbortLocal(tenant_host, up_delta);
+            if (isink.pipeline != nullptr) {
+              isink.metrics.Add(isink.pipeline->resize_failures_total, 1.0);
+            }
+            feedback = ev;
+            break;
+          case host::ActuationPhase::kRejected:
+            ++result.resize_rejections;
+            if (isink.pipeline != nullptr) {
+              isink.metrics.Add(isink.pipeline->resize_rejections_total, 1.0);
+            }
+            feedback = ev;
+            break;
+          default:
+            break;
         }
       }
       isink.trace.End(resize_span, now);

@@ -116,5 +116,52 @@ TEST(AuditLogTest, AutoScalerPopulatesAudit) {
   EXPECT_FALSE(scaler->audit().back().categories.empty());
 }
 
+TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
+  // A hold decided before the signals were categorized (actuation
+  // feedback, warm-up, degraded telemetry) records no categories or
+  // estimate, not the previous interval's.
+  Catalog catalog = Catalog::MakeLockStep();
+  TenantKnobs knobs;
+  knobs.latency_goal =
+      LatencyGoal{telemetry::LatencyAggregate::kP95, 200.0};
+  auto scaler = AutoScaler::Create(catalog, knobs).value();
+  const AuditLog& audit = scaler->audit();
+  int interval = 0;
+  auto decide = [&](PolicyInput input) {
+    // dbscale-lint: allow(discarded-status)
+    (void)scaler->Decide(input);
+    ++interval;
+  };
+
+  decide(MakeInput(catalog, 3, interval, 100.0));
+  ASSERT_FALSE(audit.back().categories.empty());
+  ASSERT_FALSE(audit.back().estimate.empty());
+
+  PolicyInput degraded = MakeInput(catalog, 3, interval, 100.0);
+  degraded.signals.degraded = true;
+  decide(degraded);
+  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldDegradedTelemetry);
+  EXPECT_TRUE(audit.back().categories.empty());
+  EXPECT_TRUE(audit.back().estimate.empty());
+
+  decide(MakeInput(catalog, 3, interval, 100.0));
+  PolicyInput warming = MakeInput(catalog, 3, interval, 100.0);
+  warming.signals.valid = false;
+  decide(warming);
+  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldWarmup);
+  EXPECT_TRUE(audit.back().categories.empty());
+  EXPECT_TRUE(audit.back().estimate.empty());
+
+  decide(MakeInput(catalog, 3, interval, 100.0));
+  PolicyInput pending = MakeInput(catalog, 3, interval, 100.0);
+  pending.actuation.phase = ActuationPhase::kPending;
+  pending.actuation.target = catalog.rung(4);
+  pending.actuation.attempt = 1;
+  decide(pending);
+  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldResizePending);
+  EXPECT_TRUE(audit.back().categories.empty());
+  EXPECT_TRUE(audit.back().estimate.empty());
+}
+
 }  // namespace
 }  // namespace dbscale::scaler

@@ -19,7 +19,7 @@ class AutoScalerTest : public ::testing::Test {
   AutoScalerTest() : catalog_(Catalog::MakeLockStep()) {}
 
   std::unique_ptr<AutoScaler> MakeScaler(
-      TenantKnobs knobs, AutoScalerOptions options = {}) {
+      TenantKnobs knobs, GuardrailOptions options = {}) {
     auto result = AutoScaler::Create(catalog_, knobs, options);
     DBSCALE_CHECK_OK(result.status());
     return std::move(result).value();
@@ -126,9 +126,7 @@ TEST_F(AutoScalerTest, NoScaleUpWithoutResourceDemand) {
 }
 
 TEST_F(AutoScalerTest, UpCooldownPreventsConsecutiveJumps) {
-  AutoScalerOptions options;
-  options.guardrails.up_cooldown_intervals = 2;
-  auto scaler = MakeScaler(GoalKnobs(200), options);
+  auto scaler = MakeScaler(GoalKnobs(200));
   auto s = Snapshot(3, 400);
   SetCpuBottleneck(&s);
   auto d1 = scaler->Decide(Input(s, 3, 0));
@@ -202,9 +200,8 @@ TEST_F(AutoScalerTest, LowSensitivityNeedsPersistentViolation) {
 }
 
 TEST_F(AutoScalerTest, MemoryShrinkGoesThroughBalloon) {
-  AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 1;
-  auto scaler = MakeScaler(GoalKnobs(1000), options);
+  // LOW sensitivity: a down patience of one interval.
+  auto scaler = MakeScaler(GoalKnobs(1000, Sensitivity::kLow));
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
   s.physical_reads_per_sec = 10.0;
@@ -229,10 +226,8 @@ TEST_F(AutoScalerTest, MemoryShrinkGoesThroughBalloon) {
 }
 
 TEST_F(AutoScalerTest, BalloonAbortBlocksMemoryShrink) {
-  AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 1;
-  options.balloon.cooldown_ticks = 100;
-  auto scaler = MakeScaler(GoalKnobs(1000), options);
+  // LOW sensitivity: a down patience of one interval.
+  auto scaler = MakeScaler(GoalKnobs(1000, Sensitivity::kLow));
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
   s.physical_reads_per_sec = 10.0;
@@ -247,6 +242,7 @@ TEST_F(AutoScalerTest, BalloonAbortBlocksMemoryShrink) {
   ASSERT_TRUE(d.memory_limit_mb.has_value());
   EXPECT_DOUBLE_EQ(*d.memory_limit_mb,
                    catalog_.rung(5).resources.memory_mb);
+  // The balloon's 10-tick cooldown blocks a new pass, so memory stays.
   for (int i = 2; i < 6; ++i) {
     auto di = scaler->Decide(Input(s, 5, i));
     EXPECT_EQ(di.target.base_rung, 5) << i;
@@ -254,17 +250,18 @@ TEST_F(AutoScalerTest, BalloonAbortBlocksMemoryShrink) {
 }
 
 TEST_F(AutoScalerTest, DemandReturnMidBalloonRevertsMemory) {
-  AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 1;
-  auto scaler = MakeScaler(GoalKnobs(200), options);
+  auto scaler = MakeScaler(GoalKnobs(200));
   auto idle = Snapshot(5, 100);
   SetAllIdle(&idle);
-  // dbscale-lint: allow(discarded-status)
-  (void)scaler->Decide(Input(idle, 5, 0));
+  for (int i = 0; i < 3; ++i) {
+    // Medium patience: the third idle decision starts the balloon.
+    // dbscale-lint: allow(discarded-status)
+    (void)scaler->Decide(Input(idle, 5, i));
+  }
   ASSERT_TRUE(scaler->balloon().active());
   auto busy = Snapshot(5, 400);
   SetCpuBottleneck(&busy);
-  auto d = scaler->Decide(Input(busy, 5, 1));
+  auto d = scaler->Decide(Input(busy, 5, 3));
   EXPECT_FALSE(scaler->balloon().active());
   ASSERT_TRUE(d.memory_limit_mb.has_value());
   EXPECT_DOUBLE_EQ(*d.memory_limit_mb,
@@ -272,11 +269,33 @@ TEST_F(AutoScalerTest, DemandReturnMidBalloonRevertsMemory) {
   EXPECT_GT(d.target.base_rung, 5);
 }
 
+TEST_F(AutoScalerTest, GoalMetDemandMidBalloonRevertsMemory) {
+  // Demand returns mid-balloon while the goal is still met: no scale-up,
+  // but the balloon is cancelled and the memory restored.
+  auto scaler = MakeScaler(GoalKnobs(1000));
+  auto idle = Snapshot(5, 100);
+  SetAllIdle(&idle);
+  for (int i = 0; i < 3; ++i) {
+    // Medium patience: the third idle decision starts the balloon.
+    // dbscale-lint: allow(discarded-status)
+    (void)scaler->Decide(Input(idle, 5, i));
+  }
+  ASSERT_TRUE(scaler->balloon().active());
+  auto busy = Snapshot(5, 300);
+  SetCpuBottleneck(&busy);
+  auto d = scaler->Decide(Input(busy, 5, 3));
+  EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldBalloonRevert);
+  EXPECT_EQ(d.target.id, catalog_.rung(5).id);
+  ASSERT_TRUE(d.memory_limit_mb.has_value());
+  EXPECT_DOUBLE_EQ(*d.memory_limit_mb,
+                   catalog_.rung(5).resources.memory_mb);
+  EXPECT_FALSE(scaler->balloon().active());
+}
+
 TEST_F(AutoScalerTest, SaturationGuardBlocksShrinkIntoCliff) {
-  AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 1;
-  options.guardrails.down_latency_slack_ratio = 0.9;  // slack wants to shrink
-  auto scaler = MakeScaler(GoalKnobs(1000), options);
+  // LOW sensitivity: a down patience of one interval; latency at 10% of
+  // the goal means slack wants to shrink.
+  auto scaler = MakeScaler(GoalKnobs(1000, Sensitivity::kLow));
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
   // CPU busy enough that one rung down would exceed the 75% guard:
@@ -290,20 +309,24 @@ TEST_F(AutoScalerTest, SaturationGuardBlocksShrinkIntoCliff) {
 }
 
 TEST_F(AutoScalerTest, LatencySlackShrinksDespiteSteadyDemand) {
-  AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 2;
-  options.enable_ballooning = false;  // keep the test focused
-  auto scaler = MakeScaler(GoalKnobs(1000), options);
+  // Per-dimension specs keep the memory while the other dimensions drop a
+  // rung, so the shrink needs no balloon pass.
+  catalog_ = Catalog::MakePerDimension();
+  auto scaler = MakeScaler(GoalKnobs(1000));
   auto s = Snapshot(5, /*latency=*/100);  // 10% of goal: lots of slack
   // Utilization moderate-but-not-low: no low-demand estimate, and the
   // saturation guard has room (30% usage fits one rung down).
   for (container::ResourceKind kind : container::kAllResources) {
     s.resources[static_cast<size_t>(kind)].utilization_pct = 30.0;
   }
-  // dbscale-lint: allow(discarded-status)
-  (void)scaler->Decide(Input(s, 5, 0));
-  auto d = scaler->Decide(Input(s, 5, 1));
+  for (int i = 0; i < 2; ++i) {
+    // Medium patience: two holds before the third decision shrinks.
+    // dbscale-lint: allow(discarded-status)
+    (void)scaler->Decide(Input(s, 5, i));
+  }
+  auto d = scaler->Decide(Input(s, 5, 2));
   EXPECT_LT(d.target.base_rung, 5);
+  EXPECT_EQ(d.explanation.code, ExplanationCode::kScaleDownLatencySlack);
   EXPECT_NE(d.explanation.ToString().find("within goal"), std::string::npos);
 }
 
@@ -320,8 +343,8 @@ TEST_F(AutoScalerTest, PureDemandModeWithoutGoal) {
 TEST_F(AutoScalerTest, BudgetConstrainsScaleUp) {
   TenantKnobs knobs = GoalKnobs(200);
   knobs.budget = BudgetKnob{/*total=*/7.0 * 100 + 53.0, /*intervals=*/100};
-  AutoScalerOptions options;
-  options.guardrails.budget_strategy = BudgetStrategy::kAggressive;
+  GuardrailOptions options;
+  options.budget_strategy = BudgetStrategy::kAggressive;
   auto scaler = MakeScaler(knobs, options);
   ASSERT_NE(scaler->budget(), nullptr);
   // Available budget at start: D = B - 99*7 = 60 -> best affordable is S5.

@@ -37,7 +37,6 @@ using container::GridLevels;
 using container::ResourceKind;
 using container::ResourceVector;
 using scaler::DiagonalOptimizer;
-using scaler::DiagonalOptions;
 using scaler::DiagonalScaler;
 using scaler::ExplanationCode;
 
@@ -262,49 +261,31 @@ SimConfig BaseSimConfig() {
 }
 
 TEST(DiagonalOptionsTest, ValidateRejections) {
-  DiagonalOptions opts;
+  scaler::GuardrailOptions opts;
   EXPECT_TRUE(opts.Validate().ok());
-  opts.target_utilization_pct = 0.0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.target_utilization_pct = 101.0;
-  EXPECT_FALSE(opts.Validate().ok());
-
-  // Create surfaces the same rejections.
   scaler::TenantKnobs knobs;
-  DiagonalOptions bad;
-  bad.target_utilization_pct = -5.0;
   auto catalog = Catalog::MakeFlexible(FlexibleCatalogOptions{});
   ASSERT_TRUE(catalog.ok());
-  EXPECT_FALSE(DiagonalScaler::Create(*catalog, knobs, bad).ok());
+  EXPECT_TRUE(DiagonalScaler::Create(*catalog, knobs, opts).ok());
 
-  // Both policies and SimConfig validate the one shared guardrail option
-  // set, so each guardrail rejection holds on every entry point.
+  // Both policies and SimConfig validate the one shared option set, so
+  // each rejection holds on every entry point.
   ASSERT_TRUE(BaseSimConfig().Validate().ok());
   void (*const mutations[])(scaler::GuardrailOptions*) = {
-      [](scaler::GuardrailOptions* g) { g->down_latency_slack_ratio = 1.0; },
-      [](scaler::GuardrailOptions* g) { g->down_patience_medium = 0; },
-      [](scaler::GuardrailOptions* g) { g->up_patience_low_sensitivity = 0; },
-      [](scaler::GuardrailOptions* g) { g->up_cooldown_intervals = -1; },
       [](scaler::GuardrailOptions* g) {
-        g->down_projected_util_guard_pct = 0.0;
+        g->thresholds.correlation_significant = 0.0;
       },
       [](scaler::GuardrailOptions* g) { g->budget_conservative_k = 0; },
-      [](scaler::GuardrailOptions* g) { g->resize_max_attempts = 0; },
-      [](scaler::GuardrailOptions* g) { g->resize_backoff_multiplier = 0.5; },
   };
   for (size_t i = 0; i < std::size(mutations); ++i) {
     opts = {};
-    mutations[i](&opts.guardrails);
+    mutations[i](&opts);
     EXPECT_FALSE(opts.Validate().ok()) << i;
     EXPECT_FALSE(DiagonalScaler::Create(*catalog, knobs, opts).ok()) << i;
-    scaler::AutoScalerOptions auto_options;
-    mutations[i](&auto_options.guardrails);
-    EXPECT_FALSE(
-        scaler::AutoScaler::Create(*catalog, knobs, auto_options).ok())
+    EXPECT_FALSE(scaler::AutoScaler::Create(*catalog, knobs, opts).ok())
         << i;
     SimConfig config = BaseSimConfig();
-    mutations[i](&config.scaler.guardrails);
+    mutations[i](&config.scaler);
     EXPECT_FALSE(config.Validate().ok()) << i;
   }
 }

@@ -1,6 +1,7 @@
 // Fault-injection layer tests: FaultPlan determinism, the resize actuation
-// channel, the retry/backoff/rejection/degradation handling both policies
-// share, and closed loop + fleet behavior under fault profiles.
+// channel, the retry/backoff/rejection/degradation handling and the
+// decision-cycle holds both policies share, and closed loop + fleet
+// behavior under fault profiles.
 
 #include "src/fault/fault_plan.h"
 
@@ -221,27 +222,15 @@ TEST(EngineResizeApiTest, BeginCompleteAbortSemantics) {
 // synthetic snapshots).
 
 template <typename Policy>
-struct OptionsFor;
-template <>
-struct OptionsFor<scaler::AutoScaler> {
-  using type = scaler::AutoScalerOptions;
-};
-template <>
-struct OptionsFor<scaler::DiagonalScaler> {
-  using type = scaler::DiagonalOptions;
-};
-
-template <typename Policy>
 class PolicyFaultTest : public ::testing::Test {
  protected:
   PolicyFaultTest() : catalog_(Catalog::MakeLockStep()) {}
 
-  std::unique_ptr<Policy> MakeScaler(
-      double goal_ms, typename OptionsFor<Policy>::type options = {}) {
+  std::unique_ptr<Policy> MakeScaler(double goal_ms) {
     scaler::TenantKnobs knobs;
     knobs.latency_goal =
         scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, goal_ms};
-    auto result = Policy::Create(catalog_, knobs, options);
+    auto result = Policy::Create(catalog_, knobs);
     DBSCALE_CHECK_OK(result.status());
     return std::move(result).value();
   }
@@ -277,6 +266,13 @@ class PolicyFaultTest : public ::testing::Test {
       r.wait_ms_per_request = 0.1;
       r.wait_pct = 10.0;
     }
+  }
+
+  void SetLockBound(telemetry::SignalSnapshot* s) {
+    SetAllIdle(s);
+    s->wait_pct_by_class[static_cast<size_t>(telemetry::WaitClass::kLock)] =
+        93.0;
+    s->total_wait_ms = 5000.0;
   }
 
   scaler::PolicyInput Input(const telemetry::SignalSnapshot& signals,
@@ -362,14 +358,13 @@ TYPED_TEST(PolicyFaultTest, ExponentialBackoffGrowsBetweenRetries) {
 }
 
 TYPED_TEST(PolicyFaultTest, AbandonsAfterMaxAttempts) {
-  typename OptionsFor<TypeParam>::type options;
-  options.guardrails.resize_max_attempts = 2;
-  auto scaler = this->MakeScaler(200, options);
+  auto scaler = this->MakeScaler(200);
   auto s = this->Snapshot(3, 400);
   this->SetCpuBottleneck(&s);
 
+  // The 4th failed attempt exhausts the retry budget.
   auto abandoned = scaler->Decide(this->WithFeedback(
-      this->Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 2));
+      this->Input(s, 3, 10), scaler::ActuationPhase::kFailed, 4, 4));
   EXPECT_EQ(abandoned.target.base_rung, 3);
   EXPECT_EQ(abandoned.explanation.code,
             scaler::ExplanationCode::kHoldResizeAbandoned);
@@ -475,26 +470,93 @@ TYPED_TEST(PolicyFaultTest, RejectedMigrationMeansHostSaturated) {
             scaler::ExplanationCode::kHoldResizeRejected);
 }
 
+// The Section 6 cycle both policies run around their own sizing: every
+// shared hold, reached the same way under either policy.
+TYPED_TEST(PolicyFaultTest, SharedCycleHolds) {
+  using scaler::ExplanationCode;
+  {
+    auto scaler = this->MakeScaler(200);
+    telemetry::SignalSnapshot warming;  // not yet a valid window
+    auto d = scaler->Decide(this->Input(warming, 3, 0));
+    EXPECT_EQ(d.target.base_rung, 3);
+    EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldWarmup);
+  }
+  {
+    auto scaler = this->MakeScaler(200);
+    auto s = this->Snapshot(3, 400);
+    s.degraded = true;
+    s.confidence = 0.5;
+    EXPECT_EQ(scaler->Decide(this->Input(s, 3, 0)).explanation.code,
+              ExplanationCode::kHoldDegradedTelemetry);
+  }
+  {
+    // Latency far over the goal, but lock-bound: no resource would help.
+    auto scaler = this->MakeScaler(200);
+    auto s = this->Snapshot(3, 900);
+    this->SetLockBound(&s);
+    auto d = scaler->Decide(this->Input(s, 3, 0));
+    EXPECT_EQ(d.target.base_rung, 3);
+    EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldLatencyNotResource);
+  }
+  {
+    // CPU demand while the goal is met: the slack is kept as savings.
+    auto scaler = this->MakeScaler(1000);
+    auto s = this->Snapshot(3, 300);
+    this->SetCpuBottleneck(&s);
+    auto d = scaler->Decide(this->Input(s, 3, 0));
+    EXPECT_EQ(d.target.base_rung, 3);
+    EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldGoalMetSavings);
+  }
+  {
+    // The decision after a scale-up still sees bad latency: cooldown.
+    auto scaler = this->MakeScaler(200);
+    auto s = this->Snapshot(3, 400);
+    this->SetCpuBottleneck(&s);
+    const int up = scaler->Decide(this->Input(s, 3, 0)).target.base_rung;
+    ASSERT_GT(up, 3);
+    auto s2 = this->Snapshot(up, 400);
+    this->SetCpuBottleneck(&s2);
+    auto d = scaler->Decide(this->Input(s2, up, 1));
+    EXPECT_EQ(d.target.base_rung, up);
+    EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldUpCooldown);
+  }
+  {
+    // Medium sensitivity: two patience holds, then the third idle
+    // decision acts.
+    auto scaler = this->MakeScaler(1000);
+    auto s = this->Snapshot(5, 100);
+    this->SetAllIdle(&s);
+    for (int i = 0; i < 2; ++i) {
+      auto d = scaler->Decide(this->Input(s, 5, i));
+      EXPECT_EQ(d.explanation.code, ExplanationCode::kHoldDownPatience) << i;
+      EXPECT_DOUBLE_EQ(d.explanation.args[0], i + 1.0);
+      EXPECT_DOUBLE_EQ(d.explanation.args[1], 3.0);
+    }
+    EXPECT_NE(scaler->Decide(this->Input(s, 5, 2)).explanation.code,
+              ExplanationCode::kHoldDownPatience);
+  }
+}
+
 // Ballooning is Auto's alone.
 using AutoScalerFaultTest = PolicyFaultTest<scaler::AutoScaler>;
 
 TEST_F(AutoScalerFaultTest, FailedResizeAbortsBallooning) {
-  scaler::AutoScalerOptions options;
-  options.guardrails.down_patience_medium = 1;
-  auto scaler = MakeScaler(1000, options);
+  auto scaler = MakeScaler(1000);
   auto s = Snapshot(5, 100);
   SetAllIdle(&s);
   s.physical_reads_per_sec = 10.0;
 
-  // Low demand with patience 1: a balloon pass starts immediately.
-  auto d0 = scaler->Decide(Input(s, 5, 0));
+  // Low demand with medium patience: the third decision starts a balloon
+  // pass.
+  scaler::ScalingDecision d0;
+  for (int i = 0; i < 3; ++i) d0 = scaler->Decide(Input(s, 5, i));
   ASSERT_TRUE(scaler->balloon().active());
   ASSERT_TRUE(d0.memory_limit_mb.has_value());
 
   // A resize failure mid-balloon aborts the pass and restores the full
   // allocation.
   auto d1 = scaler->Decide(WithFeedback(
-      Input(s, 5, 1), scaler::ActuationPhase::kFailed, 4, 1));
+      Input(s, 5, 3), scaler::ActuationPhase::kFailed, 4, 1));
   EXPECT_FALSE(scaler->balloon().active());
   ASSERT_TRUE(d1.memory_limit_mb.has_value());
   EXPECT_DOUBLE_EQ(*d1.memory_limit_mb,

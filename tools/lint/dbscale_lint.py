@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """dbscale custom invariant linter — token-stream semantic engine.
 
-Enforces repo-specific rules that clang-tidy cannot express. Unlike the
-PR-2 line-regex engine (frozen in legacy_regex_lint.py as the parity
-baseline), every rule here operates on a real C++ token stream with a
-recovered scope/function model (tools/lint/cpptok.py): multi-line
+Enforces repo-specific rules that clang-tidy cannot express. Unlike a
+line-regex matcher, every rule here operates on a real C++ token stream
+with a recovered scope/function model (tools/lint/cpptok.py): multi-line
 expressions, raw strings containing code-looking text, interior comments,
 and preprocessor continuations are all seen for what they are.
 

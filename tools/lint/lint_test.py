@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for the token-stream linter (cpptok.py + dbscale_lint.py).
 
-Four layers:
+Three layers:
 
   1. tokenizer goldens — cpptok.lex over adversarial snippets: raw
      strings hiding comment markers and braces, block comments, digit
@@ -10,14 +10,10 @@ Four layers:
      out-of-line constructors with member-initializer lists, and
      parameter classification (by-value / by-reference / by-pointer);
   3. fixture trees — the known-bad tree must produce every seeded
-     violation with the expected multiplicity; the known-good tree
-     (every suppression mechanism) must stay finding-free;
-  4. parity — the frozen legacy engine (legacy_regex_lint.py) runs over
-     the same corpus: every legacy true positive must be re-found by the
-     token engine, the fixtures seeded with line-break evasions must be
-     caught while the legacy engine provably misses them, and the raw
-     string fixture that false-positives under line stripping must stay
-     clean under the token engine.
+     violation with the expected multiplicity, including the fixtures
+     that hide violations behind line breaks; the known-good tree (every
+     suppression mechanism, and raw strings holding code-looking text)
+     must stay finding-free.
 
 Registered in CTest as `dbscale_lint_selftest`, so a silently-rotted
 rule fails the tier-1 suite.
@@ -34,33 +30,19 @@ sys.path.insert(0, HERE)
 
 import cpptok            # noqa: E402
 import dbscale_lint      # noqa: E402
-import legacy_regex_lint  # noqa: E402
 
 BAD_TREE = os.path.join(HERE, "testdata", "tree_bad")
 GOOD_TREE = os.path.join(HERE, "testdata", "tree_good")
 
-# The corpus both engines understood when the legacy engine was frozen.
-FROZEN_FILES = (
-    "src/common/status.h",
-    "src/engine/engine.cc",
-    "src/fleet/fleet_sim.cc",
-    "src/scaler/thresholds.cc",
-    "src/sim/report.cc",
-    "src/telemetry/manager.cc",
-)
-
-# Fixtures seeded with violations the legacy line regexes provably miss
-# (line-break evasions and function-granularity hot paths), with the
-# finding count the token engine must report for each.
+# Fixtures seeded with violations a line-based matcher misses (line-break
+# evasions and function-granularity hot paths), with the finding count
+# the token engine must report for each.
 MISS_FIXTURES = {
     "src/stats/robust.cc": 2,       # multi-line fresh local + by-value param
     "src/scaler/split_compare.cc": 2,  # float == wrapped across lines
     "src/engine/discard_wrapped.cc": 1,  # (void) // comment \n Call();
     "src/fleet/hot_fn.cc": 2,       # // dbscale-hot function in a cold file
 }
-
-LEGACY_RULES = {"wall-clock", "unordered-container", "alloc-hot-path",
-                "float-equality", "discarded-status", "nodiscard-guard"}
 
 
 def run_tree(root):
@@ -75,15 +57,6 @@ def new_findings(root, relpaths=None):
     """Token-engine findings as a {(path, line, rule)} set."""
     return {(f.path, f.line_no, f.rule)
             for f in dbscale_lint.lint_tree(root, relpaths)}
-
-
-def legacy_findings(root, relpaths=None):
-    """Frozen-engine findings as a {(path, line, rule)} set."""
-    if relpaths is None:
-        relpaths = list(legacy_regex_lint.iter_source_files(root))
-    return {(f.path, f.line_no, f.rule)
-            for rel in relpaths
-            for f in legacy_regex_lint.lint_file(root, rel)}
 
 
 def toks(text):
@@ -269,9 +242,18 @@ class BadTreeTest(unittest.TestCase):
         self.assertEqual(self.counts["options-validate"], 1)
 
     def test_no_unexpected_rules(self):
-        expected = LEGACY_RULES | {"mutable-global", "pointer-key-container",
-                                   "nodiscard-status-fn", "options-validate"}
+        expected = {"wall-clock", "unordered-container", "alloc-hot-path",
+                    "float-equality", "discarded-status", "nodiscard-guard",
+                    "mutable-global", "pointer-key-container",
+                    "nodiscard-status-fn", "options-validate"}
         self.assertEqual(set(self.counts), expected)
+
+    def test_line_break_evasions_are_caught(self):
+        """Each evasion fixture yields exactly its seeded findings."""
+        for rel, expected in MISS_FIXTURES.items():
+            with self.subTest(fixture=rel):
+                got = new_findings(BAD_TREE, [rel])
+                self.assertEqual(len(got), expected, got)
 
     def test_hot_annotation_is_function_scoped(self):
         # Findings in hot_fn.cc must all fall inside the annotated
@@ -290,35 +272,11 @@ class GoodTreeTest(unittest.TestCase):
         self.assertEqual(dict(counts), {},
                          "good fixture tree produced findings")
 
-
-class ParityTest(unittest.TestCase):
-    """The token engine must dominate the frozen regex engine."""
-
-    def test_frozen_corpus_no_regressions(self):
-        """Every legacy true positive is re-found at the same line, and
-        the token engine reports no extra findings for legacy rules on
-        the frozen corpus (its additions there are new-rule findings)."""
-        legacy = legacy_findings(BAD_TREE, FROZEN_FILES)
-        new = new_findings(BAD_TREE, list(FROZEN_FILES))
-        self.assertTrue(legacy <= new, legacy - new)
-        new_legacy_rules = {f for f in new if f[2] in LEGACY_RULES}
-        self.assertEqual(new_legacy_rules, legacy)
-
-    def test_token_engine_sees_through_line_breaks(self):
-        """The seeded evasion fixtures are invisible to the legacy engine
-        and fully visible to the token engine."""
-        for rel, expected in MISS_FIXTURES.items():
-            with self.subTest(fixture=rel):
-                self.assertEqual(legacy_findings(BAD_TREE, [rel]), set())
-                got = new_findings(BAD_TREE, [rel])
-                self.assertEqual(len(got), expected, got)
-
-    def test_legacy_false_positives_on_raw_strings(self):
-        """The raw-string usage fixture trips the legacy line stripper but
-        not the token engine."""
-        rel = "src/sim/usage.cc"
-        self.assertGreater(len(legacy_findings(GOOD_TREE, [rel])), 0)
-        self.assertEqual(new_findings(GOOD_TREE, [rel]), set())
+    def test_raw_strings_are_not_code(self):
+        """The raw-string usage fixture, whose text looks like
+        violations once a line stripper mangles it, stays clean."""
+        self.assertEqual(new_findings(GOOD_TREE, ["src/sim/usage.cc"]),
+                         set())
 
 
 class CliTest(unittest.TestCase):
