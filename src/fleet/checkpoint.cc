@@ -116,6 +116,12 @@ class Reader {
   bool ok_ = true;
 };
 
+/// Serialized bytes of one host::HostState: alloc and reserved vectors,
+/// the resident count, CPU pressure and throttle.
+constexpr uint64_t kHostStateBytes =
+    2 * container::kNumResources * sizeof(double) + sizeof(int32_t) +
+    2 * sizeof(double);
+
 void WriteAggregate(Writer& w, const FleetAggregate& agg) {
   w.U64(agg.tenants);
   w.U64(agg.hourly_records);
@@ -198,34 +204,9 @@ Status SaveFleetCheckpoint(const std::string& path, uint64_t fingerprint,
   w.I32(block_aggs.front().num_rungs);
   w.I32(block_aggs.front().num_intervals);
 
-  w.Vec(state.rng_state);
-  w.Vec(state.rng_inc);
-  w.Vec(state.rng_cached_normal);
-  w.Vec(state.rng_has_cached);
-  w.Vec(state.ar_state);
-  w.Vec(state.burst_active);
-  w.Vec(state.prev_rung);
-  w.Vec(state.last_change_interval);
-  w.Vec(state.changes);
-  w.Vec(state.tenant_digest);
-  if (state.fault_sized()) {
-    w.Vec(state.applied_rung);
-    w.Vec(state.plan_rng_state);
-    w.Vec(state.plan_rng_inc);
-    w.Vec(state.plan_rng_cached_normal);
-    w.Vec(state.plan_rng_has_cached);
-    w.Vec(state.act_pending);
-    w.Vec(state.act_target_rung);
-    w.Vec(state.act_fate);
-    w.Vec(state.act_remaining);
-    w.Vec(state.act_attempt);
-    w.Vec(state.act_last_target);
-  }
+  FleetSoaState::ForEachArray(state, state.fault_sized(), state.host_sized(),
+                              [&w](const auto& v) { w.Vec(v); });
   if (state.host_sized()) {
-    w.Vec(state.host_of);
-    w.Vec(state.act_kind);
-    w.Vec(state.act_dest);
-    w.Vec(state.prev_demand_cpu);
     for (const host::HostState& h : host_map->hosts()) {
       for (const auto kind : container::kAllResources) {
         w.Dbl(h.alloc.Get(kind));
@@ -316,36 +297,36 @@ Result<FleetCheckpointData> LoadFleetCheckpoint(
     return Status::IoError("truncated or corrupt checkpoint header: " + path);
   }
 
-  const size_t n = static_cast<size_t>(num_tenants);
-  data.state.Resize(num_tenants, act_enabled, host_enabled);
-  r.Vec(&data.state.rng_state, n);
-  r.Vec(&data.state.rng_inc, n);
-  r.Vec(&data.state.rng_cached_normal, n);
-  r.Vec(&data.state.rng_has_cached, n);
-  r.Vec(&data.state.ar_state, n);
-  r.Vec(&data.state.burst_active, n);
-  r.Vec(&data.state.prev_rung, n);
-  r.Vec(&data.state.last_change_interval, n);
-  r.Vec(&data.state.changes, n);
-  r.Vec(&data.state.tenant_digest, n);
-  if (act_enabled) {
-    r.Vec(&data.state.applied_rung, n);
-    r.Vec(&data.state.plan_rng_state, n);
-    r.Vec(&data.state.plan_rng_inc, n);
-    r.Vec(&data.state.plan_rng_cached_normal, n);
-    r.Vec(&data.state.plan_rng_has_cached, n);
-    r.Vec(&data.state.act_pending, n);
-    r.Vec(&data.state.act_target_rung, n);
-    r.Vec(&data.state.act_fate, n);
-    r.Vec(&data.state.act_remaining, n);
-    r.Vec(&data.state.act_attempt, n);
-    r.Vec(&data.state.act_last_target, n);
+  // These counts size everything below, and the footer hash that would
+  // catch a corrupt one is read last. So before allocating anything, reject
+  // counts the remaining bytes cannot hold. Each section is checked against
+  // what the ones before it left, so no product can overflow.
+  uint64_t left = bytes.size() - r.pos();
+  auto fits = [&left](uint64_t count, uint64_t unit_bytes) {
+    if (count > left / unit_bytes) return false;
+    left -= count * unit_bytes;
+    return true;
+  };
+  uint64_t tenant_bytes = 0;
+  FleetSoaState::ForEachArray(data.state, act_enabled, host_enabled,
+                              [&tenant_bytes](const auto& v) {
+                                tenant_bytes += sizeof(v[0]);
+                              });
+  const uint64_t aggregate_bytes =
+      sizeof(uint64_t) * (static_cast<uint64_t>(num_rungs) + 1 +
+                          static_cast<uint64_t>(num_intervals) +
+                          FleetAggregate::kMaxChangesTracked + 1);
+  if (!fits(static_cast<uint64_t>(num_tenants), tenant_bytes) ||
+      !fits(static_cast<uint64_t>(num_hosts), kHostStateBytes) ||
+      !fits(static_cast<uint64_t>(num_blocks), aggregate_bytes)) {
+    return Status::IoError("checkpoint header counts exceed its size: " +
+                           path);
   }
+
+  const size_t n = static_cast<size_t>(num_tenants);
+  FleetSoaState::ForEachArray(data.state, act_enabled, host_enabled,
+                              [&r, n](auto& v) { r.Vec(&v, n); });
   if (host_enabled) {
-    r.Vec(&data.state.host_of, n);
-    r.Vec(&data.state.act_kind, n);
-    r.Vec(&data.state.act_dest, n);
-    r.Vec(&data.state.prev_demand_cpu, n);
     data.hosts.resize(static_cast<size_t>(num_hosts));
     for (host::HostState& h : data.hosts) {
       for (const auto kind : container::kAllResources) {

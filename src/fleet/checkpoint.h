@@ -19,10 +19,11 @@
 //   <block aggregates> in block order, scalars + length-prefixed vectors
 //   u64  footer     FNV-1a over every byte above
 //
-// Every read is bounds-checked; truncation, corruption (footer mismatch),
-// a wrong magic/version, or a fingerprint from a run with different
-// options all produce a clean Status error — never UB, never a partial
-// resume. Writes go to `path + ".tmp"` and rename into place so a crash
+// Every read is bounds-checked, and the header counts are checked against
+// the bytes that follow before anything is sized from them; truncation,
+// corruption (footer mismatch), a wrong magic/version, or a fingerprint
+// from a run with different options all produce a clean Status error —
+// never UB, never a crash, never a partial resume. Writes go to `path + ".tmp"` and rename into place so a crash
 // mid-write cannot leave a torn checkpoint at `path`.
 
 #ifndef DBSCALE_FLEET_CHECKPOINT_H_

@@ -1,12 +1,12 @@
 // Streaming fleet aggregates: fixed-bucket histograms instead of
 // materialized per-tenant telemetry vectors.
 //
-// The exact fleet path (fleet_sim.h) materializes every hourly record and
-// inter-event gap — fine at 10^3..10^4 tenants, hopeless at 10^6 (48M
-// hourly records/day would dominate memory and merge time). The scale
-// runner (fleet_scale.h) instead folds each emission into a FleetAggregate
-// the moment it is produced and throws the record away. All counts are
-// exact, not sketches:
+// Every fleet run folds each emission into a FleetAggregate the moment the
+// shared per-tenant step (fleet_scale.cc) produces it. The exact path
+// (fleet_sim.h) also keeps every hourly record and inter-event gap — fine
+// at 10^3..10^4 tenants, hopeless at 10^6 (48M hourly records/day would
+// dominate memory and merge time) — while the streaming runner throws the
+// record away. All counts are exact, not sketches:
 //
 //   * inter-event gaps are multiples of the 5-minute interval, so a count
 //     per integer gap-in-intervals loses nothing vs the pooled vector;
@@ -148,7 +148,8 @@ struct FleetAggregate {
                                         int band, double pct) const;
 
   /// Oracle builder: folds a materialized exact-path FleetTelemetry into an
-  /// aggregate. Integer counts match a streaming run over the same fleet
+  /// aggregate, so tests can check the materialized records against a
+  /// streaming run. Integer counts match a streaming run over the same fleet
   /// exactly; double sums match to rounding; the digest is NOT comparable
   /// (different fold order).
   static FleetAggregate FromTelemetry(const FleetTelemetry& telemetry,

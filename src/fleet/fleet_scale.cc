@@ -1,9 +1,9 @@
 #include "src/fleet/fleet_scale.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
-#include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/fault/actuator.h"
 #include "src/fleet/checkpoint.h"
@@ -13,11 +13,14 @@
 
 namespace dbscale::fleet {
 
-using container::ResourceKind;
-
 namespace {
 constexpr int kIntervalsPerHour = 12;  // 5-minute intervals
 constexpr double kIntervalMinutes = 5.0;
+/// Hour slot buffer of one tenant: per resource, four series (utilization,
+/// wait ms, wait share, wait per request) of one slot per interval.
+constexpr size_t kHourSeries = 4;
+constexpr size_t kHourSlots = static_cast<size_t>(container::kNumResources) *
+                              kHourSeries * kIntervalsPerHour;
 /// Claim granularity for the per-tenant init fan-out (the body is a few
 /// microseconds, so claiming one tenant per fetch_add would serialize on
 /// the atomic).
@@ -92,6 +95,27 @@ void FleetSoaState::SetPlanRngAt(size_t i, const Rng::State& s) {
   plan_rng_cached_normal[i] = s.cached_normal;
 }
 
+fault::ResizeActuator::State FleetSoaState::ActuatorAt(size_t i) const {
+  fault::ResizeActuator::State s;
+  s.pending = act_pending[i] != 0;
+  s.target_rung = act_target_rung[i];
+  s.fate = static_cast<fault::ResizeFate>(act_fate[i]);
+  s.remaining_intervals = act_remaining[i];
+  s.attempt = act_attempt[i];
+  s.last_target_id = act_last_target[i];
+  return s;
+}
+
+void FleetSoaState::SetActuatorAt(size_t i,
+                                  const fault::ResizeActuator::State& s) {
+  act_pending[i] = s.pending ? 1 : 0;
+  act_target_rung[i] = s.target_rung;
+  act_fate[i] = static_cast<uint8_t>(s.fate);
+  act_remaining[i] = s.remaining_intervals;
+  act_attempt[i] = s.attempt;
+  act_last_target[i] = s.last_target_id;
+}
+
 namespace {
 template <typename T>
 uint64_t VecBytes(const std::vector<T>& v) {
@@ -100,19 +124,10 @@ uint64_t VecBytes(const std::vector<T>& v) {
 }  // namespace
 
 uint64_t FleetSoaState::HotBytes() const {
-  return VecBytes(rng_state) + VecBytes(rng_inc) +
-         VecBytes(rng_cached_normal) + VecBytes(rng_has_cached) +
-         VecBytes(ar_state) + VecBytes(burst_active) + VecBytes(prev_rung) +
-         VecBytes(last_change_interval) + VecBytes(changes) +
-         VecBytes(tenant_digest) +
-         VecBytes(applied_rung) + VecBytes(plan_rng_state) +
-         VecBytes(plan_rng_inc) + VecBytes(plan_rng_cached_normal) +
-         VecBytes(plan_rng_has_cached) + VecBytes(act_pending) +
-         VecBytes(act_target_rung) + VecBytes(act_fate) +
-         VecBytes(act_remaining) + VecBytes(act_attempt) +
-         VecBytes(act_last_target) + VecBytes(host_of) +
-         VecBytes(act_kind) + VecBytes(act_dest) +
-         VecBytes(prev_demand_cpu);
+  uint64_t bytes = 0;
+  ForEachArray(*this, true, true,
+               [&bytes](const auto& v) { bytes += VecBytes(v); });
+  return bytes;
 }
 
 uint64_t FleetSoaState::TotalBytes() const {
@@ -243,6 +258,161 @@ uint64_t FleetScaleFingerprint(const container::Catalog& catalog,
 }
 
 // ---------------------------------------------------------------------------
+// The per-tenant interval step, shared by every fleet path
+
+namespace {
+
+/// What one tenant carries from interval to interval: the model's generator
+/// position and recurrence, change tracking, and its digest stream. Loaded
+/// from and stored to the tenant's SoA slots around each visit.
+struct TenantCursor {
+  Rng rng;
+  TenantDynamics dyn;
+  int prev_rung = -1;
+  int last_change_interval = -1;
+  int changes = 0;
+  Fnv64Stream hash;
+};
+
+TenantCursor LoadCursor(const FleetSoaState& state, size_t i) {
+  return TenantCursor{Rng::FromState(state.ModelRngAt(i)),
+                      TenantDynamics{state.ar_state[i],
+                                     state.burst_active[i] != 0},
+                      state.prev_rung[i], state.last_change_interval[i],
+                      state.changes[i], Fnv64Stream{state.tenant_digest[i]}};
+}
+
+void StoreCursor(FleetSoaState& state, size_t i, const TenantCursor& c) {
+  state.SetModelRngAt(i, c.rng.SaveState());
+  state.ar_state[i] = c.dyn.ar_state;
+  state.burst_active[i] = c.dyn.burst_active ? 1 : 0;
+  state.prev_rung[i] = c.prev_rung;
+  state.last_change_interval[i] = c.last_change_interval;
+  state.changes[i] = c.changes;
+  state.tenant_digest[i] = c.hash.value;
+}
+
+/// Where a claimed block's emissions go: its aggregate and metric shard,
+/// plus its materializing target on the exact path.
+struct BlockSink {
+  BlockSink(FleetAggregate& block_agg, obs::MetricShard* shard,
+            const obs::Observability* obs, FleetBlockRecords* block_records,
+            int run_intervals)
+      : agg(block_agg),
+        metrics{shard},
+        pm(shard != nullptr ? &obs->pipeline() : nullptr),
+        records(block_records),
+        num_intervals(run_intervals) {
+    median.reserve(kIntervalsPerHour);
+  }
+
+  FleetAggregate& agg;
+  obs::MetricSink metrics;
+  const obs::PipelineMetrics* pm;  ///< null when observability is off
+  FleetBlockRecords* records;      ///< null unless materializing
+  int num_intervals;
+  std::vector<double> median;  ///< one hour series, selected in place
+};
+
+/// Median of one 12-slot hour series.
+double HourMedian(const double* series, std::vector<double>& scratch) {
+  scratch.assign(series, series + kIntervalsPerHour);
+  return stats::MedianInPlace(scratch).value_or(0.0);
+}
+
+// dbscale-hot: once per tenant-interval on every fleet path. Allocation-free
+// except the exact path's materialized records, which grow amortized.
+//
+// Everything after StepTenant: change-event tracking (Figure 2) on the rung
+// the tenant ran on, the hour fold into slot t % 12 of `hour`, the
+// hourly-median flush, the end-of-run change total, and the tenant's digest
+// stream (steps and gaps, hourly medians, final change count, always in
+// ascending interval order). Both callers start on an hour boundary, so a
+// flush reads exactly this hour's 12 samples; a trailing partial hour is
+// never flushed.
+void StepEmissions(int tenant, int t, const TenantInterval& interval,
+                   int observed_rung, double* hour, TenantCursor& cur,
+                   BlockSink& out) {
+  if (t == 0 && out.pm != nullptr) {
+    out.metrics.Add(out.pm->fleet_tenants_total, 1.0);
+  }
+  if (cur.prev_rung >= 0 && observed_rung != cur.prev_rung) {
+    ++cur.changes;
+    const int step = std::abs(observed_rung - cur.prev_rung);
+    const int gap =
+        cur.last_change_interval >= 0 ? t - cur.last_change_interval : 0;
+    const double minutes = static_cast<double>(gap) * kIntervalMinutes;
+    out.agg.AddChangeEvent(step, gap);
+    cur.hash.I32(step);
+    cur.hash.I32(gap);
+    if (gap > 0 && out.records != nullptr) {
+      out.records->inter_event_minutes.push_back(minutes);
+    }
+    if (out.pm != nullptr) {
+      out.metrics.Add(out.pm->fleet_container_changes_total, 1.0);
+      out.metrics.Observe(out.pm->fleet_change_step_rungs,
+                          static_cast<double>(step));
+      if (gap > 0) {
+        out.metrics.Observe(out.pm->fleet_inter_event_minutes, minutes);
+      }
+    }
+    cur.last_change_interval = t;
+  }
+  cur.prev_rung = observed_rung;
+  if (out.pm != nullptr) {
+    out.metrics.Add(out.pm->fleet_tenant_intervals_total, 1.0);
+  }
+
+  const size_t slot = static_cast<size_t>(t % kIntervalsPerHour);
+  const double completed =
+      static_cast<double>(std::max<int64_t>(1, interval.completed));
+  for (size_t r = 0; r < container::kNumResources; ++r) {
+    double* series = hour + r * kHourSeries * kIntervalsPerHour;
+    series[0 * kIntervalsPerHour + slot] = interval.utilization_pct[r];
+    series[1 * kIntervalsPerHour + slot] = interval.wait_ms[r];
+    series[2 * kIntervalsPerHour + slot] = interval.wait_pct[r];
+    series[3 * kIntervalsPerHour + slot] = interval.wait_ms[r] / completed;
+  }
+  if ((t + 1) % kIntervalsPerHour == 0) {
+    HourlyRecord record;
+    record.tenant_id = tenant;
+    record.hour = t / kIntervalsPerHour;
+    for (size_t r = 0; r < container::kNumResources; ++r) {
+      const double* series = hour + r * kHourSeries * kIntervalsPerHour;
+      record.utilization_pct[r] = HourMedian(series, out.median);
+      record.wait_ms[r] = HourMedian(series + kIntervalsPerHour, out.median);
+      record.wait_pct[r] =
+          HourMedian(series + 2 * kIntervalsPerHour, out.median);
+      record.wait_ms_per_request[r] =
+          HourMedian(series + 3 * kIntervalsPerHour, out.median);
+      cur.hash.Dbl(record.utilization_pct[r]);
+      cur.hash.Dbl(record.wait_ms[r]);
+      cur.hash.Dbl(record.wait_pct[r]);
+      cur.hash.Dbl(record.wait_ms_per_request[r]);
+    }
+    out.agg.AddHourlyRecord(record);
+    if (out.records != nullptr) out.records->hourly.push_back(record);
+    if (out.pm != nullptr) {
+      out.metrics.Add(out.pm->fleet_hourly_records_total, 1.0);
+    }
+  }
+
+  if (t + 1 == out.num_intervals) {
+    out.agg.AddTenantChanges(cur.changes);
+    cur.hash.I32(cur.changes);
+    out.agg.ChainDigest(cur.hash.value);
+    if (out.records != nullptr) {
+      const double days = static_cast<double>(out.num_intervals) *
+                          kIntervalMinutes / (60.0 * 24.0);
+      out.records->tenant_changes.push_back(TenantChangeStats{
+          tenant, cur.changes, days > 0.0 ? cur.changes / days : 0.0});
+    }
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Runner
 
 // Construction only stores the options; RunFrom() validates them before the
@@ -254,6 +424,18 @@ FleetScaleRunner::FleetScaleRunner(const container::Catalog& catalog,
       options_(std::move(options)),
       fault_enabled_(options_.fault.enabled()),
       host_enabled_(options_.host.enabled()) {}
+
+ThreadPool& FleetScaleRunner::Pool() {
+  if (options_.num_threads == 0) return ThreadPool::Global();
+  if (own_pool_ == nullptr) {
+    own_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  }
+  return *own_pool_;
+}
+
+obs::MetricShard* FleetScaleRunner::BlockShard(size_t block) {
+  return shard_pool_.attached() ? &shard_pool_.shard(block) : nullptr;
+}
 
 Status FleetScaleRunner::InitTenants() {
   state_.Resize(options_.num_tenants, fault_enabled_ || host_enabled_,
@@ -269,9 +451,10 @@ Status FleetScaleRunner::InitTenants() {
   }
 
   // Phase 2, parallel: per-tenant derivations. Each tenant touches only
-  // its own slots, so this is order-free. Draw order within a tenant
-  // matches the exact path exactly: the fault stream forks off the tenant
-  // generator BEFORE the model draws its constants.
+  // its own slots, so this is order-free. The fault stream forks off the
+  // tenant generator BEFORE the model draws its constants, and only when
+  // the plan is enabled: a null plan leaves the model's stream (and every
+  // fleet digest) as it was before the fault layer existed.
   auto init_tenant = [&](int64_t i) {
     const size_t idx = static_cast<size_t>(i);
     Rng rng = Rng::FromState(state_.ModelRngAt(idx));
@@ -282,13 +465,7 @@ Status FleetScaleRunner::InitTenants() {
     state_.params[idx] = DrawTenantParams(catalog_, options_.tenant, rng);
     state_.SetModelRngAt(idx, rng.SaveState());
   };
-  if (options_.num_threads == 0) {
-    ThreadPool::Global().ParallelFor(0, options_.num_tenants, init_tenant,
-                                     kInitGrain);
-  } else {
-    ThreadPool pool(options_.num_threads);
-    pool.ParallelFor(0, options_.num_tenants, init_tenant, kInitGrain);
-  }
+  Pool().ParallelFor(0, options_.num_tenants, init_tenant, kInitGrain);
 
   // Host plane: seed-place every tenant's initial container (the cheapest
   // rung dominating its base demand) with first-fit-decreasing, remember
@@ -317,10 +494,7 @@ Status FleetScaleRunner::InitTenants() {
     host_demand_.assign(static_cast<size_t>(options_.host.num_hosts), 0.0);
     tenant_throttle_.assign(n, 1.0);
     assigned_scratch_.assign(n, -1);
-    hour_scratch_.assign(
-        n * static_cast<size_t>(container::kNumResources) * 4 *
-            static_cast<size_t>(kIntervalsPerHour),
-        0.0);
+    hour_scratch_.assign(n * kHourSlots, 0.0);
   }
 
   block_aggs_.assign(static_cast<size_t>(options_.NumBlocks()),
@@ -332,33 +506,22 @@ Status FleetScaleRunner::InitTenants() {
   return Status::OK();
 }
 
-void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1,
-                                     obs::MetricShard* shard) {
-  const int begin =
-      block * options_.block_size;
+void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1) {
+  const int begin = block * options_.block_size;
   const int end = std::min(begin + options_.block_size, options_.num_tenants);
-  FleetAggregate& agg = block_aggs_[static_cast<size_t>(block)];
-  obs::MetricSink sink{shard};
-  const obs::PipelineMetrics* pm =
-      shard != nullptr ? &options_.obs->pipeline() : nullptr;
-
-  // Hour scratch, reused across the block's tenants (epochs are
-  // hour-aligned, so the buffers are empty at every tenant boundary).
-  std::array<std::vector<double>, container::kNumResources> hour_util;
-  std::array<std::vector<double>, container::kNumResources> hour_wait;
-  std::array<std::vector<double>, container::kNumResources> hour_pct;
-  std::array<std::vector<double>, container::kNumResources> hour_wpr;
-  for (int ri = 0; ri < container::kNumResources; ++ri) {
-    const size_t r = static_cast<size_t>(ri);
-    hour_util[r].reserve(kIntervalsPerHour);
-    hour_wait[r].reserve(kIntervalsPerHour);
-    hour_pct[r].reserve(kIntervalsPerHour);
-    hour_wpr[r].reserve(kIntervalsPerHour);
-  }
+  BlockSink out(block_aggs_[static_cast<size_t>(block)],
+                BlockShard(static_cast<size_t>(block)), options_.obs,
+                records_ != nullptr
+                    ? &(*records_)[static_cast<size_t>(block)]
+                    : nullptr,
+                options_.num_intervals);
+  // One hour buffer serves the whole block: epochs are hour-aligned, so
+  // each tenant refills every slot before its first flush.
+  std::array<double, kHourSlots> hour{};
 
   for (int tenant = begin; tenant < end; ++tenant) {
     const size_t idx = static_cast<size_t>(tenant);
-    Rng rng = Rng::FromState(state_.ModelRngAt(idx));
+    TenantCursor cur = LoadCursor(state_, idx);
     fault::FaultPlan plan;
     if (fault_enabled_) {
       plan = fault::FaultPlan(options_.fault,
@@ -367,160 +530,68 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1,
     fault::ResizeActuator actuator(&plan);
     int applied_rung = -1;
     if (fault_enabled_) {
-      fault::ResizeActuator::State act;
-      act.pending = state_.act_pending[idx] != 0;
-      act.target_rung = state_.act_target_rung[idx];
-      act.fate = static_cast<fault::ResizeFate>(state_.act_fate[idx]);
-      act.remaining_intervals = state_.act_remaining[idx];
-      act.attempt = state_.act_attempt[idx];
-      act.last_target_id = state_.act_last_target[idx];
-      actuator.RestoreState(act, catalog_);
+      actuator.RestoreState(state_.ActuatorAt(idx), catalog_);
       applied_rung = state_.applied_rung[idx];
     }
     const TenantParams& params = state_.params[idx];
-    TenantDynamics dyn{state_.ar_state[idx],
-                       state_.burst_active[idx] != 0};
-    int prev_rung = state_.prev_rung[idx];
-    int last_change_interval = state_.last_change_interval[idx];
-    int changes = state_.changes[idx];
-    Fnv64Stream tenant_hash{state_.tenant_digest[idx]};
 
-    if (t0 == 0 && pm != nullptr) sink.Add(pm->fleet_tenants_total, 1.0);
-
-    // The per-interval body mirrors FleetSimulator::SimulateTenant
-    // emission-for-emission; it only folds each record into `agg` instead
-    // of materializing it.
     for (int t = t0; t < t1; ++t) {
+      // An in-flight resize resolves at the START of the interval: on
+      // success the new container serves this interval's demand.
       if (fault_enabled_ && actuator.pending()) {
         const fault::ResizeEvent ev = actuator.Tick();
         if (ev.kind == fault::ResizeEventKind::kApplied) {
           applied_rung = ev.target.base_rung;
         } else if (ev.kind == fault::ResizeEventKind::kFailed) {
-          ++agg.resize_failures;
-          if (pm != nullptr) sink.Add(pm->fleet_resize_failures_total, 1.0);
+          ++out.agg.resize_failures;
+          if (out.pm != nullptr) {
+            out.metrics.Add(out.pm->fleet_resize_failures_total, 1.0);
+          }
         }
       }
 
       const TenantInterval interval =
-          StepTenant(catalog_, options_.tenant, params, dyn, rng, t,
+          StepTenant(catalog_, options_.tenant, params, cur.dyn, cur.rng, t,
                      fault_enabled_ ? applied_rung : -1);
 
       if (fault_enabled_) {
         if (applied_rung < 0) {
+          // First interval: the tenant starts on its assigned container.
           applied_rung = interval.assigned_rung;
         } else if (!actuator.pending() &&
                    interval.assigned_rung != applied_rung) {
           const fault::ResizeEvent ev =
               actuator.Begin(catalog_.rung(interval.assigned_rung));
           if (ev.attempt > 1) {
-            ++agg.resize_retries;
-            if (pm != nullptr) sink.Add(pm->fleet_resize_retries_total, 1.0);
+            ++out.agg.resize_retries;
+            if (out.pm != nullptr) {
+              out.metrics.Add(out.pm->fleet_resize_retries_total, 1.0);
+            }
           }
           if (ev.kind == fault::ResizeEventKind::kApplied) {
             applied_rung = ev.target.base_rung;
           } else if (ev.kind == fault::ResizeEventKind::kFailed ||
                      ev.kind == fault::ResizeEventKind::kRejected) {
-            ++agg.resize_failures;
-            if (pm != nullptr) sink.Add(pm->fleet_resize_failures_total, 1.0);
+            ++out.agg.resize_failures;
+            if (out.pm != nullptr) {
+              out.metrics.Add(out.pm->fleet_resize_failures_total, 1.0);
+            }
           }
         }
       }
 
-      const int observed_rung =
-          fault_enabled_ ? applied_rung : interval.assigned_rung;
-
-      if (prev_rung >= 0 && observed_rung != prev_rung) {
-        ++changes;
-        const int step = std::abs(observed_rung - prev_rung);
-        const int gap =
-            last_change_interval >= 0 ? t - last_change_interval : 0;
-        agg.AddChangeEvent(step, gap);
-        tenant_hash.I32(step);
-        tenant_hash.I32(gap);
-        if (pm != nullptr) {
-          sink.Add(pm->fleet_container_changes_total, 1.0);
-          sink.Observe(pm->fleet_change_step_rungs,
-                       static_cast<double>(step));
-          if (gap > 0) {
-            sink.Observe(pm->fleet_inter_event_minutes,
-                         static_cast<double>(gap) * kIntervalMinutes);
-          }
-        }
-        last_change_interval = t;
-      }
-      prev_rung = observed_rung;
-      if (pm != nullptr) sink.Add(pm->fleet_tenant_intervals_total, 1.0);
-
-      for (int ri = 0; ri < container::kNumResources; ++ri) {
-        const size_t r = static_cast<size_t>(ri);
-        hour_util[r].push_back(interval.utilization_pct[r]);
-        hour_wait[r].push_back(interval.wait_ms[r]);
-        hour_pct[r].push_back(interval.wait_pct[r]);
-        hour_wpr[r].push_back(
-            interval.wait_ms[r] /
-            static_cast<double>(std::max<int64_t>(1, interval.completed)));
-      }
-      if ((t + 1) % kIntervalsPerHour == 0) {
-        HourlyRecord record;
-        record.tenant_id = tenant;
-        record.hour = t / kIntervalsPerHour;
-        for (int ri = 0; ri < container::kNumResources; ++ri) {
-          const size_t r = static_cast<size_t>(ri);
-          record.utilization_pct[r] =
-              stats::MedianInPlace(hour_util[r]).value_or(0.0);
-          record.wait_ms[r] =
-              stats::MedianInPlace(hour_wait[r]).value_or(0.0);
-          record.wait_pct[r] =
-              stats::MedianInPlace(hour_pct[r]).value_or(0.0);
-          record.wait_ms_per_request[r] =
-              stats::MedianInPlace(hour_wpr[r]).value_or(0.0);
-          hour_util[r].clear();
-          hour_wait[r].clear();
-          hour_pct[r].clear();
-          hour_wpr[r].clear();
-          tenant_hash.Dbl(record.utilization_pct[r]);
-          tenant_hash.Dbl(record.wait_ms[r]);
-          tenant_hash.Dbl(record.wait_pct[r]);
-          tenant_hash.Dbl(record.wait_ms_per_request[r]);
-        }
-        agg.AddHourlyRecord(record);
-        if (pm != nullptr) sink.Add(pm->fleet_hourly_records_total, 1.0);
-      }
+      // Under fault injection the tenant's changes are the containers it
+      // actually LANDED on, not the ones it wanted.
+      StepEmissions(tenant, t, interval,
+                    fault_enabled_ ? applied_rung : interval.assigned_rung,
+                    hour.data(), cur, out);
     }
 
-    // Trailing sub-hour samples (num_intervals not a multiple of 12) are
-    // dropped, exactly as the exact path drops them.
-    for (int ri = 0; ri < container::kNumResources; ++ri) {
-      const size_t r = static_cast<size_t>(ri);
-      hour_util[r].clear();
-      hour_wait[r].clear();
-      hour_pct[r].clear();
-      hour_wpr[r].clear();
-    }
-
-    if (t1 == options_.num_intervals) {
-      agg.AddTenantChanges(changes);
-      tenant_hash.I32(changes);
-      agg.ChainDigest(tenant_hash.value);
-    }
-    state_.tenant_digest[idx] = tenant_hash.value;
-
-    state_.SetModelRngAt(idx, rng.SaveState());
-    state_.ar_state[idx] = dyn.ar_state;
-    state_.burst_active[idx] = dyn.burst_active ? 1 : 0;
-    state_.prev_rung[idx] = prev_rung;
-    state_.last_change_interval[idx] = last_change_interval;
-    state_.changes[idx] = changes;
+    StoreCursor(state_, idx, cur);
     if (fault_enabled_) {
       state_.applied_rung[idx] = applied_rung;
       state_.SetPlanRngAt(idx, plan.SaveRngState());
-      const fault::ResizeActuator::State act = actuator.SaveState();
-      state_.act_pending[idx] = act.pending ? 1 : 0;
-      state_.act_target_rung[idx] = act.target_rung;
-      state_.act_fate[idx] = static_cast<uint8_t>(act.fate);
-      state_.act_remaining[idx] = act.remaining_intervals;
-      state_.act_attempt[idx] = act.attempt;
-      state_.act_last_target[idx] = act.last_target_id;
+      state_.SetActuatorAt(idx, actuator.SaveState());
     }
   }
 }
@@ -535,8 +606,7 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1,
 // order) begin new actuations. Everything order-sensitive happens in the
 // serial phases, so the digest is bit-identical at any thread count.
 
-void FleetScaleRunner::HostTickActuations(int t) {
-  (void)t;
+void FleetScaleRunner::HostTickActuations() {
   const int n = options_.num_tenants;
   const int D = options_.host.migration_downtime_intervals;
   const double downtime_factor = options_.host.migration_downtime_wait_factor;
@@ -552,23 +622,14 @@ void FleetScaleRunner::HostTickActuations(int t) {
     tenant_throttle_[idx] = 1.0;
     if (state_.act_pending[idx] == 0) continue;
 
-    fault::ResizeActuator::State act;
-    act.pending = true;
-    act.target_rung = state_.act_target_rung[idx];
-    act.fate = static_cast<fault::ResizeFate>(state_.act_fate[idx]);
-    act.remaining_intervals = state_.act_remaining[idx];
-    act.attempt = state_.act_attempt[idx];
-    act.last_target_id = state_.act_last_target[idx];
-    actuator.RestoreState(act, catalog_);
+    actuator.RestoreState(state_.ActuatorAt(idx), catalog_);
 
     const bool migration = state_.act_kind[idx] != 0;
     const fault::ResizeEvent ev = actuator.Tick();
     FleetAggregate& agg =
         block_aggs_[static_cast<size_t>(i / options_.block_size)];
     obs::MetricShard* shard =
-        shard_pool_.attached()
-            ? &shard_pool_.shard(static_cast<size_t>(i / options_.block_size))
-            : nullptr;
+        BlockShard(static_cast<size_t>(i / options_.block_size));
     obs::MetricSink sink{shard};
 
     if (ev.kind == fault::ResizeEventKind::kApplied) {
@@ -616,12 +677,7 @@ void FleetScaleRunner::HostTickActuations(int t) {
     }
 
     const fault::ResizeActuator::State saved = actuator.SaveState();
-    state_.act_pending[idx] = saved.pending ? 1 : 0;
-    state_.act_target_rung[idx] = saved.target_rung;
-    state_.act_fate[idx] = static_cast<uint8_t>(saved.fate);
-    state_.act_remaining[idx] = saved.remaining_intervals;
-    state_.act_attempt[idx] = saved.attempt;
-    state_.act_last_target[idx] = saved.last_target_id;
+    state_.SetActuatorAt(idx, saved);
 
     // Migration blackout: the last D pending intervals before cutover. The
     // tenant's own waits are inflated and the downtime is billed.
@@ -655,37 +711,27 @@ void FleetScaleRunner::HostTickActuations(int t) {
   }
 }
 
-void FleetScaleRunner::HostStepBlock(int block, int t,
-                                     obs::MetricShard* shard) {
+void FleetScaleRunner::HostStepBlock(int block, int t) {
   const int begin = block * options_.block_size;
   const int end = std::min(begin + options_.block_size, options_.num_tenants);
-  FleetAggregate& agg = block_aggs_[static_cast<size_t>(block)];
-  obs::MetricSink sink{shard};
-  const obs::PipelineMetrics* pm =
-      shard != nullptr ? &options_.obs->pipeline() : nullptr;
+  BlockSink out(block_aggs_[static_cast<size_t>(block)],
+                BlockShard(static_cast<size_t>(block)), options_.obs,
+                records_ != nullptr
+                    ? &(*records_)[static_cast<size_t>(block)]
+                    : nullptr,
+                options_.num_intervals);
   const FlashCrowdOptions& fc = options_.flash_crowd;
   const bool crowd_now = fc.enabled() && t >= fc.start_interval &&
                          t < fc.start_interval + fc.duration_intervals;
-  constexpr size_t kSeries = 4;  // util, wait_ms, wait_pct, wait_per_req
-  const size_t tenant_stride = static_cast<size_t>(container::kNumResources) *
-                               kSeries *
-                               static_cast<size_t>(kIntervalsPerHour);
-  std::vector<double> median_scratch;
-  median_scratch.reserve(static_cast<size_t>(kIntervalsPerHour));
 
   for (int tenant = begin; tenant < end; ++tenant) {
     const size_t idx = static_cast<size_t>(tenant);
-    Rng rng = Rng::FromState(state_.ModelRngAt(idx));
-    const TenantParams& params = state_.params[idx];
-    TenantDynamics dyn{state_.ar_state[idx], state_.burst_active[idx] != 0};
-
-    if (t == 0 && pm != nullptr) sink.Add(pm->fleet_tenants_total, 1.0);
-
+    TenantCursor cur = LoadCursor(state_, idx);
     const double demand_scale =
         (crowd_now && flash_affected_[idx] != 0) ? fc.demand_multiplier : 1.0;
     TenantInterval interval =
-        StepTenant(catalog_, options_.tenant, params, dyn, rng, t,
-                   state_.applied_rung[idx], demand_scale);
+        StepTenant(catalog_, options_.tenant, state_.params[idx], cur.dyn,
+                   cur.rng, t, state_.applied_rung[idx], demand_scale);
     assigned_scratch_[idx] = interval.assigned_rung;
     state_.prev_demand_cpu[idx] = interval.demand.cpu_cores;
 
@@ -700,90 +746,15 @@ void FleetScaleRunner::HostStepBlock(int block, int t,
       }
     }
 
-    const int observed_rung = state_.applied_rung[idx];
-    int prev_rung = state_.prev_rung[idx];
-    int last_change_interval = state_.last_change_interval[idx];
-    int changes = state_.changes[idx];
-    Fnv64Stream tenant_hash{state_.tenant_digest[idx]};
-
-    if (prev_rung >= 0 && observed_rung != prev_rung) {
-      ++changes;
-      const int step = std::abs(observed_rung - prev_rung);
-      const int gap = last_change_interval >= 0 ? t - last_change_interval : 0;
-      agg.AddChangeEvent(step, gap);
-      tenant_hash.I32(step);
-      tenant_hash.I32(gap);
-      if (pm != nullptr) {
-        sink.Add(pm->fleet_container_changes_total, 1.0);
-        sink.Observe(pm->fleet_change_step_rungs, static_cast<double>(step));
-        if (gap > 0) {
-          sink.Observe(pm->fleet_inter_event_minutes,
-                       static_cast<double>(gap) * kIntervalMinutes);
-        }
-      }
-      last_change_interval = t;
-    }
-    prev_rung = observed_rung;
-    if (pm != nullptr) sink.Add(pm->fleet_tenant_intervals_total, 1.0);
-
-    // Persistent per-tenant hour buffers: interval-major execution visits
-    // a tenant once per interval, so the hour's 12 samples accumulate in
-    // the flat scratch and flush on the hour boundary exactly as the
-    // block-major path's local buffers do.
-    double* hour = hour_scratch_.data() + idx * tenant_stride;
-    const size_t slot = static_cast<size_t>(t % kIntervalsPerHour);
-    for (int ri = 0; ri < container::kNumResources; ++ri) {
-      const size_t r = static_cast<size_t>(ri);
-      double* series = hour + r * kSeries * kIntervalsPerHour;
-      series[0 * kIntervalsPerHour + slot] = interval.utilization_pct[r];
-      series[1 * kIntervalsPerHour + slot] = interval.wait_ms[r];
-      series[2 * kIntervalsPerHour + slot] = interval.wait_pct[r];
-      series[3 * kIntervalsPerHour + slot] =
-          interval.wait_ms[r] /
-          static_cast<double>(std::max<int64_t>(1, interval.completed));
-    }
-    if ((t + 1) % kIntervalsPerHour == 0) {
-      HourlyRecord record;
-      record.tenant_id = tenant;
-      record.hour = t / kIntervalsPerHour;
-      for (int ri = 0; ri < container::kNumResources; ++ri) {
-        const size_t r = static_cast<size_t>(ri);
-        double* series = hour + r * kSeries * kIntervalsPerHour;
-        auto median_of = [&](size_t s) {
-          median_scratch.assign(series + s * kIntervalsPerHour,
-                                series + (s + 1) * kIntervalsPerHour);
-          return stats::MedianInPlace(median_scratch).value_or(0.0);
-        };
-        record.utilization_pct[r] = median_of(0);
-        record.wait_ms[r] = median_of(1);
-        record.wait_pct[r] = median_of(2);
-        record.wait_ms_per_request[r] = median_of(3);
-        tenant_hash.Dbl(record.utilization_pct[r]);
-        tenant_hash.Dbl(record.wait_ms[r]);
-        tenant_hash.Dbl(record.wait_pct[r]);
-        tenant_hash.Dbl(record.wait_ms_per_request[r]);
-      }
-      agg.AddHourlyRecord(record);
-      if (pm != nullptr) sink.Add(pm->fleet_hourly_records_total, 1.0);
-    }
-
-    if (t + 1 == options_.num_intervals) {
-      agg.AddTenantChanges(changes);
-      tenant_hash.I32(changes);
-      agg.ChainDigest(tenant_hash.value);
-    }
-    state_.tenant_digest[idx] = tenant_hash.value;
-    state_.SetModelRngAt(idx, rng.SaveState());
-    state_.ar_state[idx] = dyn.ar_state;
-    state_.burst_active[idx] = dyn.burst_active ? 1 : 0;
-    state_.prev_rung[idx] = prev_rung;
-    state_.last_change_interval[idx] = last_change_interval;
-    state_.changes[idx] = changes;
+    // Interval-major execution visits a tenant once per interval, so its
+    // hour slots persist in hour_scratch_ between visits.
+    StepEmissions(tenant, t, interval, state_.applied_rung[idx],
+                  hour_scratch_.data() + idx * kHourSlots, cur, out);
+    StoreCursor(state_, idx, cur);
   }
 }
 
-void FleetScaleRunner::HostBeginActuations(int t) {
-  (void)t;
+void FleetScaleRunner::HostBeginActuations() {
   const int n = options_.num_tenants;
   const int migration_latency = options_.host.migration_latency_intervals +
                                 options_.host.migration_downtime_intervals;
@@ -805,9 +776,7 @@ void FleetScaleRunner::HostBeginActuations(int t) {
     FleetAggregate& agg =
         block_aggs_[static_cast<size_t>(i / options_.block_size)];
     obs::MetricShard* shard =
-        shard_pool_.attached()
-            ? &shard_pool_.shard(static_cast<size_t>(i / options_.block_size))
-            : nullptr;
+        BlockShard(static_cast<size_t>(i / options_.block_size));
     obs::MetricSink sink{shard};
 
     // Placement decision: a scale-up that does not fit next to the host's
@@ -836,14 +805,7 @@ void FleetScaleRunner::HostBeginActuations(int t) {
                               Rng::FromState(state_.PlanRngAt(idx)));
     }
     fault::ResizeActuator actuator(&plan);
-    fault::ResizeActuator::State act;
-    act.pending = false;
-    act.target_rung = state_.act_target_rung[idx];
-    act.fate = static_cast<fault::ResizeFate>(state_.act_fate[idx]);
-    act.remaining_intervals = state_.act_remaining[idx];
-    act.attempt = state_.act_attempt[idx];
-    act.last_target_id = state_.act_last_target[idx];
-    actuator.RestoreState(act, catalog_);
+    actuator.RestoreState(state_.ActuatorAt(idx), catalog_);
 
     const fault::ResizeEvent ev =
         actuator.Begin(target, migrate ? migration_latency : 0);
@@ -887,13 +849,7 @@ void FleetScaleRunner::HostBeginActuations(int t) {
       }
     }
 
-    const fault::ResizeActuator::State saved = actuator.SaveState();
-    state_.act_pending[idx] = saved.pending ? 1 : 0;
-    state_.act_target_rung[idx] = saved.target_rung;
-    state_.act_fate[idx] = static_cast<uint8_t>(saved.fate);
-    state_.act_remaining[idx] = saved.remaining_intervals;
-    state_.act_attempt[idx] = saved.attempt;
-    state_.act_last_target[idx] = saved.last_target_id;
+    state_.SetActuatorAt(idx, actuator.SaveState());
     if (fault_enabled_) state_.SetPlanRngAt(idx, plan.SaveRngState());
   }
 }
@@ -921,9 +877,7 @@ Result<FleetScaleOutcome> FleetScaleRunner::RunFrom(int start_interval) {
   }
 
   const uint64_t fingerprint = FleetScaleFingerprint(catalog_, options_);
-  ThreadPool* pool = nullptr;
-  ThreadPool local_pool(options_.num_threads == 0 ? 1 : options_.num_threads);
-  if (options_.num_threads != 0) pool = &local_pool;
+  ThreadPool& pool = Pool();
 
   completed_intervals_ = start_interval;
   int epochs_done = 0;
@@ -935,34 +889,16 @@ Result<FleetScaleOutcome> FleetScaleRunner::RunFrom(int start_interval) {
       // buffers live in hour_scratch_ and are empty at every epoch
       // boundary (epochs are hour-aligned), so they need no checkpointing.
       for (int t = t0; t < t1; ++t) {
-        HostTickActuations(t);
-        auto step_block = [&](int64_t block) {
-          obs::MetricShard* shard =
-              shard_pool_.attached()
-                  ? &shard_pool_.shard(static_cast<size_t>(block))
-                  : nullptr;
-          HostStepBlock(static_cast<int>(block), t, shard);
-        };
-        if (pool != nullptr) {
-          pool->ParallelFor(0, num_blocks, step_block);
-        } else {
-          ThreadPool::Global().ParallelFor(0, num_blocks, step_block);
-        }
-        HostBeginActuations(t);
+        HostTickActuations();
+        pool.ParallelFor(0, num_blocks, [&](int64_t block) {
+          HostStepBlock(static_cast<int>(block), t);
+        });
+        HostBeginActuations();
       }
     } else {
-      auto run_block = [&](int64_t block) {
-        obs::MetricShard* shard =
-            shard_pool_.attached()
-                ? &shard_pool_.shard(static_cast<size_t>(block))
-                : nullptr;
-        RunBlockEpoch(static_cast<int>(block), t0, t1, shard);
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(0, num_blocks, run_block);
-      } else {
-        ThreadPool::Global().ParallelFor(0, num_blocks, run_block);
-      }
+      pool.ParallelFor(0, num_blocks, [&](int64_t block) {
+        RunBlockEpoch(static_cast<int>(block), t0, t1);
+      });
     }
     completed_intervals_ = t1;
     ++epochs_done;
@@ -1005,9 +941,15 @@ Result<FleetScaleOutcome> FleetScaleRunner::RunFrom(int start_interval) {
   return outcome;
 }
 
-Result<FleetScaleOutcome> FleetScaleRunner::Run() {
+Result<FleetScaleOutcome> FleetScaleRunner::Run(
+    std::vector<FleetBlockRecords>* records) {
   DBSCALE_RETURN_IF_ERROR(options_.Validate());
   DBSCALE_RETURN_IF_ERROR(InitTenants());
+  records_ = records;
+  if (records_ != nullptr) {
+    records_->assign(static_cast<size_t>(options_.NumBlocks()),
+                     FleetBlockRecords{});
+  }
   return RunFrom(0);
 }
 

@@ -1,16 +1,18 @@
 // Million-tenant fleet runner: structure-of-arrays tenant state,
 // block-sharded streaming aggregation, checkpoint/resume.
 //
-// The exact fleet path (fleet_sim.h) materializes per-tenant telemetry;
-// at 10^6 tenants that is tens of GB and minutes of merge time. This
-// runner holds every tenant's hot state in flat parallel arrays
-// (~60 bytes/tenant checkpointed + ~90 bytes of derived constants),
-// partitions tenants into contiguous blocks, and folds each emission into
-// a per-block FleetAggregate the moment it is produced. 10^6 tenants over
-// a day of 5-minute intervals fit in a few hundred MB and minutes of wall
-// clock.
+// Every fleet path runs the same per-tenant interval step: the tenant
+// model (StepTenant), then change tracking, the hour fold and median flush,
+// the end-of-run change total and the tenant's digest stream, written once
+// in fleet_scale.cc. This runner holds every tenant's hot state in flat
+// parallel arrays (~60 bytes/tenant checkpointed + ~90 bytes of derived
+// constants), partitions tenants into contiguous blocks, and folds each
+// emission into a per-block FleetAggregate the moment it is produced.
+// 10^6 tenants over a day of 5-minute intervals fit in a few hundred MB and
+// minutes of wall clock. The exact path (fleet_sim.h) is this runner over
+// one epoch with a materializing target per block (FleetBlockRecords).
 //
-// Determinism contract (same as the exact path, extended to time slicing):
+// Determinism contract:
 //   * every tenant's generator is pre-forked serially from the root seed,
 //     so streams are fixed before any dispatch;
 //   * blocks are the unit of scheduling; each block's aggregate and metric
@@ -41,6 +43,8 @@
 
 #include "src/common/result.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+#include "src/fault/actuator.h"
 #include "src/fault/fault_plan.h"
 #include "src/fleet/fleet_aggregate.h"
 #include "src/fleet/tenant_model.h"
@@ -108,10 +112,48 @@ struct FleetSoaState {
   void SetModelRngAt(size_t i, const Rng::State& s);
   Rng::State PlanRngAt(size_t i) const;
   void SetPlanRngAt(size_t i, const Rng::State& s);
+  fault::ResizeActuator::State ActuatorAt(size_t i) const;
+  void SetActuatorAt(size_t i, const fault::ResizeActuator::State& s);
 
   /// Bytes in the checkpointed (hot) arrays / in everything incl. params.
   uint64_t HotBytes() const;
   uint64_t TotalBytes() const;
+
+  /// Calls `f` on every hot array of `s` (a FleetSoaState, const or not)
+  /// in checkpoint order: the always-present arrays, then the actuation
+  /// arrays when `act`, then the host arrays when `host`.
+  template <typename State, typename F>
+  static void ForEachArray(State& s, bool act, bool host, F&& f) {
+    f(s.rng_state);
+    f(s.rng_inc);
+    f(s.rng_cached_normal);
+    f(s.rng_has_cached);
+    f(s.ar_state);
+    f(s.burst_active);
+    f(s.prev_rung);
+    f(s.last_change_interval);
+    f(s.changes);
+    f(s.tenant_digest);
+    if (act) {
+      f(s.applied_rung);
+      f(s.plan_rng_state);
+      f(s.plan_rng_inc);
+      f(s.plan_rng_cached_normal);
+      f(s.plan_rng_has_cached);
+      f(s.act_pending);
+      f(s.act_target_rung);
+      f(s.act_fate);
+      f(s.act_remaining);
+      f(s.act_attempt);
+      f(s.act_last_target);
+    }
+    if (host) {
+      f(s.host_of);
+      f(s.act_kind);
+      f(s.act_dest);
+      f(s.prev_demand_cpu);
+    }
+  }
 };
 
 /// Correlated-demand injection: every tenant seed-placed on hosts
@@ -187,6 +229,17 @@ struct FleetScaleOutcome {
   uint64_t host_digest = 0;
 };
 
+/// One block's materialized emissions, in emission order: hourly records,
+/// pooled inter-event minutes and per-tenant change stats. Over one epoch
+/// with the host plane off a block emits tenant by tenant, so
+/// concatenating blocks in block order gives FleetTelemetry's tenant-major
+/// layout.
+struct FleetBlockRecords {
+  std::vector<HourlyRecord> hourly;
+  std::vector<double> inter_event_minutes;
+  std::vector<TenantChangeStats> tenant_changes;
+};
+
 /// Hash of everything that defines a run's bit stream: catalog shape,
 /// tenant/fault options, seed, sizes, block/epoch geometry. Checkpoints
 /// embed it; Resume refuses a checkpoint whose fingerprint differs.
@@ -200,8 +253,11 @@ class FleetScaleRunner {
   FleetScaleRunner(const container::Catalog& catalog,
                    FleetScaleOptions options);
 
-  /// Initializes tenant state from the seed and executes the run.
-  Result<FleetScaleOutcome> Run();
+  /// Initializes tenant state from the seed and executes the run. When
+  /// `records` is non-null it is sized to one entry per block and every
+  /// emission is also materialized there (the exact path's target).
+  Result<FleetScaleOutcome> Run(std::vector<FleetBlockRecords>* records =
+                                    nullptr);
 
   /// Loads `checkpoint_path` (validating magic/version/fingerprint/
   /// footer), rebuilds tenant constants from the seed, and continues the
@@ -218,18 +274,25 @@ class FleetScaleRunner {
  private:
   Status InitTenants();
   Result<FleetScaleOutcome> RunFrom(int start_interval);
-  void RunBlockEpoch(int block, int t0, int t1, obs::MetricShard* shard);
+  /// Host-off block loop: one block's tenants, each through [t0, t1) in
+  /// turn.
+  void RunBlockEpoch(int block, int t0, int t1);
+  /// The run's fork-join pool: ThreadPool::Global() at num_threads == 0,
+  /// else one pool of that size, built on first use and kept for the run.
+  ThreadPool& Pool();
+  /// Block `block`'s metric shard; null when observability is off.
+  obs::MetricShard* BlockShard(size_t block);
 
   // -- Host-mode (interval-major) machinery --------------------------------
   /// Serial pre-step: ticks every pending actuation in tenant order
   /// (migration cutover / abort with host accounting), then refreshes
   /// interference throttles from the previous interval's demand.
-  void HostTickActuations(int t);
+  void HostTickActuations();
   /// Parallel step: one block's tenants for interval `t` (demand, wait
-  /// inflation, hour folds, change tracking).
-  void HostStepBlock(int block, int t, obs::MetricShard* shard);
+  /// inflation, then the shared per-tenant step).
+  void HostStepBlock(int block, int t);
   /// Serial post-step: begins local resizes / migrations in tenant order.
-  void HostBeginActuations(int t);
+  void HostBeginActuations();
 
   container::Catalog catalog_;
   FleetScaleOptions options_;
@@ -239,6 +302,9 @@ class FleetScaleRunner {
   std::vector<FleetAggregate> block_aggs_;
   obs::ShardPool shard_pool_;
   int completed_intervals_ = 0;
+  std::unique_ptr<ThreadPool> own_pool_;
+  /// Materializing targets, one per block (null = streaming only).
+  std::vector<FleetBlockRecords>* records_ = nullptr;
 
   // Host-mode runtime state. The map is rebuilt on Resume from the
   // checkpointed per-host states; everything below except the map is
@@ -249,7 +315,7 @@ class FleetScaleRunner {
   std::vector<double> host_demand_;       ///< per-host CPU demand scratch
   std::vector<double> tenant_throttle_;   ///< per-tenant wait inflation
   std::vector<int32_t> assigned_scratch_; ///< this interval's assigned rung
-  std::vector<double> hour_scratch_;      ///< per-tenant hour buffers
+  std::vector<double> hour_scratch_;      ///< per-tenant hour slot buffers
 };
 
 }  // namespace dbscale::fleet

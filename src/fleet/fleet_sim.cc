@@ -1,18 +1,11 @@
 #include "src/fleet/fleet_sim.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/common/thread_pool.h"
-#include "src/stats/robust.h"
+#include "src/fleet/fleet_scale.h"
 
 namespace dbscale::fleet {
 
-using container::ResourceKind;
-
 namespace {
 constexpr int kIntervalsPerHour = 12;  // 5-minute intervals
-constexpr double kIntervalMinutes = 5.0;
 }  // namespace
 
 double FleetTelemetry::OneStepFraction() const {
@@ -39,241 +32,52 @@ FleetSimulator::FleetSimulator(const container::Catalog& catalog,
                                FleetOptions options)
     : catalog_(catalog), options_(options) {}
 
-FleetSimulator::TenantPartial FleetSimulator::SimulateTenant(
-    int tenant, Rng rng, obs::MetricSink sink) const {
-  TenantPartial out;
-  out.step_size_counts.assign(static_cast<size_t>(catalog_.num_rungs()) + 1,
-                              0);
-  const obs::PipelineMetrics* pm = nullptr;
-  if (sink.enabled()) {
-    pm = &options_.obs->pipeline();
-    sink.Add(pm->fleet_tenants_total, 1.0);
-  }
-  const double days = static_cast<double>(options_.num_intervals) *
-                      kIntervalMinutes / (60.0 * 24.0);
-
-  // Fault stream forked from the tenant RNG BEFORE the model consumes it,
-  // and ONLY when enabled: a null plan leaves the model's stream — and the
-  // whole fleet digest — bit-identical to a build without the fault layer.
-  fault::FaultPlan plan;
-  if (options_.fault.enabled()) {
-    plan = fault::FaultPlan(options_.fault, rng.Fork());
-  }
-  const bool faulty = plan.enabled();
-  fault::ResizeActuator actuator(&plan);
-  // Rung the tenant actually runs on under fault injection; lags
-  // assigned_rung by at least one interval (actuation latency).
-  int applied_rung = -1;
-
-  TenantModel model(tenant, &catalog_, options_.tenant, rng);
-
-  int prev_rung = -1;
-  int last_change_interval = -1;
-  int changes = 0;
-
-  std::array<std::vector<double>, container::kNumResources> hour_util;
-  std::array<std::vector<double>, container::kNumResources> hour_wait;
-  std::array<std::vector<double>, container::kNumResources> hour_pct;
-  std::array<std::vector<double>, container::kNumResources> hour_wpr;
-  for (ResourceKind kind : container::kAllResources) {
-    const size_t ri = static_cast<size_t>(kind);
-    hour_util[ri].reserve(kIntervalsPerHour);
-    hour_wait[ri].reserve(kIntervalsPerHour);
-    hour_pct[ri].reserve(kIntervalsPerHour);
-    hour_wpr[ri].reserve(kIntervalsPerHour);
-  }
-  out.hourly.reserve(
-      static_cast<size_t>(options_.num_intervals / kIntervalsPerHour));
-
-  for (int t = 0; t < options_.num_intervals; ++t) {
-    // An in-flight resize resolves at the START of the interval: on
-    // success the new container serves this interval's demand.
-    if (faulty && actuator.pending()) {
-      const fault::ResizeEvent ev = actuator.Tick();
-      if (ev.kind == fault::ResizeEventKind::kApplied) {
-        applied_rung = ev.target.base_rung;
-      } else if (ev.kind == fault::ResizeEventKind::kFailed) {
-        ++out.resize_failures;
-        if (pm != nullptr) sink.Add(pm->fleet_resize_failures_total, 1.0);
-      }
-    }
-
-    const TenantInterval interval = model.Step(t, faulty ? applied_rung : -1);
-
-    if (faulty) {
-      if (applied_rung < 0) {
-        // First interval: the tenant starts on its assigned container.
-        applied_rung = interval.assigned_rung;
-      } else if (!actuator.pending() &&
-                 interval.assigned_rung != applied_rung) {
-        const fault::ResizeEvent ev =
-            actuator.Begin(catalog_.rung(interval.assigned_rung));
-        if (ev.attempt > 1) {
-          ++out.resize_retries;
-          if (pm != nullptr) sink.Add(pm->fleet_resize_retries_total, 1.0);
-        }
-        if (ev.kind == fault::ResizeEventKind::kApplied) {
-          applied_rung = ev.target.base_rung;
-        } else if (ev.kind == fault::ResizeEventKind::kFailed ||
-                   ev.kind == fault::ResizeEventKind::kRejected) {
-          ++out.resize_failures;
-          if (pm != nullptr) sink.Add(pm->fleet_resize_failures_total, 1.0);
-        }
-      }
-    }
-
-    // Change-event tracking (Figure 2): under fault injection, track the
-    // container the tenant actually LANDED on, not the one it wanted.
-    const int observed_rung =
-        faulty ? applied_rung : interval.assigned_rung;
-
-    if (prev_rung >= 0 && observed_rung != prev_rung) {
-      ++changes;
-      const int step = std::abs(observed_rung - prev_rung);
-      out.step_size_counts[static_cast<size_t>(
-          std::min<int>(step, catalog_.num_rungs()))] += 1;
-      if (pm != nullptr) {
-        sink.Add(pm->fleet_container_changes_total, 1.0);
-        sink.Observe(pm->fleet_change_step_rungs,
-                     static_cast<double>(step));
-      }
-      if (last_change_interval >= 0) {
-        const double minutes = (t - last_change_interval) * kIntervalMinutes;
-        out.inter_event_minutes.push_back(minutes);
-        if (pm != nullptr) {
-          sink.Observe(pm->fleet_inter_event_minutes, minutes);
-        }
-      }
-      last_change_interval = t;
-    }
-    prev_rung = observed_rung;
-    if (pm != nullptr) sink.Add(pm->fleet_tenant_intervals_total, 1.0);
-
-    // Hourly aggregation.
-    for (ResourceKind kind : container::kAllResources) {
-      const size_t ri = static_cast<size_t>(kind);
-      hour_util[ri].push_back(interval.utilization_pct[ri]);
-      hour_wait[ri].push_back(interval.wait_ms[ri]);
-      hour_pct[ri].push_back(interval.wait_pct[ri]);
-      hour_wpr[ri].push_back(
-          interval.wait_ms[ri] /
-          static_cast<double>(std::max<int64_t>(1, interval.completed)));
-    }
-    if ((t + 1) % kIntervalsPerHour == 0) {
-      HourlyRecord record;
-      record.tenant_id = tenant;
-      record.hour = t / kIntervalsPerHour;
-      for (ResourceKind kind : container::kAllResources) {
-        const size_t ri = static_cast<size_t>(kind);
-        record.utilization_pct[ri] =
-            stats::MedianInPlace(hour_util[ri]).value_or(0.0);
-        record.wait_ms[ri] =
-            stats::MedianInPlace(hour_wait[ri]).value_or(0.0);
-        record.wait_pct[ri] =
-            stats::MedianInPlace(hour_pct[ri]).value_or(0.0);
-        record.wait_ms_per_request[ri] =
-            stats::MedianInPlace(hour_wpr[ri]).value_or(0.0);
-        hour_util[ri].clear();
-        hour_wait[ri].clear();
-        hour_pct[ri].clear();
-        hour_wpr[ri].clear();
-      }
-      out.hourly.push_back(record);
-      if (pm != nullptr) sink.Add(pm->fleet_hourly_records_total, 1.0);
-    }
-  }
-  out.changes =
-      TenantChangeStats{tenant, changes, days > 0.0 ? changes / days : 0.0};
-  return out;
-}
-
 Result<FleetTelemetry> FleetSimulator::Run() const {
-  if (options_.num_tenants <= 0 || options_.num_intervals <= 0) {
-    return Status::InvalidArgument(
-        "num_tenants and num_intervals must be positive");
-  }
-  if (options_.block_size <= 0) {
-    return Status::InvalidArgument("block_size must be positive");
-  }
-  DBSCALE_RETURN_IF_ERROR(options_.fault.Validate());
+  // One epoch covering the whole run (rounded up to an hour, as epochs must
+  // be): each block emits tenant by tenant, so concatenating the blocks'
+  // records in block order gives the tenant-major layout. The runner
+  // validates the options.
+  FleetScaleOptions scale;
+  scale.num_tenants = options_.num_tenants;
+  scale.num_intervals = options_.num_intervals;
+  scale.seed = options_.seed;
+  scale.num_threads = options_.num_threads;
+  scale.block_size = options_.block_size;
+  scale.epoch_intervals = (options_.num_intervals + kIntervalsPerHour - 1) /
+                          kIntervalsPerHour * kIntervalsPerHour;
+  scale.tenant = options_.tenant;
+  scale.fault = options_.fault;
+  scale.obs = options_.obs;
+  std::vector<FleetBlockRecords> blocks;
+  DBSCALE_ASSIGN_OR_RETURN(FleetScaleOutcome outcome,
+                           FleetScaleRunner(catalog_, scale).Run(&blocks));
 
-  // Observability setup (instrument registration is not thread-safe, so
-  // the primary and the block shard pool are sized before the fan-out).
-  const int num_blocks =
-      (options_.num_tenants + options_.block_size - 1) / options_.block_size;
-  obs::ShardPool shard_pool;
-  if (options_.obs != nullptr) {
-    options_.obs->AttachPrimary();
-    shard_pool.Attach(&options_.obs->registry(),
-                      static_cast<size_t>(num_blocks));
-  }
-
-  // Pre-fork every tenant's generator from the root *before* dispatch: the
-  // fork sequence — and therefore each tenant's stream — is fixed by the
-  // seed alone, independent of how tenants are later scheduled on threads.
-  Rng root(options_.seed);
-  std::vector<Rng> tenant_rngs;
-  tenant_rngs.reserve(static_cast<size_t>(options_.num_tenants));
-  for (int tenant = 0; tenant < options_.num_tenants; ++tenant) {
-    tenant_rngs.push_back(root.Fork());
-  }
-
-  // Block-sharded fan-out: each claim simulates one contiguous tenant
-  // block into per-tenant partials plus the block's pooled metric shard.
-  std::vector<TenantPartial> partials(
-      static_cast<size_t>(options_.num_tenants));
-  auto simulate_block = [&](int64_t block) {
-    const int begin = static_cast<int>(block) * options_.block_size;
-    const int end =
-        std::min(begin + options_.block_size, options_.num_tenants);
-    obs::MetricSink sink;
-    if (shard_pool.attached()) {
-      sink.shard = &shard_pool.shard(static_cast<size_t>(block));
-    }
-    for (int tenant = begin; tenant < end; ++tenant) {
-      partials[static_cast<size_t>(tenant)] = SimulateTenant(
-          tenant, tenant_rngs[static_cast<size_t>(tenant)], sink);
-    }
-  };
-  if (options_.num_threads == 0) {
-    ThreadPool::Global().ParallelFor(0, num_blocks, simulate_block);
-  } else {
-    ThreadPool pool(options_.num_threads);
-    pool.ParallelFor(0, num_blocks, simulate_block);
-  }
-
-  // Merge in tenant order: byte-identical output at any thread count.
   FleetTelemetry out;
   out.num_tenants = options_.num_tenants;
   out.num_intervals = options_.num_intervals;
-  out.step_size_counts.assign(static_cast<size_t>(catalog_.num_rungs()) + 1,
-                              0);
   size_t hourly_total = 0, iei_total = 0;
-  for (const TenantPartial& p : partials) {
-    hourly_total += p.hourly.size();
-    iei_total += p.inter_event_minutes.size();
+  for (const FleetBlockRecords& block : blocks) {
+    hourly_total += block.hourly.size();
+    iei_total += block.inter_event_minutes.size();
   }
   out.hourly.reserve(hourly_total);
   out.inter_event_minutes.reserve(iei_total);
-  out.tenant_changes.reserve(partials.size());
-  for (TenantPartial& p : partials) {
-    out.hourly.insert(out.hourly.end(), p.hourly.begin(), p.hourly.end());
+  out.tenant_changes.reserve(static_cast<size_t>(options_.num_tenants));
+  for (const FleetBlockRecords& block : blocks) {
+    out.hourly.insert(out.hourly.end(), block.hourly.begin(),
+                      block.hourly.end());
     out.inter_event_minutes.insert(out.inter_event_minutes.end(),
-                                   p.inter_event_minutes.begin(),
-                                   p.inter_event_minutes.end());
-    out.tenant_changes.push_back(p.changes);
-    out.resize_failures += p.resize_failures;
-    out.resize_retries += p.resize_retries;
-    for (size_t s = 0; s < p.step_size_counts.size(); ++s) {
-      out.step_size_counts[s] += p.step_size_counts[s];
-    }
+                                   block.inter_event_minutes.begin(),
+                                   block.inter_event_minutes.end());
+    out.tenant_changes.insert(out.tenant_changes.end(),
+                              block.tenant_changes.begin(),
+                              block.tenant_changes.end());
   }
-  // Pooled shards merge in block order. All fleet recordings are
-  // integer-valued adds, so the result is bitwise identical to the
-  // historical per-tenant merge at any thread count.
-  if (options_.obs != nullptr) {
-    shard_pool.MergeInto(&options_.obs->primary());
-  }
+  const FleetAggregate& agg = outcome.aggregate;
+  out.step_size_counts.assign(agg.step_size_counts.begin(),
+                              agg.step_size_counts.end());
+  out.resize_failures = agg.resize_failures;
+  out.resize_retries = agg.resize_retries;
   return out;
 }
 

@@ -4,15 +4,21 @@
 // aggregates 5-minute wait samples to hourly medians for Figures 4 and 6
 // and for threshold calibration), and (b) container-change statistics
 // (Figure 2 and the step-size analysis of Section 4).
+//
+// This is the exact path: the scale runner's block loop (fleet_scale.h)
+// over one hour-aligned epoch, with a target per block that materializes
+// every emission. Blocks are concatenated in block order, so records come
+// out tenant-major. FleetAggregate::FromTelemetry folds the result back
+// into an aggregate, the oracle the streaming runs are checked against.
 
 #ifndef DBSCALE_FLEET_FLEET_SIM_H_
 #define DBSCALE_FLEET_FLEET_SIM_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/fault/actuator.h"
 #include "src/fault/fault_plan.h"
 #include "src/fleet/tenant_model.h"
 #include "src/obs/pipeline.h"
@@ -94,26 +100,11 @@ class FleetSimulator {
 
   /// Simulates all tenants, fanning out across threads. Deterministic for
   /// a given seed and bit-identical at any thread count: every tenant's RNG
-  /// is pre-forked from the root RNG before dispatch and per-tenant outputs
-  /// are merged in tenant order.
+  /// is pre-forked from the root RNG before dispatch and block outputs are
+  /// merged in block order.
   Result<FleetTelemetry> Run() const;
 
  private:
-  /// One tenant's contribution, merged into FleetTelemetry in tenant order.
-  struct TenantPartial {
-    std::vector<HourlyRecord> hourly;
-    std::vector<double> inter_event_minutes;
-    std::vector<int64_t> step_size_counts;
-    TenantChangeStats changes;
-    uint64_t resize_failures = 0;
-    uint64_t resize_retries = 0;
-  };
-
-  /// `sink` targets the tenant's block shard (null when obs is off); safe
-  /// because one worker owns a block at a time.
-  TenantPartial SimulateTenant(int tenant, Rng rng,
-                               obs::MetricSink sink) const;
-
   container::Catalog catalog_;
   FleetOptions options_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/check.h"
 
 namespace dbscale::fleet {
 
@@ -177,22 +176,6 @@ TenantInterval StepTenant(const container::Catalog& catalog,
         total_wait > 0.0 ? 100.0 * out.wait_ms[ri] / total_wait : 0.0;
   }
   return out;
-}
-
-TenantModel::TenantModel(int tenant_id, const container::Catalog* catalog,
-                         const TenantModelOptions& options, Rng rng)
-    : tenant_id_(tenant_id),
-      catalog_(catalog),
-      options_(options),
-      rng_(rng) {
-  DBSCALE_CHECK(catalog != nullptr);
-  params_ = DrawTenantParams(*catalog_, options_, rng_);
-}
-
-TenantInterval TenantModel::Step(int t, int applied_rung,
-                                 double demand_scale) {
-  return StepTenant(*catalog_, options_, params_, dyn_, rng_, t,
-                    applied_rung, demand_scale);
 }
 
 }  // namespace dbscale::fleet

@@ -17,12 +17,10 @@
 //     weak, wide-band correlation of Figure 4 and the low/high-utilization
 //     separation of Figure 6.
 //
-// The model state is split for the million-tenant SoA runner
-// (fleet_scale.h): TenantParams holds the constants drawn once at init,
-// TenantDynamics the two mutable scalars the step recurrence carries, and
-// the Rng its own position. DrawTenantParams/StepTenant are the shared
-// kernels; the TenantModel class wraps them for single-tenant callers and
-// draws bit-identically to both.
+// The model state is split for the SoA fleet runner (fleet_scale.h):
+// TenantParams holds the constants drawn once at init, TenantDynamics the
+// two mutable scalars the step recurrence carries, and the Rng its own
+// position. DrawTenantParams and StepTenant are the kernels.
 
 #ifndef DBSCALE_FLEET_TENANT_MODEL_H_
 #define DBSCALE_FLEET_TENANT_MODEL_H_
@@ -99,9 +97,8 @@ struct TenantDynamics {
   bool burst_active = false;
 };
 
-/// Draws a tenant's constants. Consumes exactly the draw sequence the
-/// original TenantModel constructor consumed, so pre-refactor streams are
-/// reproduced bit-for-bit.
+/// Draws a tenant's constants from its generator (a fixed draw sequence:
+/// the pinned fleet digests depend on it).
 TenantParams DrawTenantParams(const container::Catalog& catalog,
                               const TenantModelOptions& options, Rng& rng);
 
@@ -118,28 +115,6 @@ TenantInterval StepTenant(const container::Catalog& catalog,
                           const TenantParams& params, TenantDynamics& dyn,
                           Rng& rng, int t, int applied_rung = -1,
                           double demand_scale = 1.0);
-
-/// \brief One synthetic tenant (owning wrapper over the shared kernels).
-class TenantModel {
- public:
-  TenantModel(int tenant_id, const container::Catalog* catalog,
-              const TenantModelOptions& options, Rng rng);
-
-  /// See StepTenant.
-  TenantInterval Step(int t, int applied_rung = -1,
-                      double demand_scale = 1.0);
-
-  int tenant_id() const { return tenant_id_; }
-  DemandPattern pattern() const { return params_.pattern; }
-
- private:
-  int tenant_id_;
-  const container::Catalog* catalog_;
-  TenantModelOptions options_;
-  Rng rng_;
-  TenantParams params_;
-  TenantDynamics dyn_;
-};
 
 }  // namespace dbscale::fleet
 

@@ -3,11 +3,13 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/fleet_aggregate.h"
 #include "src/fleet/fleet_scale.h"
 #include "src/fleet/fleet_sim.h"
+#include "src/obs/export.h"
 #include "src/obs/pipeline.h"
 
 namespace dbscale::fleet {
@@ -273,6 +275,63 @@ TEST(FleetScaleTest, RejectsTruncatedCorruptAndMismatchedCheckpoints) {
   std::remove(path.c_str());
 }
 
+// The header's counts are read before the footer hash can be checked, so a
+// flipped bit in one must be rejected before anything is sized from it: bit
+// 30 of num_tenants alone would ask for over 100 GB.
+TEST(FleetScaleTest, RejectsHeaderCountsTheCheckpointCannotHold) {
+  Catalog catalog = Catalog::MakeLockStep();
+  const std::string path = TempPath("fleet_scale_header.ckpt");
+  // Byte offsets of the i32 counts (checkpoint.h: u64 magic, u32 version,
+  // u64 fingerprint, i32 completed_intervals, then these).
+  constexpr size_t kNumTenantsAt = 24;
+  constexpr size_t kNumHostsAt = 30;
+  constexpr size_t kNumBlocksAt = 34;
+  constexpr size_t kNumRungsAt = 38;
+  constexpr size_t kNumIntervalsAt = 42;
+  for (const bool host_plane : {false, true}) {
+    SCOPED_TRACE(host_plane ? "host plane" : "no host plane");
+    FleetScaleOptions options = SmallScale();
+    options.num_tenants = 100;
+    options.num_intervals = 48;
+    options.epoch_intervals = 24;
+    options.stop_after_intervals = 24;
+    options.checkpoint_path = path;
+    if (host_plane) {
+      options.host.num_hosts = 32;
+      options.host.capacity =
+          container::ResourceVector{64.0, 524288.0, 160000.0, 3200.0};
+    }
+    auto first = FleetScaleRunner(catalog, options).Run();
+    ASSERT_TRUE(first.ok()) << first.status().message();
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.good());
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    options.checkpoint_path.clear();
+    options.stop_after_intervals = 0;
+    ASSERT_TRUE(FleetScaleRunner::Resume(catalog, options, path).ok());
+
+    std::vector<size_t> fields = {kNumTenantsAt, kNumBlocksAt, kNumRungsAt,
+                                  kNumIntervalsAt};
+    if (host_plane) fields.push_back(kNumHostsAt);
+    for (const size_t field : fields) {
+      for (const int bit : {26, 30}) {
+        std::string corrupt = bytes;
+        corrupt[field + static_cast<size_t>(bit / 8)] ^=
+            static_cast<char>(1 << (bit % 8));
+        std::ofstream(path, std::ios::binary)
+            .write(corrupt.data(), static_cast<long>(corrupt.size()));
+        EXPECT_FALSE(FleetScaleRunner::Resume(catalog, options, path).ok())
+            << "field at byte " << field << ", bit " << bit;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // The scale path's per-block metric shards must agree with per-tenant
 // sharding (block_size = 1) bit for bit.
 TEST(FleetScaleTest, PooledMetricShardsMatchPerTenantSharding) {
@@ -367,6 +426,79 @@ TEST(FleetScaleTest, ExactPathSeedScaleDigestUnchangedByRefactor) {
     ASSERT_TRUE(telemetry.ok());
     EXPECT_DOUBLE_EQ(FleetChecksum(*telemetry), 43563447.131506711);
   }
+}
+
+// Exact-path pins over every FleetTelemetry field: the records, their
+// order, the per-tenant change stats and the totals. Unlike FleetChecksum
+// (a weighted float sum), equal digests mean bit-equal telemetry.
+uint64_t TelemetryDigest(const FleetTelemetry& t) {
+  Fnv64Stream h;
+  h.I32(t.num_tenants);
+  h.I32(t.num_intervals);
+  h.U64(t.hourly.size());
+  for (const HourlyRecord& r : t.hourly) {
+    h.I32(r.tenant_id);
+    h.I32(r.hour);
+    for (size_t ri = 0; ri < container::kNumResources; ++ri) {
+      h.Dbl(r.utilization_pct[ri]);
+      h.Dbl(r.wait_ms[ri]);
+      h.Dbl(r.wait_pct[ri]);
+      h.Dbl(r.wait_ms_per_request[ri]);
+    }
+  }
+  h.U64(t.inter_event_minutes.size());
+  for (const double minutes : t.inter_event_minutes) h.Dbl(minutes);
+  h.U64(t.tenant_changes.size());
+  for (const TenantChangeStats& c : t.tenant_changes) {
+    h.I32(c.tenant_id);
+    h.I32(c.num_changes);
+    h.Dbl(c.changes_per_day);
+  }
+  h.U64(t.step_size_counts.size());
+  for (const int64_t count : t.step_size_counts) {
+    h.U64(static_cast<uint64_t>(count));
+  }
+  h.U64(t.resize_failures);
+  h.U64(t.resize_retries);
+  return h.value;
+}
+
+// num_threads stays 0 (the process default), so running the suite under
+// different DBSCALE_NUM_THREADS values checks these pins at each count.
+TEST(FleetScaleTest, ExactPathTelemetryDigestPinned) {
+  Catalog catalog = Catalog::MakeLockStep();
+  FleetOptions options;
+  options.num_tenants = 300;
+  options.num_intervals = 2 * 288 + 7;  // the trailing partial hour is dropped
+  options.seed = 11;
+  options.block_size = 64;
+  auto null_run = FleetSimulator(catalog, options).Run();
+  ASSERT_TRUE(null_run.ok());
+  EXPECT_EQ(null_run->hourly.size(), 300u * 48u);
+  EXPECT_EQ(null_run->resize_failures, 0u);
+  EXPECT_EQ(TelemetryDigest(*null_run), 0x0fd328371e057df6ULL);
+
+  options.num_intervals = 2 * 288;
+  options.fault = SomeFaults();
+  auto faulty = FleetSimulator(catalog, options).Run();
+  ASSERT_TRUE(faulty.ok());
+  EXPECT_GT(faulty->resize_failures, 0u);
+  EXPECT_GT(faulty->resize_retries, 0u);
+  EXPECT_EQ(TelemetryDigest(*faulty), 0x501e9f9926a3cf4fULL);
+}
+
+// The metrics digest of ObservedFleetTest's run (obs_test.cc).
+TEST(FleetScaleTest, ExactPathMetricsDigestPinned) {
+  Catalog catalog = Catalog::MakeLockStep();
+  FleetOptions options;
+  options.num_tenants = 60;
+  options.num_intervals = 288;
+  options.seed = 11;
+  obs::Observability ob;
+  options.obs = &ob;
+  ASSERT_TRUE(FleetSimulator(catalog, options).Run().ok());
+  EXPECT_EQ(obs::MetricsDigest(ob.registry(), ob.primary()),
+            0x8d512fbd60bd523dULL);
 }
 
 }  // namespace

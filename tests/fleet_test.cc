@@ -23,11 +23,17 @@ FleetOptions SmallFleet() {
 TEST(TenantModelTest, DeterministicPerSeed) {
   Catalog catalog = Catalog::MakeLockStep();
   TenantModelOptions options;
-  TenantModel a(0, &catalog, options, Rng(5));
-  TenantModel b(0, &catalog, options, Rng(5));
+  Rng rng_a(5);
+  Rng rng_b(5);
+  const TenantParams params_a = DrawTenantParams(catalog, options, rng_a);
+  const TenantParams params_b = DrawTenantParams(catalog, options, rng_b);
+  TenantDynamics dyn_a;
+  TenantDynamics dyn_b;
   for (int t = 0; t < 50; ++t) {
-    TenantInterval ia = a.Step(t);
-    TenantInterval ib = b.Step(t);
+    const TenantInterval ia =
+        StepTenant(catalog, options, params_a, dyn_a, rng_a, t);
+    const TenantInterval ib =
+        StepTenant(catalog, options, params_b, dyn_b, rng_b, t);
     EXPECT_EQ(ia.assigned_rung, ib.assigned_rung);
     EXPECT_DOUBLE_EQ(ia.wait_ms[0], ib.wait_ms[0]);
   }
@@ -38,9 +44,12 @@ TEST(TenantModelTest, IntervalInvariants) {
   TenantModelOptions options;
   Rng root(3);
   for (int tenant = 0; tenant < 20; ++tenant) {
-    TenantModel model(tenant, &catalog, options, root.Fork());
+    Rng rng = root.Fork();
+    const TenantParams params = DrawTenantParams(catalog, options, rng);
+    TenantDynamics dyn;
     for (int t = 0; t < 200; ++t) {
-      TenantInterval interval = model.Step(t);
+      TenantInterval interval =
+          StepTenant(catalog, options, params, dyn, rng, t);
       EXPECT_GE(interval.assigned_rung, 0);
       EXPECT_LT(interval.assigned_rung, catalog.num_rungs());
       EXPECT_GE(interval.completed, 1);
