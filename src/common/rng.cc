@@ -8,7 +8,6 @@
 namespace dbscale {
 
 namespace {
-constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 }  // namespace
 
@@ -18,23 +17,6 @@ Rng::Rng(uint64_t seed, uint64_t stream) {
   NextUint32();
   state_ += seed;
   NextUint32();
-}
-
-uint32_t Rng::NextUint32() {
-  uint64_t oldstate = state_;
-  state_ = oldstate * kPcgMultiplier + inc_;
-  uint32_t xorshifted =
-      static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-double Rng::NextDouble() {
-  // 53-bit mantissa from two draws.
-  uint64_t hi = NextUint32();
-  uint64_t lo = NextUint32();
-  uint64_t bits = ((hi << 32) | lo) >> 11;  // 53 bits
-  return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -52,11 +34,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   // simulator uses, so the bias is negligible.
   uint64_t draw = (static_cast<uint64_t>(NextUint32()) << 32) | NextUint32();
   return lo + static_cast<int64_t>(draw % span);
-}
-
-bool Rng::Bernoulli(double p) {
-  p = std::clamp(p, 0.0, 1.0);
-  return NextDouble() < p;
 }
 
 double Rng::Exponential(double mean) {

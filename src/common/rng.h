@@ -7,6 +7,7 @@
 #ifndef DBSCALE_COMMON_RNG_H_
 #define DBSCALE_COMMON_RNG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,11 +21,24 @@ class Rng {
   /// produce identical sequences.
   explicit Rng(uint64_t seed, uint64_t stream = 0);
 
-  /// Uniform 32-bit value.
-  uint32_t NextUint32();
+  /// Uniform 32-bit value. Inline, like NextDouble and Bernoulli: the
+  /// engine draws one per simulated page access.
+  uint32_t NextUint32() {
+    const uint64_t oldstate = state_;
+    state_ = oldstate * kPcgMultiplier + inc_;
+    const uint32_t xorshifted =
+        static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
+    const uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
-  /// Uniform in [0, 1).
-  double NextDouble();
+  /// Uniform in [0, 1), from a 53-bit mantissa of two draws.
+  double NextDouble() {
+    const uint64_t hi = NextUint32();
+    const uint64_t lo = NextUint32();
+    const uint64_t bits = ((hi << 32) | lo) >> 11;  // 53 bits
+    return static_cast<double>(bits) * (1.0 / 9007199254740992.0);
+  }
 
   /// Uniform in [lo, hi).
   double Uniform(double lo, double hi);
@@ -33,7 +47,7 @@ class Rng {
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// True with probability p (p clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return NextDouble() < std::clamp(p, 0.0, 1.0); }
 
   /// Exponential with the given mean (> 0).
   double Exponential(double mean);
@@ -75,6 +89,8 @@ class Rng {
   static Rng FromState(const State& state);
 
  private:
+  static constexpr uint64_t kPcgMultiplier = 6364136223846793005ULL;
+
   uint64_t state_;
   uint64_t inc_;
   // Cached second output of Box-Muller.

@@ -20,6 +20,7 @@
 #ifndef DBSCALE_ENGINE_BUFFER_POOL_H_
 #define DBSCALE_ENGINE_BUFFER_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/common/rng.h"
@@ -104,6 +105,59 @@ class BufferPool {
   obs::MetricId hits_metric_ = 0;
   obs::MetricId misses_metric_ = 0;
 };
+
+// The access path is inline: the engine calls it once per simulated page.
+inline double BufferPool::HotHitProbability() const {
+  if (working_set_pages_ == 0) return 1.0;
+  return std::min(1.0, static_cast<double>(hot_cached_) /
+                           static_cast<double>(working_set_pages_));
+}
+
+inline bool BufferPool::Access(bool hot) {
+  const bool hit = AccessImpl(hot);
+  metrics_.Add(hit ? hits_metric_ : misses_metric_, 1.0);
+  return hit;
+}
+
+inline bool BufferPool::AccessImpl(bool hot) {
+  if (hot) {
+    // A uniformly random working-set page; cached with probability
+    // hot_cached / working_set.
+    if (rng_->Bernoulli(HotHitProbability())) return true;
+    // Miss: cache the page after the read. Prefer evicting cold pages;
+    // if the pool is smaller than the working set, hot pages replace each
+    // other and hot_cached saturates at capacity.
+    if (cached_pages() >= capacity_pages_) {
+      if (cold_cached_ > 0) {
+        --cold_cached_;
+      } else {
+        // Pool full of hot pages: replacement does not change hot_cached_.
+        return false;
+      }
+    }
+    if (hot_cached_ < std::min(capacity_pages_, working_set_pages_)) {
+      ++hot_cached_;
+    }
+    return false;
+  }
+
+  // Cold access over the non-working-set region.
+  const int64_t cold_region =
+      std::max<int64_t>(1, database_pages_ - working_set_pages_);
+  const double hit_prob =
+      std::min(1.0, static_cast<double>(cold_cached_) /
+                        static_cast<double>(cold_region));
+  if (rng_->Bernoulli(hit_prob)) return true;
+  // Miss: admit the cold page only into space not needed by the hot set —
+  // an LRU under a hot/cold mix keeps the frequently-touched hot pages.
+  const int64_t cold_budget =
+      std::max<int64_t>(0, capacity_pages_ - hot_cached_);
+  if (cold_cached_ < cold_budget) {
+    ++cold_cached_;
+  }
+  // else: replaces another cold page; cold_cached_ unchanged.
+  return false;
+}
 
 }  // namespace dbscale::engine
 

@@ -19,22 +19,6 @@ int CpuServers(double cores) {
 
 }  // namespace
 
-/// Per-request execution state threaded through the callback chain.
-struct DatabaseEngine::RequestState {
-  RequestSpec spec;
-  SimTime arrival;
-  CompletionHook done;
-
-  int batches_total = 1;
-  int batch_index = 0;
-  double cpu_chunk_sec = 0.0;   // CPU work per interleave round
-  int pages_per_batch = 0;
-  int pages_remainder = 0;
-
-  bool lock_held = false;
-  double granted_mb = 0.0;
-};
-
 DatabaseEngine::DatabaseEngine(EventQueue* events,
                                const EngineOptions& options,
                                const ContainerSpec& initial_container,
@@ -49,22 +33,28 @@ DatabaseEngine::DatabaseEngine(EventQueue* events,
   DBSCALE_CHECK(options.buffer_pool_fraction > 0.0 &&
                 options.buffer_pool_fraction <= 1.0);
   DBSCALE_CHECK(options.max_io_batches >= 1);
+  handler_id_ = events_->AddHandler(this);
 
+  // The components report to the engine's private client bases.
+  ServerQueue::Client* served = this;
+  LockManager::Client* locked = this;
+  MemoryBroker::Client* granted = this;
   const container::ResourceVector& r = container_.resources;
   cpu_ = std::make_unique<ServerQueue>(
       events_, "cpu", CpuServers(r.cpu_cores),
-      r.cpu_cores / CpuServers(r.cpu_cores));
-  disk_ = std::make_unique<ServerQueue>(events_, "disk", 1, r.disk_iops);
-  log_ = std::make_unique<ServerQueue>(events_, "log", 1, r.log_mbps);
+      r.cpu_cores / CpuServers(r.cpu_cores), served);
+  disk_ =
+      std::make_unique<ServerQueue>(events_, "disk", 1, r.disk_iops, served);
+  log_ = std::make_unique<ServerQueue>(events_, "log", 1, r.log_mbps, served);
   buffer_pool_ = std::make_unique<BufferPool>(
       MbToPages(effective_memory_mb() * options_.buffer_pool_fraction),
       MbToPages(options_.working_set_mb), MbToPages(options_.database_mb),
       &rng_);
   locks_ = std::make_unique<LockManager>(events_, options_.num_hot_rows,
-                                         options_.lock_timeout);
+                                         options_.lock_timeout, locked);
   memory_ = std::make_unique<MemoryBroker>(
-      events_,
-      effective_memory_mb() * (1.0 - options_.buffer_pool_fraction));
+      events_, effective_memory_mb() * (1.0 - options_.buffer_pool_fraction),
+      granted);
 }
 
 void DatabaseEngine::EnableObservability(obs::Observability* ob) {
@@ -155,8 +145,8 @@ void DatabaseEngine::ApplyMemory() {
   memory_->SetWorkspace(mb * (1.0 - options_.buffer_pool_fraction));
 }
 
-void DatabaseEngine::AddWait(RequestState* /*rs*/, WaitClass wc,
-                             Duration wait) {
+// dbscale-hot
+void DatabaseEngine::AddWait(WaitClass wc, Duration wait) {
   if (wait > Duration::Zero()) {
     const double ms = wait.ToMillis();
     period_wait_ms_[static_cast<size_t>(wc)] += ms;
@@ -165,29 +155,31 @@ void DatabaseEngine::AddWait(RequestState* /*rs*/, WaitClass wc,
   }
 }
 
+// dbscale-hot
 void DatabaseEngine::Submit(const RequestSpec& spec, CompletionHook done) {
-  auto rs = std::make_shared<RequestState>();
-  rs->spec = spec;
-  rs->arrival = events_->Now();
-  rs->done = std::move(done);
+  const uint32_t slot = requests_.Acquire();
+  RequestState& rs = requests_[slot];
+  rs.spec = spec;
+  rs.arrival = events_->Now();
+  rs.done = std::move(done);
+  rs.batch_index = 0;
+  rs.lock_held = false;
+  rs.granted_mb = 0.0;
 
   // Partition the request's work into CPU/I-O interleave rounds.
-  if (spec.page_accesses > 0) {
-    rs->batches_total =
-        std::min(options_.max_io_batches, spec.page_accesses);
-  } else {
-    rs->batches_total = 1;
-  }
-  rs->cpu_chunk_sec =
-      std::max(spec.cpu_ms, 0.01) / 1000.0 / rs->batches_total;
-  if (spec.page_accesses > 0) {
-    rs->pages_per_batch = spec.page_accesses / rs->batches_total;
-    rs->pages_remainder = spec.page_accesses % rs->batches_total;
-  }
+  rs.batches_total = spec.page_accesses > 0
+                         ? std::min(options_.max_io_batches, spec.page_accesses)
+                         : 1;
+  rs.cpu_chunk_sec =
+      std::max(spec.cpu_ms, 0.01) / 1000.0 / rs.batches_total;
+  rs.pages_per_batch =
+      spec.page_accesses > 0 ? spec.page_accesses / rs.batches_total : 0;
+  rs.pages_remainder =
+      spec.page_accesses > 0 ? spec.page_accesses % rs.batches_total : 0;
 
   ++requests_submitted_;
   ++period_started_;
-  AcquireGrant(std::move(rs));
+  AcquireGrant(slot);
 }
 
 // Lifecycle ordering: grant -> read/compute batches -> hot-row lock (held
@@ -197,86 +189,114 @@ void DatabaseEngine::Submit(const RequestSpec& spec, CompletionHook done) {
 // wait — does not shrink when the container grows. That is the paper's
 // "bottleneck beyond resources" (Figure 13).
 
-void DatabaseEngine::AcquireGrant(std::shared_ptr<RequestState> rs) {
-  if (rs->spec.grant_mb <= 0.0 || memory_->workspace_mb() <= 0.0) {
-    RunBatch(std::move(rs));
-    return;
+// dbscale-hot
+void DatabaseEngine::OnEvent(const Event& event) {
+  if (event.kind == kThinkDone) {
+    WriteLog(event.slot);
+  } else {
+    RunBatch(event.slot);
   }
-  RequestState* raw = rs.get();
-  memory_->Acquire(raw->spec.grant_mb,
-                   [this, rs = std::move(rs)](Duration wait,
-                                              double granted_mb) mutable {
-                     rs->granted_mb = granted_mb;
-                     AddWait(rs.get(), WaitClass::kMemory, wait);
-                     RunBatch(std::move(rs));
-                   });
 }
 
-void DatabaseEngine::AcquireLock(std::shared_ptr<RequestState> rs) {
-  if (rs->spec.lock_row < 0) {
-    WriteLog(std::move(rs));
-    return;
-  }
-  const int row = rs->spec.lock_row % options_.num_hot_rows;
-  RequestState* raw = rs.get();
-  raw->spec.lock_row = row;
-  locks_->Acquire(row, [this, rs = std::move(rs)](bool acquired,
-                                                  Duration wait) mutable {
-    AddWait(rs.get(), WaitClass::kLock, wait);
-    if (!acquired) {
-      // Lock-wait timeout: the transaction aborts.
-      Finish(std::move(rs), /*error=*/true);
-      return;
-    }
-    rs->lock_held = true;
-    if (rs->spec.lock_hold_extra_ms > 0.0) {
-      // Application think time inside the transaction: pure latency (not an
-      // engine wait), spent while holding the lock.
-      const Duration think =
-          Duration::Millis(1) * rs->spec.lock_hold_extra_ms;
-      events_->ScheduleAfter(think, [this, rs = std::move(rs)]() mutable {
-        WriteLog(std::move(rs));
-      });
-      return;
-    }
-    WriteLog(std::move(rs));
-  });
-}
-
-void DatabaseEngine::RunBatch(std::shared_ptr<RequestState> rs) {
-  if (rs->batch_index >= rs->batches_total) {
-    AcquireLock(std::move(rs));
-    return;
-  }
-  const double chunk = rs->cpu_chunk_sec;
-  cpu_->Submit(chunk, [this, rs = std::move(rs), chunk](
-                          Duration queue_wait,
-                          Duration service_time) mutable {
+// dbscale-hot
+void DatabaseEngine::OnServed(const ServerQueue& queue, uint32_t slot,
+                              Duration queue_wait, Duration service_time) {
+  if (&queue == cpu_.get()) {
     // Signal wait: runnable-but-unscheduled time plus the stretch from
     // running on a sub-core allocation.
-    Duration stretch = service_time - Duration::Seconds(chunk);
-    AddWait(rs.get(), WaitClass::kCpu,
-            queue_wait + (stretch > Duration::Zero() ? stretch
-                                                     : Duration::Zero()));
-    DoPageAccesses(std::move(rs));
-  });
+    const Duration stretch =
+        service_time - Duration::Seconds(requests_[slot].cpu_chunk_sec);
+    AddWait(WaitClass::kCpu,
+            queue_wait +
+                (stretch > Duration::Zero() ? stretch : Duration::Zero()));
+    DoPageAccesses(slot);
+  } else if (&queue == disk_.get()) {
+    AddWait(requests_[slot].io_wait, queue_wait);
+    MaybeLatch(slot);
+  } else {
+    // Log-write waits (WRITELOG) include the flush itself.
+    AddWait(WaitClass::kLogIo, queue_wait + service_time);
+    Finish(slot, /*error=*/false);
+  }
 }
 
-void DatabaseEngine::DoPageAccesses(std::shared_ptr<RequestState> rs) {
-  int pages = rs->pages_per_batch;
-  if (rs->batch_index == 0) pages += rs->pages_remainder;
-  ++rs->batch_index;
+// dbscale-hot
+void DatabaseEngine::OnLockResolved(uint32_t slot, bool acquired,
+                                    Duration wait) {
+  AddWait(WaitClass::kLock, wait);
+  if (!acquired) {
+    // Lock-wait timeout: the transaction aborts.
+    Finish(slot, /*error=*/true);
+    return;
+  }
+  RequestState& rs = requests_[slot];
+  rs.lock_held = true;
+  if (rs.spec.lock_hold_extra_ms > 0.0) {
+    // Application think time inside the transaction: pure latency (not an
+    // engine wait), spent while holding the lock.
+    const Duration think = Duration::Millis(1) * rs.spec.lock_hold_extra_ms;
+    events_->Schedule(events_->Now() + think, handler_id_, kThinkDone, slot);
+    return;
+  }
+  WriteLog(slot);
+}
+
+// dbscale-hot
+void DatabaseEngine::OnMemoryGranted(uint32_t slot, Duration wait,
+                                     double granted_mb) {
+  requests_[slot].granted_mb = granted_mb;
+  AddWait(WaitClass::kMemory, wait);
+  RunBatch(slot);
+}
+
+// dbscale-hot
+void DatabaseEngine::AcquireGrant(uint32_t slot) {
+  const double mb = requests_[slot].spec.grant_mb;
+  if (mb <= 0.0 || memory_->workspace_mb() <= 0.0) {
+    RunBatch(slot);
+    return;
+  }
+  memory_->Acquire(mb, slot);
+}
+
+// dbscale-hot
+void DatabaseEngine::AcquireLock(uint32_t slot) {
+  RequestState& rs = requests_[slot];
+  if (rs.spec.lock_row < 0) {
+    WriteLog(slot);
+    return;
+  }
+  rs.spec.lock_row %= options_.num_hot_rows;
+  locks_->Acquire(rs.spec.lock_row, slot);
+}
+
+// dbscale-hot
+void DatabaseEngine::RunBatch(uint32_t slot) {
+  const RequestState& rs = requests_[slot];
+  if (rs.batch_index >= rs.batches_total) {
+    AcquireLock(slot);
+    return;
+  }
+  cpu_->Submit(rs.cpu_chunk_sec, slot);
+}
+
+// dbscale-hot
+void DatabaseEngine::DoPageAccesses(uint32_t slot) {
+  RequestState& rs = requests_[slot];
+  int pages = rs.pages_per_batch;
+  if (rs.batch_index == 0) pages += rs.pages_remainder;
+  ++rs.batch_index;
 
   int misses = 0;
   bool pressure = buffer_pool_->UnderMemoryPressure();
   for (int i = 0; i < pages; ++i) {
-    const bool hot = rng_.Bernoulli(rs->spec.hot_access_fraction);
+    const bool hot = rng_.Bernoulli(rs.spec.hot_access_fraction);
     if (!buffer_pool_->Access(hot)) ++misses;
   }
   period_physical_reads_ += misses;
 
   if (misses == 0) {
-    MaybeLatch(rs, [this, rs]() mutable { RunBatch(std::move(rs)); });
+    MaybeLatch(slot);
     return;
   }
   // One aggregated disk submission for the batch's misses. Only the
@@ -285,78 +305,73 @@ void DatabaseEngine::DoPageAccesses(std::shared_ptr<RequestState> rs) {
   // every I/O-bearing request look wait-bound on small containers. Misses
   // caused by a pool smaller than the working set are attributed to the
   // buffer pool (memory pressure); others are plain disk I/O.
-  const WaitClass wc = pressure ? WaitClass::kBufferPool : WaitClass::kDiskIo;
-  disk_->Submit(static_cast<double>(misses),
-                [this, rs = std::move(rs), wc](Duration queue_wait,
-                                               Duration /*service*/) mutable {
-                  AddWait(rs.get(), wc, queue_wait);
-                  MaybeLatch(rs, [this, rs]() mutable {
-                    RunBatch(std::move(rs));
-                  });
-                });
+  rs.io_wait = pressure ? WaitClass::kBufferPool : WaitClass::kDiskIo;
+  disk_->Submit(static_cast<double>(misses), slot);
 }
 
-void DatabaseEngine::MaybeLatch(std::shared_ptr<RequestState> rs,
-                                std::function<void()> next) {
-  // Latch and background interference, as short pure delays.
+// Latch and background interference, as short pure delays before the
+// request's next batch.
+// dbscale-hot
+void DatabaseEngine::MaybeLatch(uint32_t slot) {
   Duration delay = Duration::Zero();
   if (rng_.Bernoulli(options_.latch_probability)) {
     Duration latch =
         Duration::Millis(1) * rng_.Exponential(options_.latch_mean_ms);
-    AddWait(rs.get(), WaitClass::kLatch, latch);
+    AddWait(WaitClass::kLatch, latch);
     delay += latch;
   }
   if (rng_.Bernoulli(options_.system_wait_probability)) {
     Duration sys =
         Duration::Millis(1) * rng_.Exponential(options_.system_wait_mean_ms);
-    AddWait(rs.get(), WaitClass::kSystem, sys);
+    AddWait(WaitClass::kSystem, sys);
     delay += sys;
   }
   if (delay > Duration::Zero()) {
-    events_->ScheduleAfter(delay, std::move(next));
+    events_->Schedule(events_->Now() + delay, handler_id_, kDelayDone, slot);
   } else {
-    next();
+    RunBatch(slot);
   }
 }
 
-void DatabaseEngine::WriteLog(std::shared_ptr<RequestState> rs) {
-  if (rs->spec.log_kb <= 0.0) {
-    Finish(std::move(rs), /*error=*/false);
+// dbscale-hot
+void DatabaseEngine::WriteLog(uint32_t slot) {
+  const double log_kb = requests_[slot].spec.log_kb;
+  if (log_kb <= 0.0) {
+    Finish(slot, /*error=*/false);
     return;
   }
-  const double mb = rs->spec.log_kb / 1024.0;
-  log_->Submit(mb, [this, rs = std::move(rs)](Duration queue_wait,
-                                              Duration service) mutable {
-    // Log-write waits (WRITELOG) include the flush itself.
-    AddWait(rs.get(), WaitClass::kLogIo, queue_wait + service);
-    Finish(std::move(rs), /*error=*/false);
-  });
+  log_->Submit(log_kb / 1024.0, slot);
 }
 
-void DatabaseEngine::Finish(std::shared_ptr<RequestState> rs, bool error) {
-  if (rs->lock_held) {
-    locks_->Release(rs->spec.lock_row);
-    rs->lock_held = false;
-  }
-  if (rs->granted_mb > 0.0) {
-    memory_->Release(rs->granted_mb);
-    rs->granted_mb = 0.0;
-  }
+// The slot is recycled before anything is released: releasing the lock or
+// the grant can run other requests to completion, and their hooks may
+// submit new requests into this slot or grow the slab.
+// dbscale-hot
+void DatabaseEngine::Finish(uint32_t slot, bool error) {
+  RequestState& rs = requests_[slot];
+  const bool lock_held = rs.lock_held;
+  const int lock_row = rs.spec.lock_row;
+  const double granted_mb = rs.granted_mb;
+  RequestResult result;
+  result.arrival = rs.arrival;
+  result.completion = events_->Now();
+  result.error = error;
+  result.class_id = rs.spec.class_id;
+  const CompletionHook done = std::move(rs.done);
+  requests_.Release(slot);
+
+  if (lock_held) locks_->Release(lock_row);
+  if (granted_mb > 0.0) memory_->Release(granted_mb);
   ++requests_completed_;
   ++period_completed_;
   if (error) ++requests_errored_;
 
-  RequestResult result;
-  result.arrival = rs->arrival;
-  result.completion = events_->Now();
-  result.error = error;
-  result.class_id = rs->spec.class_id;
   period_latency_.Add(result.latency().ToMillis());
   metric_sink_.Add(metrics_.requests_completed_total, 1.0);
   if (error) metric_sink_.Add(metrics_.requests_errored_total, 1.0);
   metric_sink_.Observe(metrics_.request_latency_ms,
                        result.latency().ToMillis());
-  if (rs->done) rs->done(result);
+  if (done) done(result);
   if (completion_listener_) completion_listener_(result);
 }
 

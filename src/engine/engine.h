@@ -26,6 +26,12 @@
 //   latch interference                -> Latch
 //   memory-grant queueing             -> Memory
 //   background (checkpoint-like)      -> System
+//
+// Each in-flight request owns a slot of a slab recycled at Finish. The
+// lifecycle steps are a dispatch on the slot: the server queues, the lock
+// manager and the memory broker report completions and grants by slot, and
+// the engine's own delays (think time, latch and system waits) are record
+// events carrying it. A step that needs no wait continues inline.
 
 #ifndef DBSCALE_ENGINE_ENGINE_H_
 #define DBSCALE_ENGINE_ENGINE_H_
@@ -45,6 +51,7 @@
 #include "src/engine/memory_broker.h"
 #include "src/engine/request.h"
 #include "src/engine/server_queue.h"
+#include "src/engine/slab.h"
 #include "src/obs/pipeline.h"
 #include "src/stats/cdf.h"
 #include "src/telemetry/sample.h"
@@ -77,12 +84,17 @@ struct EngineOptions {
 };
 
 /// \brief Container-limited database engine simulator.
-class DatabaseEngine {
+class DatabaseEngine : private EventHandler,
+                       private ServerQueue::Client,
+                       private LockManager::Client,
+                       private MemoryBroker::Client {
  public:
   using CompletionHook = std::function<void(const RequestResult&)>;
 
   DatabaseEngine(EventQueue* events, const EngineOptions& options,
                  const container::ContainerSpec& initial_container, Rng rng);
+  DatabaseEngine(const DatabaseEngine&) = delete;
+  DatabaseEngine& operator=(const DatabaseEngine&) = delete;
 
   /// Submits one request; `done` (optional) fires at completion.
   void Submit(const RequestSpec& spec, CompletionHook done = nullptr);
@@ -161,20 +173,45 @@ class DatabaseEngine {
   }
 
  private:
-  struct RequestState;
+  /// Per-request execution state, one slab slot per request in flight.
+  struct RequestState {
+    RequestSpec spec;
+    SimTime arrival;
+    CompletionHook done;
+    int batches_total = 1;
+    int batch_index = 0;
+    double cpu_chunk_sec = 0.0;  // CPU work per interleave round
+    int pages_per_batch = 0;
+    int pages_remainder = 0;
+    telemetry::WaitClass io_wait = telemetry::WaitClass::kDiskIo;
+    bool lock_held = false;
+    double granted_mb = 0.0;
+  };
+  /// The engine's own record events; `slot` is the request.
+  enum EventKind : uint16_t { kThinkDone, kDelayDone };
 
-  void AcquireGrant(std::shared_ptr<RequestState> rs);
-  void AcquireLock(std::shared_ptr<RequestState> rs);
-  void RunBatch(std::shared_ptr<RequestState> rs);
-  void DoPageAccesses(std::shared_ptr<RequestState> rs);
-  void MaybeLatch(std::shared_ptr<RequestState> rs,
-                  std::function<void()> next);
-  void WriteLog(std::shared_ptr<RequestState> rs);
-  void Finish(std::shared_ptr<RequestState> rs, bool error);
-  void AddWait(RequestState* rs, telemetry::WaitClass wc, Duration wait);
+  // Lifecycle steps. Each may run other requests to completion (and their
+  // hooks may submit), so a step reads its state by slot and touches none
+  // after handing off to the next.
+  void AcquireGrant(uint32_t slot);
+  void AcquireLock(uint32_t slot);
+  void RunBatch(uint32_t slot);
+  void DoPageAccesses(uint32_t slot);
+  void MaybeLatch(uint32_t slot);
+  void WriteLog(uint32_t slot);
+  void Finish(uint32_t slot, bool error);
+  void AddWait(telemetry::WaitClass wc, Duration wait);
   void ApplyMemory();
 
+  void OnEvent(const Event& event) override;
+  void OnServed(const ServerQueue& queue, uint32_t slot, Duration queue_wait,
+                Duration service_time) override;
+  void OnLockResolved(uint32_t slot, bool acquired, Duration wait) override;
+  void OnMemoryGranted(uint32_t slot, Duration wait,
+                       double granted_mb) override;
+
   EventQueue* events_;
+  uint16_t handler_id_ = 0;
   EngineOptions options_;
   container::ContainerSpec container_;
   /// Resize staged by BeginResize, applied by CompleteResize.
@@ -188,6 +225,7 @@ class DatabaseEngine {
   std::unique_ptr<BufferPool> buffer_pool_;
   std::unique_ptr<LockManager> locks_;
   std::unique_ptr<MemoryBroker> memory_;
+  Slab<RequestState> requests_;
 
   double memory_limit_mb_ = -1.0;  // balloon override; <0 = none
   double host_throttle_ = 1.0;     // host-plane wait inflation; 1 = off

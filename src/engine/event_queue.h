@@ -1,26 +1,47 @@
 // Discrete-event simulation core.
 //
-// A single-threaded event queue: callbacks scheduled at simulated
-// timestamps, executed in time order (FIFO among equal timestamps via a
-// monotonically increasing sequence number, so runs are deterministic).
+// A single-threaded scheduler over plain event records. An Event names the
+// registered handler that receives it (`target`) plus three words the
+// handler interprets itself (`kind`, `slot`, `arg`); the engine's
+// components keep per-request and per-job state in slabs indexed by slot,
+// so scheduling an event allocates nothing. Records sit in a flat 4-ary
+// min-heap ordered by (`when`, `seq`), where `seq` increases with every
+// schedule call: the order is strict and total, so equal timestamps fire in
+// scheduling order, whichever handler they address, and every run is
+// deterministic.
 
 #ifndef DBSCALE_ENGINE_EVENT_QUEUE_H_
 #define DBSCALE_ENGINE_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/sim_time.h"
 
 namespace dbscale::engine {
 
+/// One scheduled event: a 32-byte record.
+struct Event {
+  SimTime when;
+  uint64_t seq = 0;
+  uint16_t target = 0;  // handler id from EventQueue::AddHandler
+  uint16_t kind = 0;    // the handler's own event kind
+  uint32_t slot = 0;    // request, job or row index
+  uint64_t arg = 0;     // one more word (e.g. a lock ticket)
+};
+
+/// \brief Receives the record events addressed to it.
+class EventHandler {
+ public:
+  virtual void OnEvent(const Event& event) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
+
 /// \brief Deterministic discrete-event scheduler.
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -29,11 +50,14 @@ class EventQueue {
   /// the last processed).
   SimTime Now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `when`. `when` must not be in the past.
-  void ScheduleAt(SimTime when, Callback cb);
+  /// Registers `handler` (which must outlive its pending events) and
+  /// returns the id its events carry as `target`. Setup-time only.
+  uint16_t AddHandler(EventHandler* handler);
 
-  /// Schedules `cb` after `delay` from Now().
-  void ScheduleAfter(Duration delay, Callback cb);
+  /// Schedules a record event for handler `target` at absolute time `when`
+  /// (not in the past).
+  void Schedule(SimTime when, uint16_t target, uint16_t kind,
+                uint32_t slot = 0, uint64_t arg = 0);
 
   /// Runs events until the queue is empty or the next event is after
   /// `until`; leaves Now() == until. Events scheduled exactly at `until`
@@ -48,22 +72,14 @@ class EventQueue {
   uint64_t events_processed() const { return events_processed_; }
 
  private:
-  struct Event {
-    SimTime when;
-    uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  void Push(const Event& event);
+  void FireTop();
 
   SimTime now_ = SimTime::Zero();
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Event> heap_;
+  std::vector<EventHandler*> handlers_;
 };
 
 }  // namespace dbscale::engine

@@ -9,31 +9,46 @@
 // overload produces bounded queues (a timed-out acquisition is granted
 // "nothing" and the transaction proceeds to completion as an error, which is
 // how engines surface lock timeouts).
+//
+// Waiters are the client's slots in a FIFO ring per row. Each wait arms a
+// timeout record carrying the row and a 64-bit ticket unique to that wait,
+// so a timeout whose waiter was already granted finds no match and stays a
+// no-op, even when the client has since reused the slot for a new wait.
 
 #ifndef DBSCALE_ENGINE_LOCK_MANAGER_H_
 #define DBSCALE_ENGINE_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/engine/event_queue.h"
+#include "src/engine/slab.h"
 #include "src/obs/metrics.h"
 
 namespace dbscale::engine {
 
 /// \brief FIFO exclusive locks over `num_rows` hot rows.
-class LockManager {
+class LockManager : private EventHandler {
  public:
-  /// Called when the lock is granted (acquired == true) or the wait timed
-  /// out (acquired == false), with the time spent waiting.
-  using Grant = std::function<void(bool acquired, Duration wait)>;
+  /// Told when `slot`'s lock is granted (acquired == true) or its wait
+  /// timed out (acquired == false), with the time spent waiting.
+  class Client {
+   public:
+    virtual void OnLockResolved(uint32_t slot, bool acquired,
+                                Duration wait) = 0;
 
-  LockManager(EventQueue* events, int num_rows, Duration wait_timeout);
+   protected:
+    ~Client() = default;
+  };
 
-  /// Requests the exclusive lock on `row` (0 <= row < num_rows).
-  void Acquire(int row, Grant on_grant);
+  LockManager(EventQueue* events, int num_rows, Duration wait_timeout,
+              Client* client);
+  LockManager(const LockManager&) = delete;
+  LockManager& operator=(const LockManager&) = delete;
+
+  /// Requests the exclusive lock on `row` (0 <= row < num_rows) for the
+  /// client's `slot`. An uncontended grant is reported before this returns.
+  void Acquire(int row, uint32_t slot);
 
   /// Releases the lock on `row`; the next FIFO waiter (if any) is granted
   /// immediately. Must only be called by the current holder.
@@ -60,17 +75,20 @@ class LockManager {
   struct Waiter {
     uint64_t ticket;
     SimTime enqueued;
-    Grant on_grant;
-    bool timed_out = false;
+    uint32_t slot;
   };
   struct Row {
     bool held = false;
-    std::deque<Waiter> waiters;
+    Ring<Waiter> waiters;
   };
 
+  /// A lock-wait timeout: `event.slot` is the row, `event.arg` the ticket.
+  void OnEvent(const Event& event) override;
   void GrantNext(int row);
 
   EventQueue* events_;
+  Client* client_;
+  uint16_t handler_id_ = 0;
   Duration wait_timeout_;
   std::vector<Row> rows_;
   uint64_t next_ticket_ = 0;

@@ -3,15 +3,16 @@
 // Queries that sort/hash request a workspace memory grant before executing;
 // when the workspace (a slice of container memory) is exhausted, requests
 // queue — surfacing as *memory waits* in telemetry. A FIFO counting
-// semaphore measured in MB.
+// semaphore measured in MB, whose waiters are the client's slots in a FIFO
+// ring.
 
 #ifndef DBSCALE_ENGINE_MEMORY_BROKER_H_
 #define DBSCALE_ENGINE_MEMORY_BROKER_H_
 
-#include <deque>
-#include <functional>
+#include <cstdint>
 
 #include "src/engine/event_queue.h"
+#include "src/engine/slab.h"
 #include "src/obs/metrics.h"
 
 namespace dbscale::engine {
@@ -19,15 +20,24 @@ namespace dbscale::engine {
 /// \brief FIFO counting semaphore over workspace memory (MB).
 class MemoryBroker {
  public:
-  /// Receives the wait experienced and the MB actually granted (which may
-  /// be clamped); the callee must Release() exactly `granted_mb`.
-  using Grant = std::function<void(Duration wait, double granted_mb)>;
+  /// Receives `slot`'s grant: the wait experienced and the MB actually
+  /// granted (which may be clamped); the client must Release() exactly
+  /// `granted_mb`.
+  class Client {
+   public:
+    virtual void OnMemoryGranted(uint32_t slot, Duration wait,
+                                 double granted_mb) = 0;
 
-  MemoryBroker(EventQueue* events, double workspace_mb);
+   protected:
+    ~Client() = default;
+  };
 
-  /// Requests `mb` of workspace. Grants are FIFO; a request larger than the
-  /// whole workspace is clamped to it (engines cap grants similarly).
-  void Acquire(double mb, Grant on_grant);
+  MemoryBroker(EventQueue* events, double workspace_mb, Client* client);
+
+  /// Requests `mb` of workspace for the client's `slot`. Grants are FIFO; a
+  /// request larger than the whole workspace is clamped to it (engines cap
+  /// grants similarly). A grant that fits is reported before this returns.
+  void Acquire(double mb, uint32_t slot);
 
   /// Returns `mb` of workspace (must match the granted amount).
   void Release(double mb);
@@ -53,15 +63,16 @@ class MemoryBroker {
   struct Waiter {
     double mb;
     SimTime enqueued;
-    Grant on_grant;
+    uint32_t slot;
   };
 
   void TryGrant();
 
   EventQueue* events_;
+  Client* client_;
   double workspace_mb_;
   double in_use_mb_ = 0.0;
-  std::deque<Waiter> waiters_;
+  Ring<Waiter> waiters_;
 
   obs::MetricSink metrics_;
   obs::MetricId grants_metric_ = 0;

@@ -7,20 +7,24 @@
 namespace dbscale::engine {
 
 ServerQueue::ServerQueue(EventQueue* events, std::string name,
-                         int num_servers, double speed)
+                         int num_servers, double speed, Client* client)
     : events_(events),
+      client_(client),
       name_(std::move(name)),
       num_servers_(num_servers),
       speed_(speed),
       capacity_accrued_until_(events->Now()) {
   DBSCALE_CHECK(events != nullptr);
+  DBSCALE_CHECK(client != nullptr);
   DBSCALE_CHECK(num_servers >= 1);
   DBSCALE_CHECK(speed > 0.0);
+  handler_id_ = events->AddHandler(this);
 }
 
-void ServerQueue::Submit(double work, Completion on_complete) {
+// dbscale-hot
+void ServerQueue::Submit(double work, uint32_t slot) {
   DBSCALE_DCHECK(work > 0.0);
-  queue_.push_back(Job{work, events_->Now(), std::move(on_complete)});
+  queue_.push_back(Job{work, events_->Now(), slot});
   TryDispatch();
 }
 
@@ -35,30 +39,33 @@ void ServerQueue::SetCapacity(int num_servers, double speed) {
   TryDispatch();
 }
 
+// dbscale-hot
 void ServerQueue::TryDispatch() {
   while (busy_ < num_servers_ && !queue_.empty()) {
-    Job job = std::move(queue_.front());
+    const Job job = queue_[0];
     queue_.pop_front();
     ++busy_;
     const SimTime start = events_->Now();
-    const Duration queue_wait = start - job.submitted;
     const Duration service = Duration::Seconds(job.work / speed_);
-    const double work = job.work;
-    events_->ScheduleAfter(
-        service, [this, work, queue_wait, service,
-                  on_complete = std::move(job.on_complete)]() mutable {
-          --busy_;
-          work_done_accum_ += work;
-          ++jobs_completed_;
-          metrics_.Add(jobs_metric_, 1.0);
-          metrics_.Observe(wait_metric_, queue_wait.ToMillis());
-          // Dispatch the next job before running the completion so that
-          // the resource never idles while work is queued, regardless of
-          // what the completion callback does.
-          TryDispatch();
-          on_complete(queue_wait, service);
-        });
+    const uint32_t id = running_.Acquire();
+    running_[id] = Running{job.work, start - job.submitted, service, job.slot};
+    events_->Schedule(start + service, handler_id_, 0, id);
   }
+}
+
+// dbscale-hot
+void ServerQueue::OnEvent(const Event& event) {
+  const Running job = running_[event.slot];
+  running_.Release(event.slot);
+  --busy_;
+  work_done_accum_ += job.work;
+  ++jobs_completed_;
+  metrics_.Add(jobs_metric_, 1.0);
+  metrics_.Observe(wait_metric_, job.queue_wait.ToMillis());
+  // Dispatch the next job before reporting the completion so that the
+  // resource never idles while work is queued, whatever the client does.
+  TryDispatch();
+  client_->OnServed(*this, job.slot, job.queue_wait, job.service);
 }
 
 void ServerQueue::AccrueCapacity() {

@@ -12,34 +12,45 @@
 //         burst in 20 ms; queueing delay is the "signal wait")
 //   Disk: work = #I/O operations, num_servers = 1, speed = IOPS
 //   Log:  work = MB to flush,     num_servers = 1, speed = MB/s
+//
+// Jobs belong to the client's slots: waiting jobs sit in a FIFO ring,
+// in-service jobs in a slab whose index the completion event carries, and
+// each completion reports the slot back to the client.
 
 #ifndef DBSCALE_ENGINE_SERVER_QUEUE_H_
 #define DBSCALE_ENGINE_SERVER_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "src/engine/event_queue.h"
+#include "src/engine/slab.h"
 #include "src/obs/metrics.h"
 
 namespace dbscale::engine {
 
 /// \brief FIFO multi-server queue with online capacity changes and
 /// utilization accounting.
-class ServerQueue {
+class ServerQueue : private EventHandler {
  public:
-  /// Called at job completion with the queueing delay and the in-service
-  /// time the job experienced.
-  using Completion =
-      std::function<void(Duration queue_wait, Duration service_time)>;
+  /// Receives each completed job's slot with the queueing delay and the
+  /// in-service time it experienced.
+  class Client {
+   public:
+    virtual void OnServed(const ServerQueue& queue, uint32_t slot,
+                          Duration queue_wait, Duration service_time) = 0;
+
+   protected:
+    ~Client() = default;
+  };
 
   ServerQueue(EventQueue* events, std::string name, int num_servers,
-              double speed);
+              double speed, Client* client);
+  ServerQueue(const ServerQueue&) = delete;
+  ServerQueue& operator=(const ServerQueue&) = delete;
 
-  /// Enqueues a job of `work` units (> 0).
-  void Submit(double work, Completion on_complete);
+  /// Enqueues a job of `work` units (> 0) for the client's `slot`.
+  void Submit(double work, uint32_t slot);
 
   /// Online capacity change. In-service jobs are unaffected; takes effect
   /// for dispatches from now on. If the server count shrinks, excess busy
@@ -81,18 +92,29 @@ class ServerQueue {
   struct Job {
     double work;
     SimTime submitted;
-    Completion on_complete;
+    uint32_t slot;
+  };
+  struct Running {
+    double work;
+    Duration queue_wait;
+    Duration service;
+    uint32_t slot;
   };
 
+  /// A job completion; `event.slot` indexes running_.
+  void OnEvent(const Event& event) override;
   void TryDispatch();
   void AccrueCapacity();
 
   EventQueue* events_;
+  Client* client_;
+  uint16_t handler_id_ = 0;
   std::string name_;
   int num_servers_;
   double speed_;
   int busy_ = 0;
-  std::deque<Job> queue_;
+  Ring<Job> queue_;
+  Slab<Running> running_;
 
   // Usage accounting.
   double work_done_accum_ = 0.0;

@@ -7,10 +7,6 @@
 
 namespace dbscale::fleet {
 
-namespace {
-constexpr double kIntervalMinutes = 5.0;
-}  // namespace
-
 void FleetAggregate::Init(int catalog_rungs, int run_intervals) {
   DBSCALE_CHECK(catalog_rungs > 0 && run_intervals > 0);
   num_rungs = catalog_rungs;
@@ -121,21 +117,6 @@ void FleetAggregate::MergeFrom(const FleetAggregate& other) {
   h.U64(other.digest);
   digest = h.value;
 }
-
-namespace {
-
-double StepFractionAtOrBelow(const std::vector<uint64_t>& counts, size_t k) {
-  uint64_t total = 0, small = 0;
-  for (size_t s = 1; s < counts.size(); ++s) {
-    total += counts[s];
-    if (s <= k) small += counts[s];
-  }
-  return total > 0
-             ? static_cast<double>(small) / static_cast<double>(total)
-             : 0.0;
-}
-
-}  // namespace
 
 double FleetAggregate::OneStepFraction() const {
   return StepFractionAtOrBelow(step_size_counts, 1);

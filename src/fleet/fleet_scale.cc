@@ -14,8 +14,6 @@
 namespace dbscale::fleet {
 
 namespace {
-constexpr int kIntervalsPerHour = 12;  // 5-minute intervals
-constexpr double kIntervalMinutes = 5.0;
 /// Hour slot buffer of one tenant: per resource, four series (utilization,
 /// wait ms, wait share, wait per request) of one slot per interval.
 constexpr size_t kHourSeries = 4;

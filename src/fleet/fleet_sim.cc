@@ -4,28 +4,12 @@
 
 namespace dbscale::fleet {
 
-namespace {
-constexpr int kIntervalsPerHour = 12;  // 5-minute intervals
-}  // namespace
-
 double FleetTelemetry::OneStepFraction() const {
-  int64_t total = 0, ones = 0;
-  for (size_t s = 1; s < step_size_counts.size(); ++s) {
-    total += step_size_counts[s];
-    if (s == 1) ones += step_size_counts[s];
-  }
-  return total > 0 ? static_cast<double>(ones) / static_cast<double>(total)
-                   : 0.0;
+  return StepFractionAtOrBelow(step_size_counts, 1);
 }
 
 double FleetTelemetry::AtMostTwoStepFraction() const {
-  int64_t total = 0, small = 0;
-  for (size_t s = 1; s < step_size_counts.size(); ++s) {
-    total += step_size_counts[s];
-    if (s <= 2) small += step_size_counts[s];
-  }
-  return total > 0 ? static_cast<double>(small) / static_cast<double>(total)
-                   : 0.0;
+  return StepFractionAtOrBelow(step_size_counts, 2);
 }
 
 FleetSimulator::FleetSimulator(const container::Catalog& catalog,

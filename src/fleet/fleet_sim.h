@@ -25,6 +25,24 @@
 
 namespace dbscale::fleet {
 
+/// Fleet billing intervals are five minutes long: twelve to the hour.
+inline constexpr int kIntervalsPerHour = 12;
+inline constexpr double kIntervalMinutes = 5.0;
+
+/// Fraction of change events that moved at most `k` rungs, from counts
+/// indexed by |rung step| (index 0 unused); 0 when there were none.
+template <typename Count>
+double StepFractionAtOrBelow(const std::vector<Count>& counts, size_t k) {
+  Count total = 0, small = 0;
+  for (size_t s = 1; s < counts.size(); ++s) {
+    total += counts[s];
+    if (s <= k) small += counts[s];
+  }
+  return total > 0
+             ? static_cast<double>(small) / static_cast<double>(total)
+             : 0.0;
+}
+
 /// Hourly-median telemetry for one tenant-hour.
 struct HourlyRecord {
   int tenant_id = 0;

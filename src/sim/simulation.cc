@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 #include "src/common/logging.h"
 #include "src/fault/actuator.h"
 #include "src/host/actuation.h"
@@ -13,6 +14,81 @@
 namespace dbscale::sim {
 
 using container::ResourceKind;
+
+namespace {
+
+void HashString(Fnv64Stream* h, const std::string& s) {
+  h->U64(s.size());
+  h->Bytes(s.data(), s.size());
+}
+
+template <size_t N>
+void HashArray(Fnv64Stream* h, const std::array<double, N>& values) {
+  for (double v : values) h->Dbl(v);
+}
+
+}  // namespace
+
+uint64_t RunResult::Digest() const {
+  Fnv64Stream h;
+  HashString(&h, policy_name);
+  h.U64(intervals.size());
+  for (const IntervalRecord& r : intervals) {
+    h.I32(r.index);
+    h.I32(r.container.id);
+    HashString(&h, r.container.name);
+    r.container.resources.Fold(&h);
+    h.Dbl(r.container.price_per_interval);
+    h.I32(r.container.base_rung);
+    h.Dbl(r.cost);
+    h.Dbl(r.latency_avg_ms);
+    h.Dbl(r.latency_p95_ms);
+    h.U64(static_cast<uint64_t>(r.completed));
+    h.U64(static_cast<uint64_t>(r.errors));
+    r.usage.Fold(&h);
+    HashArray(&h, r.utilization_pct);
+    HashArray(&h, r.wait_ms);
+    h.Dbl(r.memory_used_mb);
+    h.I32(static_cast<int32_t>(r.decision_code));
+    HashString(&h, r.decision_explanation);
+    h.I32(r.resized ? 1 : 0);
+    h.Dbl(r.throttle_factor);
+    h.I32(r.in_migration_downtime ? 1 : 0);
+  }
+  h.U64(samples.size());
+  for (const telemetry::TelemetrySample& s : samples) {
+    h.U64(static_cast<uint64_t>(s.period_start.ToMicros()));
+    h.U64(static_cast<uint64_t>(s.period_end.ToMicros()));
+    HashArray(&h, s.utilization_pct);
+    HashArray(&h, s.wait_ms);
+    h.U64(static_cast<uint64_t>(s.requests_started));
+    h.U64(static_cast<uint64_t>(s.requests_completed));
+    h.Dbl(s.latency_avg_ms);
+    h.Dbl(s.latency_p95_ms);
+    h.Dbl(s.latency_max_ms);
+    h.Dbl(s.memory_used_mb);
+    h.Dbl(s.memory_active_mb);
+    h.U64(static_cast<uint64_t>(s.physical_reads));
+    s.allocation.Fold(&h);
+    h.I32(s.container_id);
+  }
+  for (double v : {latency_avg_ms, latency_p95_ms, latency_p99_ms,
+                   latency_max_ms, total_cost, avg_cost_per_interval}) {
+    h.Dbl(v);
+  }
+  h.I32(container_changes);
+  h.Dbl(change_fraction);
+  for (uint64_t v :
+       {total_completed, total_errors, events_processed, resize_attempts,
+        resize_failures, resize_rejections, telemetry_dropped_samples,
+        telemetry_rejected_samples, telemetry_stale_samples,
+        telemetry_outlier_samples, degraded_windows, migrations_begun,
+        migrations_completed, migration_failures,
+        migration_downtime_intervals, host_saturated_holds, host_digest}) {
+    h.U64(v);
+  }
+  return h.value;
+}
 
 std::vector<container::ResourceVector> RunResult::UsageSeries() const {
   std::vector<container::ResourceVector> out;

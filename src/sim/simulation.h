@@ -106,6 +106,12 @@ struct RunResult {
   /// Final HostMap::Digest() (0 without hosts).
   uint64_t host_digest = 0;
 
+  /// FNV-1a over every field above, in declaration order: each interval
+  /// record (its decision code and explanation text included), each kept
+  /// sample, and every run-level aggregate and counter. Doubles hash by
+  /// bit pattern, so two runs match only when they are bit-identical.
+  uint64_t Digest() const;
+
   /// Per-interval absolute usage (input for OfflineProfiler).
   std::vector<container::ResourceVector> UsageSeries() const;
   /// Latency in the given aggregate.

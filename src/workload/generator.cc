@@ -19,6 +19,7 @@ RequestGenerator::RequestGenerator(engine::DatabaseEngine* engine,
   DBSCALE_CHECK(options_.step_duration > Duration::Zero());
   DBSCALE_CHECK(options_.rate_scale > 0.0);
   DBSCALE_CHECK_OK(spec_.Validate());
+  handler_id_ = engine->events()->AddHandler(this);
 }
 
 void RequestGenerator::Start() {
@@ -32,10 +33,22 @@ void RequestGenerator::Start() {
   }
 }
 
+// dbscale-hot
+void RequestGenerator::OnEvent(const engine::Event& event) {
+  switch (event.kind) {
+    case kArrival: return Arrive();
+    case kNextArrival: return ScheduleNextArrival();
+    case kAdjustSessions: return AdjustSessions();
+    default: return SessionIssue();
+  }
+}
+
+void RequestGenerator::At(SimTime when, EventKind kind) {
+  engine_->events()->Schedule(when, handler_id_, kind);
+}
+
 void RequestGenerator::AdjustSessions() {
-  engine::EventQueue* events = engine_->events();
-  const SimTime now = events->Now();
-  if (now >= end_time()) return;
+  if (engine_->events()->Now() >= end_time()) return;
   const int64_t target = static_cast<int64_t>(CurrentRate());
   // Spawn sessions up to the target; surplus sessions retire on their next
   // completion (SessionIssue checks the target again).
@@ -47,23 +60,23 @@ void RequestGenerator::AdjustSessions() {
   const SimTime next_boundary =
       start_time_ +
       options_.step_duration * static_cast<double>(CurrentStep() + 1);
-  events->ScheduleAt(std::min(next_boundary, end_time()),
-                     [this] { AdjustSessions(); });
+  At(std::min(next_boundary, end_time()), kAdjustSessions);
 }
 
+// dbscale-hot
 void RequestGenerator::SessionIssue() {
-  engine::EventQueue* events = engine_->events();
-  if (events->Now() >= end_time() ||
+  if (engine_->events()->Now() >= end_time() ||
       active_sessions_ > static_cast<int64_t>(CurrentRate())) {
     --active_sessions_;  // session retires
     return;
   }
   ++requests_issued_;
+  // The hook captures only `this`, so it is stored without allocating.
   engine_->Submit(spec_.Sample(&rng_), [this](const engine::RequestResult&) {
     const Duration think = Duration::Millis(1) *
                            rng_.Exponential(std::max(
                                options_.think_time.ToMillis(), 1e-3));
-    engine_->events()->ScheduleAfter(think, [this] { SessionIssue(); });
+    At(engine_->events()->Now() + think, kSessionIssue);
   });
 }
 
@@ -82,9 +95,9 @@ double RequestGenerator::CurrentRate() const {
   return trace_.rate_at(CurrentStep()) * options_.rate_scale;
 }
 
+// dbscale-hot
 void RequestGenerator::ScheduleNextArrival() {
-  engine::EventQueue* events = engine_->events();
-  const SimTime now = events->Now();
+  const SimTime now = engine_->events()->Now();
   if (now >= end_time()) return;
 
   const double rate = CurrentRate();
@@ -94,25 +107,27 @@ void RequestGenerator::ScheduleNextArrival() {
     const SimTime next_boundary =
         start_time_ +
         options_.step_duration * static_cast<double>(next_step);
-    events->ScheduleAt(std::min(next_boundary, end_time()),
-                       [this]() { ScheduleNextArrival(); });
+    At(std::min(next_boundary, end_time()), kNextArrival);
     return;
   }
 
   const Duration gap = Duration::Seconds(rng_.Exponential(1.0 / rate));
-  events->ScheduleAfter(gap, [this]() {
-    if (engine_->events()->Now() >= end_time()) return;
-    const bool at_capacity =
-        options_.max_in_flight > 0 &&
-        engine_->requests_in_flight() >= options_.max_in_flight;
-    if (at_capacity) {
-      ++requests_dropped_;
-    } else {
-      ++requests_issued_;
-      engine_->Submit(spec_.Sample(&rng_));
-    }
-    ScheduleNextArrival();
-  });
+  At(now + gap, kArrival);
+}
+
+// dbscale-hot
+void RequestGenerator::Arrive() {
+  if (engine_->events()->Now() >= end_time()) return;
+  const bool at_capacity =
+      options_.max_in_flight > 0 &&
+      engine_->requests_in_flight() >= options_.max_in_flight;
+  if (at_capacity) {
+    ++requests_dropped_;
+  } else {
+    ++requests_issued_;
+    engine_->Submit(spec_.Sample(&rng_));
+  }
+  ScheduleNextArrival();
 }
 
 }  // namespace dbscale::workload

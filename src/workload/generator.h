@@ -6,12 +6,14 @@
 // specified target"). Open-loop arrivals are what make under-provisioning
 // visible: requests keep arriving while queues build, and latency explodes
 // rather than throughput quietly throttling.
+//
+// Arrivals, step boundaries and session think times are record events
+// addressed to the generator, so driving the engine allocates nothing.
 
 #ifndef DBSCALE_WORKLOAD_GENERATOR_H_
 #define DBSCALE_WORKLOAD_GENERATOR_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/rng.h"
 #include "src/engine/engine.h"
@@ -50,10 +52,12 @@ struct GeneratorOptions {
 };
 
 /// \brief Drives a DatabaseEngine with trace-shaped Poisson arrivals.
-class RequestGenerator {
+class RequestGenerator : private engine::EventHandler {
  public:
   RequestGenerator(engine::DatabaseEngine* engine, const WorkloadSpec& spec,
                    Trace trace, GeneratorOptions options, Rng rng);
+  RequestGenerator(const RequestGenerator&) = delete;
+  RequestGenerator& operator=(const RequestGenerator&) = delete;
 
   /// Schedules the arrival process; the caller then runs the event queue.
   /// Generation stops after the last trace step.
@@ -66,13 +70,24 @@ class RequestGenerator {
   uint64_t requests_dropped() const { return requests_dropped_; }
 
  private:
+  enum EventKind : uint16_t {
+    kArrival,
+    kNextArrival,
+    kAdjustSessions,
+    kSessionIssue
+  };
+
+  void OnEvent(const engine::Event& event) override;
+  void At(SimTime when, EventKind kind);
   void ScheduleNextArrival();
+  void Arrive();
   void AdjustSessions();
   void SessionIssue();
   double CurrentRate() const;
   size_t CurrentStep() const;
 
   engine::DatabaseEngine* engine_;
+  uint16_t handler_id_ = 0;
   WorkloadSpec spec_;
   Trace trace_;
   GeneratorOptions options_;

@@ -9,8 +9,11 @@
 
 #include "tests/alloc_guard.h"
 
+#include <array>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "src/container/catalog.h"
+#include "src/engine/engine.h"
 #include "src/fault/actuator.h"
 #include "src/fault/fault_plan.h"
 #include "src/host/host_map.h"
@@ -38,6 +42,9 @@
 #include "src/telemetry/manager.h"
 #include "src/telemetry/sample.h"
 #include "src/telemetry/store.h"
+#include "src/workload/generator.h"
+#include "src/workload/mix.h"
+#include "src/workload/trace.h"
 
 namespace {
 
@@ -712,6 +719,119 @@ TEST(AllocGuardTest, AsciiChartIntoWithWarmBuffersIsAllocationFree) {
   EXPECT_EQ(span.allocations(), 0u)
       << "AsciiChartInto allocated with warm scratch";
   EXPECT_FALSE(out.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The discrete-event engine: events are plain records on a flat heap and
+// request state lives in recycled slabs, so once a run has reached its
+// high-water marks (heap size, requests and jobs in flight, waiter rings)
+// the engine and its generator make no heap allocation at all.
+// ---------------------------------------------------------------------------
+
+/// An engine driven by a generator over a constant trace.
+struct EngineRig {
+  EngineRig(workload::WorkloadSpec spec, double rate, int rung,
+            workload::ArrivalMode mode, Duration lock_timeout)
+      : catalog(container::Catalog::MakeLockStep()) {
+    engine::EngineOptions options = spec.MakeEngineOptions();
+    options.lock_timeout = lock_timeout;
+    db = std::make_unique<engine::DatabaseEngine>(&events, options,
+                                                  catalog.rung(rung), Rng(3));
+    db->PrewarmBufferPool();
+    workload::GeneratorOptions gen;
+    gen.mode = mode;
+    gen.max_in_flight = 400;
+    generator = std::make_unique<workload::RequestGenerator>(
+        db.get(), spec, workload::Trace("steady", std::vector<double>(60, rate)),
+        gen, Rng(4));
+    generator->Start();
+  }
+
+  /// Runs until `until` and returns the events that ran meanwhile.
+  uint64_t RunTo(double seconds) {
+    const uint64_t before = events.events_processed();
+    events.RunUntil(SimTime::Zero() + Duration::Seconds(seconds));
+    return events.events_processed() - before;
+  }
+
+  container::Catalog catalog;
+  engine::EventQueue events;
+  std::unique_ptr<engine::DatabaseEngine> db;
+  std::unique_ptr<workload::RequestGenerator> generator;
+};
+
+TEST(AllocGuardTest, WarmOpenLoopEngineIsAllocationFree) {
+  EngineRig rig(workload::MakeCpuioWorkload(), 60.0, 6,
+                workload::ArrivalMode::kOpenLoop, Duration::Seconds(10));
+  ASSERT_GT(rig.RunTo(300.0), 0u);  // warm-up: reach the high-water marks
+  AllocSpan span;
+  const uint64_t events = rig.RunTo(1200.0);
+  EXPECT_EQ(span.allocations(), 0u) << "warm open-loop engine allocated";
+  EXPECT_GE(events, 100000u);
+}
+
+// Hot-row locks with think time held under the lock and a timeout short
+// enough that queued transactions abort: the ticketed timeout records and
+// the per-row waiter rings stay off the heap too.
+TEST(AllocGuardTest, WarmLockBoundTpccEngineIsAllocationFree) {
+  EngineRig rig(workload::MakeTpccWorkload(), 120.0, 3,
+                workload::ArrivalMode::kOpenLoop, Duration::Millis(150));
+  ASSERT_GT(rig.RunTo(300.0), 0u);
+  const uint64_t timeouts = rig.db->lock_manager().timeouts();
+  AllocSpan span;
+  const uint64_t events = rig.RunTo(1200.0);
+  EXPECT_EQ(span.allocations(), 0u) << "warm lock-bound engine allocated";
+  EXPECT_GE(events, 100000u);
+  EXPECT_GT(rig.db->lock_manager().timeouts(), timeouts);
+}
+
+TEST(AllocGuardTest, WarmClosedLoopEngineIsAllocationFree) {
+  EngineRig rig(workload::MakeCpuioWorkload(), 24.0, 4,
+                workload::ArrivalMode::kClosedLoop, Duration::Seconds(10));
+  ASSERT_GT(rig.RunTo(300.0), 0u);
+  AllocSpan span;
+  const uint64_t events = rig.RunTo(1200.0);
+  EXPECT_EQ(span.allocations(), 0u) << "warm closed-loop engine allocated";
+  EXPECT_GE(events, 100000u);
+}
+
+// Negative control for the three legs above: the same warm engine plus a
+// handler that boxes a closure into a std::function at every event, as a
+// per-event lambda would be; the capture is too large for std::function's
+// inline buffer.
+class ClosureBoxingTicker final : public engine::EventHandler {
+ public:
+  explicit ClosureBoxingTicker(engine::EventQueue* events)
+      : events_(events), target_(events->AddHandler(this)) {}
+
+  void Tick() {
+    events_->Schedule(events_->Now() + Duration::Seconds(1), target_,
+                      /*kind=*/0);
+  }
+
+  void OnEvent(const engine::Event& /*event*/) override {
+    const std::array<double, 4> payload{1.0, 2.0, 3.0, 4.0};
+    next_ = [this, payload] {
+      if (payload[0] > 0.0) Tick();
+    };
+    next_();
+  }
+
+ private:
+  engine::EventQueue* events_;
+  uint16_t target_;
+  std::function<void()> next_;
+};
+
+TEST(AllocGuardTest, EngineWithHeapCapturingEventsAllocates) {
+  EngineRig rig(workload::MakeCpuioWorkload(), 60.0, 6,
+                workload::ArrivalMode::kOpenLoop, Duration::Seconds(10));
+  ASSERT_GT(rig.RunTo(300.0), 0u);
+  ClosureBoxingTicker ticker(&rig.events);
+  ticker.Tick();
+  AllocSpan span;
+  rig.RunTo(400.0);
+  EXPECT_GE(span.allocations(), 100u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/container/catalog.h"
+#include "tests/lambda_events.h"
 
 namespace dbscale::engine {
 namespace {
@@ -39,7 +40,7 @@ class EngineTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  EventQueue events_;
+  LambdaEvents events_;
 };
 
 TEST_F(EngineTest, CpuOnlyRequestCompletes) {

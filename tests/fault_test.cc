@@ -739,6 +739,7 @@ TEST(FleetFaultTest, FaultyDigestIsThreadCountInvariant) {
   options.num_tenants = 32;
   options.num_intervals = 288;
   options.seed = 7;
+  options.block_size = 7;  // five blocks: 7, 7, 7, 7 and 4 tenants
   options.fault.resize.failure_probability = 0.2;
   options.fault.resize.min_latency_intervals = 1;
   options.fault.resize.max_latency_intervals = 2;

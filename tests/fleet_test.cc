@@ -119,6 +119,9 @@ TEST(FleetSimTest, ParallelRunBitIdenticalToSerial) {
     options.num_tenants = 60;
     options.num_intervals = 288;  // one day
     options.seed = seed;
+    // Four blocks (16, 16, 16, 12 tenants), so parallel runs merge blocks
+    // that ran on different threads.
+    options.block_size = 16;
 
     options.num_threads = 1;
     auto serial = FleetSimulator(catalog, options).Run();

@@ -2,12 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <utility>
+
+#include "tests/lambda_events.h"
+
 namespace dbscale::engine {
 namespace {
 
+// Test-side client: the broker reports grants by slot; each Acquire here
+// takes a fresh slot and remembers the callback to run for it.
+class LambdaBroker : public MemoryBroker::Client, public MemoryBroker {
+ public:
+  using Grant = std::function<void(Duration wait, double granted_mb)>;
+
+  LambdaBroker(EventQueue* events, double workspace_mb)
+      : MemoryBroker(events, workspace_mb, this) {}
+
+  void Acquire(double mb, Grant grant) {
+    grants_.push_back(std::move(grant));
+    MemoryBroker::Acquire(mb, static_cast<uint32_t>(grants_.size() - 1));
+  }
+
+ private:
+  void OnMemoryGranted(uint32_t slot, Duration wait,
+                       double granted_mb) override {
+    grants_[slot](wait, granted_mb);
+  }
+
+  std::deque<Grant> grants_;
+};
+
 TEST(MemoryBrokerTest, GrantWithinWorkspaceImmediate) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   double granted = 0.0;
   broker.Acquire(40.0, [&](Duration wait, double mb) {
     EXPECT_EQ(wait, Duration::Zero());
@@ -18,16 +47,16 @@ TEST(MemoryBrokerTest, GrantWithinWorkspaceImmediate) {
 }
 
 TEST(MemoryBrokerTest, OversizedRequestClamped) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   double granted = 0.0;
   broker.Acquire(500.0, [&](Duration, double mb) { granted = mb; });
   EXPECT_DOUBLE_EQ(granted, 100.0);
 }
 
 TEST(MemoryBrokerTest, QueuesWhenExhausted) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   broker.Acquire(80.0, [](Duration, double) {});
   bool granted = false;
   Duration waited;
@@ -45,8 +74,8 @@ TEST(MemoryBrokerTest, QueuesWhenExhausted) {
 }
 
 TEST(MemoryBrokerTest, FifoGrantOrder) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   broker.Acquire(100.0, [](Duration, double) {});
   std::vector<int> order;
   broker.Acquire(60.0, [&](Duration, double) { order.push_back(1); });
@@ -57,8 +86,8 @@ TEST(MemoryBrokerTest, FifoGrantOrder) {
 }
 
 TEST(MemoryBrokerTest, WorkspaceShrinkClampsQueuedRequests) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   broker.Acquire(100.0, [](Duration, double) {});
   double granted = 0.0;
   broker.Acquire(90.0, [&](Duration, double mb) { granted = mb; });
@@ -69,8 +98,8 @@ TEST(MemoryBrokerTest, WorkspaceShrinkClampsQueuedRequests) {
 }
 
 TEST(MemoryBrokerTest, WorkspaceGrowUnblocksQueue) {
-  EventQueue events;
-  MemoryBroker broker(&events, 50.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 50.0);
   broker.Acquire(50.0, [](Duration, double) {});
   bool granted = false;
   broker.Acquire(40.0, [&](Duration, double) { granted = true; });
@@ -80,8 +109,8 @@ TEST(MemoryBrokerTest, WorkspaceGrowUnblocksQueue) {
 }
 
 TEST(MemoryBrokerTest, ReleaseNeverUnderflows) {
-  EventQueue events;
-  MemoryBroker broker(&events, 100.0);
+  LambdaEvents events;
+  LambdaBroker broker(&events, 100.0);
   broker.Release(50.0);
   EXPECT_DOUBLE_EQ(broker.in_use_mb(), 0.0);
 }

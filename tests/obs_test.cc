@@ -423,8 +423,14 @@ TEST(ObservedFleetTest, MetricsDigestIdenticalAtAnyThreadCount) {
   options.num_tenants = 60;
   options.num_intervals = 288;  // one day
   options.seed = 11;
+  // Four blocks, hence four metric shards merged into the primary.
+  options.block_size = 16;
 
   uint64_t digests[2] = {0, 1};
+  // Every fleet metric is an integer-valued sum, exact in any merge order,
+  // so the digest cannot see blocks merged out of order; the observed
+  // run's pooled gaps, concatenated block by block, can.
+  std::vector<double> gaps[2];
   for (int i = 0; i < 2; ++i) {
     Observability ob;
     options.num_threads = i == 0 ? 1 : 4;
@@ -432,6 +438,7 @@ TEST(ObservedFleetTest, MetricsDigestIdenticalAtAnyThreadCount) {
     fleet::FleetSimulator sim(catalog, options);
     auto fleet = sim.Run();
     ASSERT_TRUE(fleet.ok());
+    gaps[i] = fleet->inter_event_minutes;
     const MetricShard& shard = ob.primary();
     EXPECT_DOUBLE_EQ(shard.counter(ob.pipeline().fleet_tenants_total),
                      60.0);
@@ -441,6 +448,7 @@ TEST(ObservedFleetTest, MetricsDigestIdenticalAtAnyThreadCount) {
     digests[i] = MetricsDigest(ob.registry(), ob.primary());
   }
   EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(gaps[0], gaps[1]);
 }
 
 }  // namespace

@@ -2,12 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <string>
+#include <utility>
+
 namespace dbscale::engine {
 namespace {
 
+// Test-side client: the queue reports completions by slot; each Submit here
+// takes a fresh slot and remembers the callback to run for it.
+class LambdaQueue : public ServerQueue::Client, public ServerQueue {
+ public:
+  using Completion = std::function<void(Duration queue_wait, Duration service)>;
+
+  LambdaQueue(EventQueue* events, std::string name, int num_servers,
+              double speed)
+      : ServerQueue(events, std::move(name), num_servers, speed, this) {}
+
+  void Submit(double work, Completion done) {
+    done_.push_back(std::move(done));
+    ServerQueue::Submit(work, static_cast<uint32_t>(done_.size() - 1));
+  }
+
+ private:
+  void OnServed(const ServerQueue& /*queue*/, uint32_t slot,
+                Duration queue_wait, Duration service_time) override {
+    done_[slot](queue_wait, service_time);
+  }
+
+  std::deque<Completion> done_;
+};
+
 TEST(ServerQueueTest, SingleJobServiceTime) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 100.0);  // 100 work units / sec
+  LambdaQueue q(&events, "disk", 1, 100.0);  // 100 work units / sec
   Duration wait, service;
   bool done = false;
   q.Submit(50.0, [&](Duration w, Duration s) {
@@ -23,7 +52,7 @@ TEST(ServerQueueTest, SingleJobServiceTime) {
 
 TEST(ServerQueueTest, FifoQueueingDelay) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 1.0);  // 1 unit/sec
+  LambdaQueue q(&events, "disk", 1, 1.0);  // 1 unit/sec
   std::vector<double> waits;
   for (int i = 0; i < 3; ++i) {
     q.Submit(1.0, [&](Duration w, Duration) {
@@ -39,7 +68,7 @@ TEST(ServerQueueTest, FifoQueueingDelay) {
 
 TEST(ServerQueueTest, MultiServerParallelism) {
   EventQueue events;
-  ServerQueue q(&events, "cpu", 2, 1.0);
+  LambdaQueue q(&events, "cpu", 2, 1.0);
   std::vector<double> completion_times;
   for (int i = 0; i < 4; ++i) {
     q.Submit(1.0, [&](Duration, Duration) {
@@ -58,7 +87,7 @@ TEST(ServerQueueTest, MultiServerParallelism) {
 TEST(ServerQueueTest, SubCoreSpeedStretchesService) {
   // A 0.5-core container: 10ms of work takes 20ms.
   EventQueue events;
-  ServerQueue q(&events, "cpu", 1, 0.5);
+  LambdaQueue q(&events, "cpu", 1, 0.5);
   Duration service;
   q.Submit(0.010, [&](Duration, Duration s) { service = s; });
   events.RunAll();
@@ -67,7 +96,7 @@ TEST(ServerQueueTest, SubCoreSpeedStretchesService) {
 
 TEST(ServerQueueTest, CapacityIncreaseDrainsQueueFaster) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 1.0);
+  LambdaQueue q(&events, "disk", 1, 1.0);
   int completed = 0;
   for (int i = 0; i < 10; ++i) {
     q.Submit(1.0, [&](Duration, Duration) { ++completed; });
@@ -83,7 +112,7 @@ TEST(ServerQueueTest, CapacityIncreaseDrainsQueueFaster) {
 
 TEST(ServerQueueTest, CapacityDecreaseAffectsOnlyNewDispatches) {
   EventQueue events;
-  ServerQueue q(&events, "cpu", 2, 1.0);
+  LambdaQueue q(&events, "cpu", 2, 1.0);
   std::vector<double> times;
   for (int i = 0; i < 3; ++i) {
     q.Submit(1.0, [&](Duration, Duration) {
@@ -102,7 +131,7 @@ TEST(ServerQueueTest, CapacityDecreaseAffectsOnlyNewDispatches) {
 
 TEST(ServerQueueTest, UtilizationAccounting) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 100.0);
+  LambdaQueue q(&events, "disk", 1, 100.0);
   q.Submit(50.0, [](Duration, Duration) {});
   events.RunUntil(SimTime::Zero() + Duration::Seconds(1));
   auto usage = q.ConsumeUsage();
@@ -118,7 +147,7 @@ TEST(ServerQueueTest, UtilizationAccounting) {
 
 TEST(ServerQueueTest, UtilizationWithCapacityChangeMidWindow) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 100.0);
+  LambdaQueue q(&events, "disk", 1, 100.0);
   events.RunUntil(SimTime::Zero() + Duration::Seconds(1));
   q.SetCapacity(1, 300.0);
   events.RunUntil(SimTime::Zero() + Duration::Seconds(2));
@@ -129,7 +158,7 @@ TEST(ServerQueueTest, UtilizationWithCapacityChangeMidWindow) {
 
 TEST(ServerQueueTest, SaturatedUtilizationIs100) {
   EventQueue events;
-  ServerQueue q(&events, "disk", 1, 10.0);
+  LambdaQueue q(&events, "disk", 1, 10.0);
   for (int i = 0; i < 100; ++i) q.Submit(1.0, [](Duration, Duration) {});
   events.RunUntil(SimTime::Zero() + Duration::Seconds(5));
   auto usage = q.ConsumeUsage();
@@ -139,7 +168,7 @@ TEST(ServerQueueTest, SaturatedUtilizationIs100) {
 
 TEST(ServerQueueTest, JobsCompletedCounter) {
   EventQueue events;
-  ServerQueue q(&events, "log", 1, 1000.0);
+  LambdaQueue q(&events, "log", 1, 1000.0);
   for (int i = 0; i < 7; ++i) q.Submit(1.0, [](Duration, Duration) {});
   events.RunAll();
   EXPECT_EQ(q.jobs_completed(), 7u);

@@ -120,6 +120,10 @@ ORDER_SENSITIVE_PREFIXES = (
     # unordered traversal (or clock/RNG leak) changes which bundle wins and
     # moves every pinned digest downstream.
     "src/scaler/diagonal",
+    # Event order and RNG draw order feed every sim pin: the engine's
+    # (when, seq) heap and its components, and the generator's arrivals.
+    "src/engine/",
+    "src/workload/",
 )
 
 NODISCARD_GUARDS = {
