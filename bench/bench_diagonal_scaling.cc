@@ -17,8 +17,7 @@
 // CHECKs that the claim holds on at least two paper traces, re-pins the
 // fixed-rung fleet digests at threads {1, 2, 4} (the Catalog API redesign
 // must not move them), and CHECKs diagonal runs are digest-identical when
-// repeated. Results merge into BENCH_perf.json as "diagonal_scaling"
-// (--out=PATH overrides; --quick shrinks the sweep to two traces).
+// repeated. --quick shrinks the sweep to two traces.
 
 #include <cstdio>
 #include <cstring>
@@ -42,17 +41,6 @@ namespace {
 // twins); the first-class Catalog interface must keep them bit-identical.
 constexpr uint64_t kNullFleetDigest = 0xf8a4a039e6b0fee9ull;
 
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
-}
-
 /// Fraction of intervals whose p95 met the goal (intervals that completed
 /// no requests count as meeting it: there was nothing to be late).
 double Attainment(const sim::RunResult& run, double goal_ms) {
@@ -72,7 +60,6 @@ struct PolicyOutcome {
   double p95_ms = 0.0;
   double attainment = 0.0;
   double cost = 0.0;
-  double digest = 0.0;
 };
 
 struct TraceOutcome {
@@ -130,7 +117,6 @@ TraceOutcome EvaluateTrace(const workload::Trace& trace, bool full) {
   max_outcome.p95_ms = max_run->latency_p95_ms;
   max_outcome.attainment = Attainment(*max_run, goal.target_ms);
   max_outcome.cost = max_run->avg_cost_per_interval;
-  max_outcome.digest = RunDigest(*max_run);
   outcome.policies.push_back(max_outcome);
 
   for (const std::string& name : sim::RegisteredPolicyNames()) {
@@ -152,7 +138,6 @@ TraceOutcome EvaluateTrace(const workload::Trace& trace, bool full) {
     p.p95_ms = run->latency_p95_ms;
     p.attainment = Attainment(*run, goal.target_ms);
     p.cost = run->avg_cost_per_interval;
-    p.digest = RunDigest(*run);
     outcome.policies.push_back(p);
 
     if (name == "Diagonal") {
@@ -162,7 +147,7 @@ TraceOutcome EvaluateTrace(const workload::Trace& trace, bool full) {
       DBSCALE_CHECK_OK(again_policy.status());
       auto again = sim::RunWithPolicy(options, again_policy->get(), 3);
       DBSCALE_CHECK_OK(again.status());
-      DBSCALE_CHECK(RunDigest(*again) == p.digest);
+      DBSCALE_CHECK(again->Digest() == run->Digest());
     }
   }
 
@@ -174,52 +159,11 @@ TraceOutcome EvaluateTrace(const workload::Trace& trace, bool full) {
   return outcome;
 }
 
-/// Merges the diagonal_scaling object into BENCH_perf.json (same splice
-/// contract as the host-placement bench).
-void WriteSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* in = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      existing.append(buf, n);
-    }
-    std::fclose(in);
-  }
-  size_t end = existing.find_last_of('}');
-  std::string merged;
-  if (end == std::string::npos || existing.find('{') == std::string::npos) {
-    merged = "{\n" + section + "\n}\n";
-  } else {
-    const size_t prior = existing.rfind("\"diagonal_scaling\"");
-    if (prior != std::string::npos) {
-      size_t cut = existing.find_last_of(",{", prior);
-      DBSCALE_CHECK(cut != std::string::npos);
-      existing.erase(cut + 1);
-      merged = existing + "\n" + section + "\n}\n";
-    } else {
-      merged = existing.substr(0, end);
-      while (!merged.empty() &&
-             (merged.back() == '\n' || merged.back() == ' ')) {
-        merged.pop_back();
-      }
-      merged += ",\n" + section + "\n}\n";
-    }
-  }
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  DBSCALE_CHECK(out != nullptr);
-  std::fwrite(merged.data(), 1, merged.size(), out);
-  std::fclose(out);
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_perf.json";
   bool quick = false;
   bool full = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
@@ -284,38 +228,6 @@ int Main(int argc, char** argv) {
                 match ? "MATCH" : "DRIFT");
     DBSCALE_CHECK(match);
   }
-
-  // ---- JSON. -------------------------------------------------------------
-  std::string section = "  \"diagonal_scaling\": {\n";
-  section += StrFormat("    \"quick\": %s,\n", quick ? "true" : "false");
-  section += StrFormat("    \"wins_vs_auto\": %d,\n", wins);
-  section += StrFormat(
-      "    \"fleet_digest_baseline\": \"%016llx\",\n"
-      "    \"fleet_digest_matches_at_threads_124\": true,\n",
-      static_cast<unsigned long long>(kNullFleetDigest));
-  section += "    \"traces\": [\n";
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const TraceOutcome& outcome = outcomes[i];
-    section += StrFormat(
-        "      {\"trace\": \"%s\", \"goal_ms\": %.1f, "
-        "\"diagonal_beats_auto\": %s,\n       \"policies\": [",
-        outcome.trace.c_str(), outcome.goal_ms,
-        outcome.diagonal_beats_auto ? "true" : "false");
-    for (size_t j = 0; j < outcome.policies.size(); ++j) {
-      const PolicyOutcome& p = outcome.policies[j];
-      section += StrFormat(
-          "\n        {\"policy\": \"%s\", \"p95_ms\": %.2f, "
-          "\"attainment\": %.4f, \"cost_per_interval\": %.4f, "
-          "\"digest\": %.10f}%s",
-          p.name.c_str(), p.p95_ms, p.attainment, p.cost, p.digest,
-          j + 1 < outcome.policies.size() ? "," : "");
-    }
-    section += StrFormat("]}%s\n", i + 1 < outcomes.size() ? "," : "");
-  }
-  section += "    ]\n  }";
-  WriteSection(out_path, section);
-  std::printf("\nmerged diagonal_scaling section into %s\n",
-              out_path.c_str());
   return 0;
 }
 

@@ -1,12 +1,8 @@
-// Host-placement & noisy-neighbor benchmark.
-//
-// Three sections, written as a "host_placement" object merged into
-// BENCH_perf.json (override with --out=PATH; a fresh file is created when
-// the perf-pipeline bench has not run yet):
+// Host-placement & noisy-neighbor benchmark. It prints three sections:
 //
 //   * null_plan: a SimConfig / FleetScaleOptions that never mentions hosts
 //     must reproduce the digests pinned before the host layer existed —
-//     the sim-loop interval digest and the fleet aggregate digest at
+//     the sim run digest and the fleet aggregate digest at
 //     threads {1, 2, 4}. Any drift here means the disabled host plane is
 //     not actually free.
 //   * flash_crowd: 300 tenants dense on 64 hosts (half deliberately hot),
@@ -19,16 +15,14 @@
 //     destination choice — wall time, migration counts, and saturated
 //     host-intervals per policy (the knob's observable effect).
 //
-// --quick shrinks the scenario for smoke use; digests remain exact.
+// --quick shrinks the scenario; digests remain exact.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/string_util.h"
 #include "src/container/catalog.h"
 #include "src/fleet/fleet_scale.h"
 #include "src/host/host_map.h"
@@ -40,9 +34,9 @@
 namespace dbscale::bench {
 namespace {
 
-// Pinned pre-host baselines (captured at the seed of this PR; see
-// tests/host_test.cc for the unit-test twins of these constants).
-constexpr double kNullSimDigest = 2094099.7125696521;
+// Pinned pre-host baselines (tests/host_test.cc holds the unit-test twins
+// of these constants).
+constexpr uint64_t kNullSimDigest = 0x2b4227551f4cf98eull;
 constexpr uint64_t kNullFleetDigest = 0xf8a4a039e6b0fee9ull;
 
 double NowSeconds() {
@@ -62,17 +56,6 @@ SimConfig BaseSimConfig() {
   config.knobs.latency_goal =
       scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 900.0};
   return config;
-}
-
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
 }
 
 fleet::FleetScaleOptions FlashCrowdScenario(bool quick) {
@@ -123,60 +106,10 @@ HostRunStats TimeHostRun(const container::Catalog& catalog,
   return stats;
 }
 
-/// Merges the host_placement object into an existing BENCH_perf.json (or
-/// creates a minimal file when the perf bench has not written one yet).
-/// The existing file's closing brace is replaced with ", <section> }".
-void WriteSection(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* in = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      existing.append(buf, n);
-    }
-    std::fclose(in);
-  }
-  // Drop trailing whitespace and the final '}' so the section can splice
-  // in as the last member. Any previous host_placement section is dropped
-  // by the splice only if it was last; re-running the perf bench rewrites
-  // the file from scratch anyway.
-  size_t end = existing.find_last_of('}');
-  std::string merged;
-  if (end == std::string::npos || existing.find('{') == std::string::npos) {
-    merged = "{\n" + section + "\n}\n";
-  } else {
-    const size_t prior = existing.rfind("\"host_placement\"");
-    if (prior != std::string::npos) {
-      // Splice over a previous run of this bench: cut from the comma (or
-      // brace) preceding the old section through the end of the object.
-      size_t cut = existing.find_last_of(",{", prior);
-      DBSCALE_CHECK(cut != std::string::npos);
-      existing.erase(cut + 1);
-      merged = existing + "\n" + section + "\n}\n";
-    } else {
-      merged = existing.substr(0, end);
-      while (!merged.empty() &&
-             (merged.back() == '\n' || merged.back() == ' ')) {
-        merged.pop_back();
-      }
-      merged += ",\n" + section + "\n}\n";
-    }
-  }
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  DBSCALE_CHECK(out != nullptr);
-  std::fwrite(merged.data(), 1, merged.size(), out);
-  std::fclose(out);
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path = "BENCH_perf.json";
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    }
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
 
   container::Catalog catalog = container::Catalog::MakeLockStep();
@@ -187,13 +120,14 @@ int Main(int argc, char** argv) {
   std::printf("null plan (host layer disabled):\n");
   auto null_sim = BaseSimConfig().Run();
   DBSCALE_CHECK(null_sim.ok());
-  const double sim_digest = RunDigest(null_sim->result);
+  const uint64_t sim_digest = null_sim->result.Digest();
   const bool sim_matches = sim_digest == kNullSimDigest;
-  std::printf("  sim digest  %.10f  (baseline %.10f)  %s\n", sim_digest,
-              kNullSimDigest, sim_matches ? "MATCH" : "DRIFT");
+  std::printf("  sim digest  %016llx  (baseline %016llx)  %s\n",
+              static_cast<unsigned long long>(sim_digest),
+              static_cast<unsigned long long>(kNullSimDigest),
+              sim_matches ? "MATCH" : "DRIFT");
   DBSCALE_CHECK(sim_matches);
 
-  std::vector<uint64_t> null_fleet_digests;
   for (int threads : thread_counts) {
     fleet::FleetScaleOptions options;
     options.num_tenants = 512;
@@ -203,7 +137,6 @@ int Main(int argc, char** argv) {
     options.num_threads = threads;
     auto outcome = fleet::FleetScaleRunner(catalog, options).Run();
     DBSCALE_CHECK(outcome.ok());
-    null_fleet_digests.push_back(outcome->aggregate.digest);
     std::printf("  fleet digest threads=%d  %016llx  %s\n", threads,
                 static_cast<unsigned long long>(outcome->aggregate.digest),
                 outcome->aggregate.digest == kNullFleetDigest ? "MATCH"
@@ -244,14 +177,8 @@ int Main(int argc, char** argv) {
   DBSCALE_CHECK(crowd.host.downtime_intervals == expected_downtime);
 
   // ---- Section 3: placement-policy comparison. ---------------------------
-  struct PolicyRow {
-    const char* name;
-    double seconds;
-    HostRunStats stats;
-  };
   std::printf("\nplacement policies (same scenario, threads=%d):\n",
               thread_counts.back());
-  std::vector<PolicyRow> policy_rows;
   for (const auto kind : {host::PlacementPolicyKind::kFirstFit,
                           host::PlacementPolicyKind::kBestFit,
                           host::PlacementPolicyKind::kWorstFit}) {
@@ -259,84 +186,15 @@ int Main(int argc, char** argv) {
     options.host.placement = kind;
     const HostRunStats run =
         TimeHostRun(catalog, options, thread_counts.back());
-    policy_rows.push_back(
-        {host::PlacementPolicyKindToString(kind), run.seconds, run});
     std::printf(
         "  %-9s  %.3fs  %llu migrations, %llu holds, %llu saturated "
         "host-iv, host digest %016llx\n",
-        policy_rows.back().name, run.seconds,
+        host::PlacementPolicyKindToString(kind), run.seconds,
         static_cast<unsigned long long>(run.host.migrations_completed),
         static_cast<unsigned long long>(run.host.placement_holds),
         static_cast<unsigned long long>(run.host.saturated_host_intervals),
         static_cast<unsigned long long>(run.host_digest));
   }
-
-  // ---- JSON. -------------------------------------------------------------
-  std::string section = "  \"host_placement\": {\n";
-  section += StrFormat("    \"quick\": %s,\n", quick ? "true" : "false");
-  section += "    \"null_plan\": {\n";
-  section += StrFormat(
-      "      \"sim_digest\": %.10f, \"sim_baseline\": %.10f,\n"
-      "      \"sim_matches_baseline\": %s,\n",
-      sim_digest, kNullSimDigest, sim_matches ? "true" : "false");
-  section += "      \"fleet_digests\": [";
-  for (size_t i = 0; i < null_fleet_digests.size(); ++i) {
-    section += StrFormat("\"%016llx\"%s",
-                         static_cast<unsigned long long>(null_fleet_digests[i]),
-                         i + 1 < null_fleet_digests.size() ? ", " : "");
-  }
-  section += StrFormat(
-      "],\n      \"fleet_baseline\": \"%016llx\", "
-      "\"fleet_matches_baseline\": true\n    },\n",
-      static_cast<unsigned long long>(kNullFleetDigest));
-  section += "    \"flash_crowd\": {\n";
-  section += StrFormat(
-      "      \"tenants\": %d, \"hosts\": %d, \"hot_hosts\": %d,\n"
-      "      \"demand_multiplier\": %.1f,\n",
-      scenario.num_tenants, scenario.host.num_hosts, scenario.host.hot_hosts,
-      scenario.flash_crowd.demand_multiplier);
-  section += StrFormat(
-      "      \"migrations_begun\": %llu, \"migrations_completed\": %llu,\n"
-      "      \"migrations_failed\": %llu, \"downtime_intervals\": %llu,\n"
-      "      \"downtime_billing_exact\": %s,\n"
-      "      \"placement_holds\": %llu, \"saturated_host_intervals\": %llu,\n",
-      static_cast<unsigned long long>(crowd.host.migrations_begun),
-      static_cast<unsigned long long>(crowd.host.migrations_completed),
-      static_cast<unsigned long long>(crowd.host.migrations_failed),
-      static_cast<unsigned long long>(crowd.host.downtime_intervals),
-      crowd.host.downtime_intervals == expected_downtime ? "true" : "false",
-      static_cast<unsigned long long>(crowd.host.placement_holds),
-      static_cast<unsigned long long>(crowd.host.saturated_host_intervals));
-  section += "      \"runs\": [";
-  for (size_t i = 0; i < crowd_runs.size(); ++i) {
-    const HostRunStats& run = crowd_runs[i];
-    section += StrFormat(
-        "{\"threads\": %d, \"seconds\": %.6f, \"digest\": \"%016llx\", "
-        "\"host_digest\": \"%016llx\"}%s",
-        run.num_threads, run.seconds,
-        static_cast<unsigned long long>(run.digest),
-        static_cast<unsigned long long>(run.host_digest),
-        i + 1 < crowd_runs.size() ? ", " : "");
-  }
-  section += "],\n      \"digest_identical_across_threads\": true\n    },\n";
-  section += "    \"policies\": [\n";
-  for (size_t i = 0; i < policy_rows.size(); ++i) {
-    const PolicyRow& row = policy_rows[i];
-    section += StrFormat(
-        "      {\"policy\": \"%s\", \"seconds\": %.6f, "
-        "\"migrations_completed\": %llu, \"placement_holds\": %llu, "
-        "\"saturated_host_intervals\": %llu, \"host_digest\": \"%016llx\"}%s\n",
-        row.name, row.seconds,
-        static_cast<unsigned long long>(row.stats.host.migrations_completed),
-        static_cast<unsigned long long>(row.stats.host.placement_holds),
-        static_cast<unsigned long long>(
-            row.stats.host.saturated_host_intervals),
-        static_cast<unsigned long long>(row.stats.host_digest),
-        i + 1 < policy_rows.size() ? "," : "");
-  }
-  section += "    ]\n  }";
-  WriteSection(out_path, section);
-  std::printf("\nmerged host_placement section into %s\n", out_path.c_str());
   return 0;
 }
 

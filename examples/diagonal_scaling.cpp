@@ -9,14 +9,16 @@
 // savings come from — not a different brain, a richer menu.
 //
 // The example runs an I/O-skewed mix (disk demand rungs ahead of CPU
-// demand) on paper trace 2 under a p95 goal, prints the comparison table,
-// and verifies both runs are run-twice digest identical. --json=PATH dumps
-// the digests and costs for the CI gate.
+// demand) on paper trace 2 under a p95 goal and prints the comparison
+// table. ctest runs it as example_diagonal_scaling: it checks that every
+// run is run-twice digest identical and that the flexible grid is cheaper
+// than Auto at equal-or-better goal attainment, and exits non-zero naming
+// any contract that broke.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "examples/contracts.h"
 #include "src/common/string_util.h"
 #include "src/scaler/diagonal.h"
 #include "src/sim/experiment.h"
@@ -28,17 +30,6 @@ using namespace dbscale;  // NOLINT: example brevity
 
 namespace {
 
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
-}
-
 double Attainment(const sim::RunResult& run, double goal_ms) {
   if (run.intervals.empty()) return 0.0;
   int met = 0;
@@ -49,8 +40,8 @@ double Attainment(const sim::RunResult& run, double goal_ms) {
 }
 
 struct Outcome {
-  double digest = 0.0;
-  double digest_repeat = 0.0;
+  uint64_t digest = 0;
+  uint64_t digest_repeat = 0;
   double cost = 0.0;
   double p95_ms = 0.0;
   double attainment = 0.0;
@@ -71,12 +62,12 @@ Result<Outcome> RunPolicy(const sim::SimulationOptions& base,
     DBSCALE_ASSIGN_OR_RETURN(sim::RunResult run,
                              sim::RunWithPolicy(options, policy.get(), 3));
     if (rep == 0) {
-      outcome.digest = RunDigest(run);
+      outcome.digest = run.Digest();
       outcome.cost = run.avg_cost_per_interval;
       outcome.p95_ms = run.latency_p95_ms;
       outcome.attainment = Attainment(run, goal.target_ms);
     } else {
-      outcome.digest_repeat = RunDigest(run);
+      outcome.digest_repeat = run.Digest();
     }
   }
   return outcome;
@@ -84,12 +75,7 @@ Result<Outcome> RunPolicy(const sim::SimulationOptions& base,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-
+int main() {
   // Disk-heavy demand: every lock-step rung overbuys CPU and memory.
   workload::CpuioOptions skew;
   skew.cpu_weight = 0.08;
@@ -149,10 +135,6 @@ int main(int argc, char** argv) {
                   StrFormat("%.0f", outcome->p95_ms),
                   StrFormat("%.1f%%", 100.0 * outcome->attainment),
                   StrFormat("%.1f", outcome->cost)});
-    if (outcome->digest != outcome->digest_repeat) {
-      std::fprintf(stderr, "NON-DETERMINISTIC RUN in %s\n", rows[i].label);
-      return 1;
-    }
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
@@ -162,28 +144,17 @@ int main(int argc, char** argv) {
       "run-twice digest identical.\n",
       100.0 * (1.0 - outcomes[2].cost / outcomes[0].cost));
 
-  if (!json_path.empty()) {
-    std::string json = "{\n";
-    json += StrFormat("  \"goal_ms\": %.2f,\n", goal.target_ms);
-    const char* keys[] = {"auto_fixed", "diagonal_fixed",
-                          "diagonal_flexible"};
-    for (int i = 0; i < 3; ++i) {
-      json += StrFormat(
-          "  \"%s\": {\"digest\": %.10f, \"digest_repeat\": %.10f, "
-          "\"cost\": %.4f, \"p95_ms\": %.2f, \"attainment\": %.4f},\n",
-          keys[i], outcomes[i].digest, outcomes[i].digest_repeat,
-          outcomes[i].cost, outcomes[i].p95_ms, outcomes[i].attainment);
-    }
-    json += StrFormat("  \"flexible_cheaper_than_auto\": %s\n",
-                      outcomes[2].cost < outcomes[0].cost ? "true" : "false");
-    json += "}\n";
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
+  examples::Contracts contracts;
+  std::printf("\n");
+  for (int i = 0; i < 3; ++i) {
+    contracts.Check(outcomes[i].digest == outcomes[i].digest_repeat,
+                    StrFormat("%s is run-twice bit-identical (digest %016llx)",
+                              rows[i].label,
+                              (unsigned long long)outcomes[i].digest));
   }
-  return 0;
+  contracts.Check(outcomes[2].cost < outcomes[0].cost &&
+                      outcomes[2].attainment >= outcomes[0].attainment,
+                  "the flexible grid is cheaper than Auto at equal-or-better "
+                  "goal attainment");
+  return contracts.ExitCode();
 }

@@ -11,16 +11,16 @@
 //   * the same guardrails under the Diagonal policy on the flexible
 //     per-dimension catalog.
 //
-// With --json=PATH the example also writes a machine-readable summary used
-// by ci/check.sh stage 8 (fault-matrix smoke): run-twice digests prove
-// determinism, the faulty run's reversal count proves convergence, and
-// both policies' audit logs show the retry trail.
+// ctest runs it as example_faulty_resize: it checks that the faulty loop
+// converges, that both policies' audit logs show the retry trail, and that
+// the Diagonal run is run-twice bit-identical, and exits non-zero naming
+// any contract that broke.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "examples/contracts.h"
 #include "src/common/string_util.h"
 #include "src/scaler/autoscaler.h"
 #include "src/scaler/diagonal.h"
@@ -44,19 +44,6 @@ SimConfig BaseConfig() {
   config.knobs.latency_goal =
       scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 900.0};
   return config;
-}
-
-/// Order-sensitive digest over the interval series; any behavioral change
-/// (billing, latency, resize placement) moves it.
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
 }
 
 int DirectionReversals(const sim::RunResult& run) {
@@ -119,36 +106,27 @@ Result<DiagonalRun> RunDiagonal(const SimConfig& config) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-
-  // 1. Null fault plan, run twice: the baseline, and proof it is
-  // deterministic (bit-identical digests).
-  SimConfig null_config = BaseConfig();
-  auto null_a = null_config.Run();
-  auto null_b = null_config.Run();
-  if (!null_a.ok() || !null_b.ok()) {
+int main() {
+  // 1. Null fault plan: the baseline.
+  auto null_outcome = BaseConfig().Run();
+  if (!null_outcome.ok()) {
     std::fprintf(stderr, "null run failed: %s\n",
-                 null_a.status().ToString().c_str());
+                 null_outcome.status().ToString().c_str());
     return 1;
   }
 
-  // 2. The acceptance fault profile, also run twice: faults are drawn from
-  // a seeded stream forked off the simulation RNG, so the faulty run is
-  // exactly as reproducible as the clean one.
+  // 2. The acceptance fault profile: faults are drawn from a seeded stream
+  // forked off the simulation RNG, so the faulty run is exactly as
+  // reproducible as the clean one.
   SimConfig faulty_config = BaseConfig();
   faulty_config.simulation.fault.resize.failure_probability = 0.1;
   faulty_config.simulation.fault.resize.min_latency_intervals = 1;
   faulty_config.simulation.fault.resize.max_latency_intervals = 2;
   faulty_config.simulation.fault.telemetry.drop_probability = 0.05;
-  auto faulty_a = faulty_config.Run();
-  auto faulty_b = faulty_config.Run();
-  if (!faulty_a.ok() || !faulty_b.ok()) {
+  auto faulty_outcome = faulty_config.Run();
+  if (!faulty_outcome.ok()) {
     std::fprintf(stderr, "faulty run failed: %s\n",
-                 faulty_a.status().ToString().c_str());
+                 faulty_outcome.status().ToString().c_str());
     return 1;
   }
 
@@ -172,10 +150,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const sim::RunResult& null_run = null_a->result;
-  const sim::RunResult& faulty_run = faulty_a->result;
+  const sim::RunResult& null_run = null_outcome->result;
+  const sim::RunResult& faulty_run = faulty_outcome->result;
   const sim::RunResult& diagonal_run = diagonal_a->result;
-  const AuditSummary audit = SummarizeAudit(faulty_a->scaler->audit());
+  const AuditSummary audit = SummarizeAudit(faulty_outcome->scaler->audit());
   const AuditSummary diagonal_audit =
       SummarizeAudit(diagonal_a->scaler->audit());
 
@@ -210,64 +188,34 @@ int main(int argc, char** argv) {
               diagonal_audit.max_attempt);
   std::printf("resize trail (faulty run, first 12 records):\n");
   int shown = 0;
-  for (const auto* record : faulty_a->scaler->audit().Resizes()) {
+  for (const auto* record : faulty_outcome->scaler->audit().Resizes()) {
     if (++shown > 12) break;
     std::printf("%s\n", record->ToString().substr(0, 100).c_str());
   }
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"intervals\": %zu,\n"
-        "  \"null\": {\"digest\": %.10f, \"digest_repeat\": %.10f,\n"
-        "    \"changes\": %d, \"resize_attempts\": %llu,\n"
-        "    \"resize_failures\": %llu, \"degraded_windows\": %llu,\n"
-        "    \"reversals\": %d},\n"
-        "  \"faulty\": {\"digest\": %.10f, \"digest_repeat\": %.10f,\n"
-        "    \"changes\": %d, \"resize_attempts\": %llu,\n"
-        "    \"resize_failures\": %llu, \"resize_rejections\": %llu,\n"
-        "    \"dropped_samples\": %llu, \"degraded_windows\": %llu,\n"
-        "    \"reversals\": %d,\n"
-        "    \"audit\": {\"requested\": %d, \"applied\": %d, \"failed\": %d,\n"
-        "      \"rejected\": %d, \"abandoned\": %d, \"max_attempt\": %d}},\n"
-        "  \"diagonal\": {\"digest\": %.10f, \"digest_repeat\": %.10f,\n"
-        "    \"changes\": %d, \"resize_attempts\": %llu,\n"
-        "    \"resize_failures\": %llu,\n"
-        "    \"audit\": {\"failed\": %d, \"abandoned\": %d,\n"
-        "      \"max_attempt\": %d}}\n"
-        "}\n",
-        null_run.intervals.size(), RunDigest(null_run),
-        RunDigest(null_b->result), null_run.container_changes,
-        (unsigned long long)null_run.resize_attempts,
-        (unsigned long long)null_run.resize_failures,
-        (unsigned long long)null_run.degraded_windows,
-        DirectionReversals(null_run), RunDigest(faulty_run),
-        RunDigest(faulty_b->result), faulty_run.container_changes,
-        (unsigned long long)faulty_run.resize_attempts,
-        (unsigned long long)faulty_run.resize_failures,
-        (unsigned long long)faulty_run.resize_rejections,
-        (unsigned long long)faulty_run.telemetry_dropped_samples,
-        (unsigned long long)faulty_run.degraded_windows,
-        DirectionReversals(faulty_run), audit.requested, audit.applied,
-        audit.failed, audit.rejected, audit.abandoned, audit.max_attempt,
-        RunDigest(diagonal_run), RunDigest(diagonal_b->result),
-        diagonal_run.container_changes,
-        (unsigned long long)diagonal_run.resize_attempts,
-        (unsigned long long)diagonal_run.resize_failures,
-        diagonal_audit.failed, diagonal_audit.abandoned,
-        diagonal_audit.max_attempt);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
+  // The resilience contract.
+  const size_t intervals = null_run.intervals.size();
+  const int reversals = DirectionReversals(faulty_run);
+  examples::Contracts contracts;
+  std::printf("\n");
+  contracts.Check(10 * static_cast<size_t>(reversals) <= intervals,
+                  StrFormat("the faulty loop converges: %d reversals over "
+                            "%zu intervals, at most 1 per 10",
+                            reversals, intervals));
+  contracts.Check(audit.failed + audit.abandoned > 0 && audit.max_attempt >= 2,
+                  "the faulty run's audit log shows failed records and a "
+                  "retry (attempt >= 2)");
+  contracts.Check(
+      diagonal_run.Digest() == diagonal_b->result.Digest(),
+      StrFormat("diagonal faulty run is run-twice bit-identical "
+                "(digest %016llx)",
+                (unsigned long long)diagonal_run.Digest()));
+  contracts.Check(diagonal_audit.failed > 0 && diagonal_audit.max_attempt >= 2,
+                  "the diagonal run's audit log shows failed records and a "
+                  "retry (attempt >= 2)");
 
   std::printf("\nFaults delay and fail resizes, but the loop converges: the\n"
               "retry/backoff path lands the container on the demand rung\n"
               "without oscillation, and every outcome is in the audit log.\n");
-  return 0;
+  return contracts.ExitCode();
 }

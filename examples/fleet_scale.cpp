@@ -7,10 +7,11 @@
 //     checkpoint/resume at a different thread count,
 //   * the checkpoint format rejecting a corrupted file cleanly.
 //
-// With --json=PATH the example writes a machine-readable summary used by
-// ci/check.sh stage 9 (fleet-scale smoke): run-twice digest identity,
-// resume-equals-uninterrupted, corruption rejection, and a tenants/sec
-// floor.
+// Usage: fleet_scale [--checkpoint=PATH]
+// ctest runs it as example_fleet_scale: it checks run-twice digest
+// identity, resume-equals-uninterrupted, corruption rejection, the hourly
+// record count and a 300 tenants/s throughput floor, and exits non-zero
+// naming any contract that broke.
 
 #include <chrono>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <string>
 
+#include "examples/contracts.h"
 #include "src/common/string_util.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/fleet_scale.h"
@@ -25,6 +27,10 @@
 using namespace dbscale;  // NOLINT: example brevity
 
 namespace {
+
+// Far below any build's throughput (sanitizers included), so only an
+// order-of-magnitude regression trips it.
+constexpr double kMinTenantsPerSec = 300.0;
 
 fleet::FleetScaleOptions BaseOptions() {
   fleet::FleetScaleOptions options;
@@ -47,14 +53,11 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
+  std::string ckpt = "/tmp/fleet_scale_example.ckpt";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+    if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) ckpt = argv[i] + 13;
   }
   const container::Catalog catalog = container::Catalog::MakeLockStep();
-  const std::string ckpt = json_path.empty()
-                               ? std::string("/tmp/fleet_scale_example.ckpt")
-                               : json_path + ".ckpt";
 
   // 1. Run twice: identical digests prove the run is a pure function of
   // the seed and options.
@@ -124,31 +127,23 @@ int main(int argc, char** argv) {
               100.0 * agg.AtMostTwoStepFraction(),
               (unsigned long long)agg.resize_failures);
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"digest_a\": \"%016llx\",\n"
-                 "  \"digest_b\": \"%016llx\",\n"
-                 "  \"digest_resumed\": \"%016llx\",\n"
-                 "  \"corrupt_rejected\": %s,\n"
-                 "  \"tenants_per_sec\": %.1f,\n"
-                 "  \"state_bytes\": %llu,\n"
-                 "  \"total_changes\": %llu,\n"
-                 "  \"hourly_records\": %llu\n"
-                 "}\n",
-                 (unsigned long long)agg.digest,
-                 (unsigned long long)run_b->aggregate.digest,
-                 (unsigned long long)resumed->aggregate.digest,
-                 corrupt_rejected ? "true" : "false", tenants_per_sec,
-                 (unsigned long long)runner_a.StateBytes(),
-                 (unsigned long long)agg.total_changes,
-                 (unsigned long long)agg.hourly_records);
-    std::fclose(f);
-  }
-  return 0;
+  examples::Contracts contracts;
+  std::printf("\n");
+  contracts.Check(agg.digest == run_b->aggregate.digest,
+                  "the run is run-twice bit-identical");
+  contracts.Check(resumed->aggregate.digest == agg.digest,
+                  "a checkpointed stop and resume at 3 threads matches the "
+                  "uninterrupted run");
+  contracts.Check(corrupt_rejected, "a corrupted checkpoint is rejected");
+  const uint64_t expected_hourly =
+      static_cast<uint64_t>(BaseOptions().num_tenants) *
+      BaseOptions().num_intervals / 12;
+  contracts.Check(agg.hourly_records == expected_hourly,
+                  StrFormat("%llu hourly records, one per tenant-hour",
+                            (unsigned long long)agg.hourly_records));
+  contracts.Check(tenants_per_sec >= kMinTenantsPerSec,
+                  StrFormat("throughput %.0f tenants/s is above the %.0f "
+                            "floor",
+                            tenants_per_sec, kMinTenantsPerSec));
+  return contracts.ExitCode();
 }

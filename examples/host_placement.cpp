@@ -4,7 +4,8 @@
 // and becomes a billed migration.
 //
 // Shows the placement-aware actuation surface end to end:
-//   * HostOptions on SimConfig / FleetScaleOptions — one validated bundle,
+//   * one validated HostOptions bundle on SimulationOptions and
+//     FleetScaleOptions,
 //   * first-fit-decreasing seed placement over finite per-host capacity,
 //   * the migration lifecycle (reserve dest -> copy for L intervals ->
 //     blackout for D intervals -> cutover) riding the two-phase resize
@@ -12,15 +13,8 @@
 //   * cross-tenant interference: throttle > 1 on saturated hosts,
 //   * pluggable placement policy (first-fit / best-fit / worst-fit) moving
 //     migration and saturation counts without breaking determinism.
-//
-// With --json=PATH the example also writes a machine-readable summary used
-// by ci/check.sh stage 11 (host-placement smoke): run-twice digests prove
-// determinism, the null-host fleet digest must match the pre-host pin, and
-// downtime must equal migrations_completed * migration_downtime_intervals.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "src/common/string_util.h"
 #include "src/fleet/fleet_scale.h"
@@ -56,11 +50,11 @@ SimConfig BaseConfig() {
 /// its mid-burst scale-up only fits on the other machine -> migration.
 SimConfig HotHostConfig() {
   SimConfig config = BaseConfig();
-  config.host.num_hosts = 2;
-  config.host.hot_hosts = 1;
-  config.host.hot_extra.cpu_cores = 12.5;
-  config.host.migration_latency_intervals = 2;
-  config.host.migration_downtime_intervals = 1;
+  config.simulation.host.num_hosts = 2;
+  config.simulation.host.hot_hosts = 1;
+  config.simulation.host.hot_extra.cpu_cores = 12.5;
+  config.simulation.host.migration_latency_intervals = 2;
+  config.simulation.host.migration_downtime_intervals = 1;
   return config;
 }
 
@@ -86,17 +80,6 @@ fleet::FleetScaleOptions FleetScenario() {
   return options;
 }
 
-double SimRunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
-}
-
 double MaxThrottle(const sim::RunResult& run) {
   double max_throttle = 0.0;
   for (const auto& interval : run.intervals) {
@@ -109,23 +92,17 @@ double MaxThrottle(const sim::RunResult& run) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-
-  // 1. Single tenant on a hot host, run twice: the scale-up that no longer
-  // fits locally becomes a migration, deterministically.
+int main() {
+  // 1. Single tenant on a hot host: the scale-up that no longer fits
+  // locally becomes a migration.
   SimConfig hot_config = HotHostConfig();
-  auto hot_a = hot_config.Run();
-  auto hot_b = hot_config.Run();
-  if (!hot_a.ok() || !hot_b.ok()) {
+  auto hot_run = hot_config.Run();
+  if (!hot_run.ok()) {
     std::fprintf(stderr, "hot-host run failed: %s\n",
-                 hot_a.status().ToString().c_str());
+                 hot_run.status().ToString().c_str());
     return 1;
   }
-  const sim::RunResult& hot = hot_a->result;
+  const sim::RunResult& hot = hot_run->result;
 
   std::printf("single tenant, 2 hosts, host 0 pre-loaded with 12.5 cores:\n");
   std::printf(
@@ -135,7 +112,8 @@ int main(int argc, char** argv) {
       (unsigned long long)hot.migrations_completed,
       (unsigned long long)hot.migration_failures,
       (unsigned long long)hot.migration_downtime_intervals,
-      hot_config.host.migration_downtime_intervals, MaxThrottle(hot));
+      hot_config.simulation.host.migration_downtime_intervals,
+      MaxThrottle(hot));
 
   // 2. Fleet flash crowd under each placement policy.
   std::printf("fleet flash crowd (300 tenants, 64 hosts, 32 hot, 3x surge\n"
@@ -176,9 +154,9 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // 3. Determinism + null-plan checks for the smoke harness: the first-fit
-  // scenario run again must be bit-identical, and the host-free fleet must
-  // still produce the digest pinned before this layer existed.
+  // 3. Determinism and the null plan: the first-fit scenario run again is
+  // bit-identical, and the host-free fleet still produces the digest pinned
+  // before this layer existed.
   auto repeat = fleet::FleetScaleRunner(catalog, FleetScenario()).Run();
   fleet::FleetScaleOptions null_options;
   null_options.num_tenants = 512;
@@ -194,11 +172,6 @@ int main(int argc, char** argv) {
   const bool repeat_identical = repeat->aggregate.digest == results[0].digest &&
                                 repeat->host_digest == results[0].host_digest;
   const bool null_matches = null_run->aggregate.digest == kPreHostFleetDigest;
-  const uint64_t expected_downtime =
-      results[0].counters.migrations_completed *
-      (unsigned long long)FleetScenario().host.migration_downtime_intervals;
-  const bool downtime_exact =
-      results[0].counters.downtime_intervals == expected_downtime;
 
   std::printf("first-fit digest %016llx (repeat %s), null-host digest %016llx "
               "(%s pre-host pin)\n",
@@ -206,54 +179,6 @@ int main(int argc, char** argv) {
               repeat_identical ? "identical" : "DIFFERS",
               (unsigned long long)null_run->aggregate.digest,
               null_matches ? "matches" : "DIFFERS FROM");
-
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"sim\": {\"digest\": %.10f, \"digest_repeat\": %.10f,\n"
-        "    \"migrations_begun\": %llu, \"migrations_completed\": %llu,\n"
-        "    \"downtime_intervals\": %llu, \"downtime_per_migration\": %d,\n"
-        "    \"max_throttle\": %.6f},\n"
-        "  \"fleet\": {\"digest\": \"%016llx\", \"digest_repeat\": "
-        "\"%016llx\",\n"
-        "    \"host_digest\": \"%016llx\", \"host_digest_repeat\": "
-        "\"%016llx\",\n"
-        "    \"migrations_begun\": %llu, \"migrations_completed\": %llu,\n"
-        "    \"migrations_failed\": %llu, \"downtime_intervals\": %llu,\n"
-        "    \"downtime_exact\": %s, \"placement_holds\": %llu,\n"
-        "    \"saturated_host_intervals\": %llu},\n"
-        "  \"null_plan\": {\"digest\": \"%016llx\", \"baseline\": "
-        "\"%016llx\",\n"
-        "    \"matches_baseline\": %s}\n"
-        "}\n",
-        SimRunDigest(hot), SimRunDigest(hot_b->result),
-        (unsigned long long)hot.migrations_begun,
-        (unsigned long long)hot.migrations_completed,
-        (unsigned long long)hot.migration_downtime_intervals,
-        hot_config.host.migration_downtime_intervals, MaxThrottle(hot),
-        (unsigned long long)results[0].digest,
-        (unsigned long long)repeat->aggregate.digest,
-        (unsigned long long)results[0].host_digest,
-        (unsigned long long)repeat->host_digest,
-        (unsigned long long)results[0].counters.migrations_begun,
-        (unsigned long long)results[0].counters.migrations_completed,
-        (unsigned long long)results[0].counters.migrations_failed,
-        (unsigned long long)results[0].counters.downtime_intervals,
-        downtime_exact ? "true" : "false",
-        (unsigned long long)results[0].counters.placement_holds,
-        (unsigned long long)results[0].counters.saturated_host_intervals,
-        (unsigned long long)null_run->aggregate.digest,
-        (unsigned long long)kPreHostFleetDigest,
-        null_matches ? "true" : "false");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
 
   std::printf(
       "\nWhen a scale-up no longer fits on the tenant's machine the\n"

@@ -15,17 +15,16 @@
 //     producer's and the ring's counters instead of blocking or silently
 //     vanishing.
 //
-// With --json=PATH the example writes a machine-readable summary used by
-// ci/check.sh stage 10 (ingest smoke): digest identity across the two
-// runs and vs the direct feed, zero rejections at nominal rate, and a
-// nonzero rejection counter under overload.
+// ctest runs it as example_ingest_daemon: it checks digest identity across
+// the two runs and against the direct feed, zero rejections at nominal
+// rate, and counted rejections that account for every push under
+// overload, and exits non-zero naming any contract that broke.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <utility>
 
+#include "examples/contracts.h"
 #include "src/common/check.h"
 #include "src/common/sim_time.h"
 #include "src/container/catalog.h"
@@ -154,6 +153,8 @@ struct OverloadRun {
   uint64_t attempted = 0;
   uint64_t published = 0;
   uint64_t rejected = 0;
+  uint64_t ring_capacity = 0;
+  uint64_t ring_rejected = 0;
 };
 
 /// Overload regime: flood a tiny ring without draining. The ring must
@@ -171,19 +172,14 @@ OverloadRun RunOverload(const container::Catalog& catalog) {
   }
   run.published = producer.published();
   run.rejected = producer.rejected();
-  DBSCALE_CHECK(run.published == ring.capacity());  // filled, then rejected
-  DBSCALE_CHECK(run.published + run.rejected == run.attempted);
-  DBSCALE_CHECK(ring.rejected() == run.rejected);
+  run.ring_capacity = ring.capacity();
+  run.ring_rejected = ring.rejected();
   return run;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
+int main() {
   const container::Catalog catalog = container::Catalog::MakeLockStep();
 
   // 1. Nominal run, twice: drain keeps up, nothing rejected, and the
@@ -211,44 +207,23 @@ int main(int argc, char** argv) {
               (unsigned long long)overload.published,
               (unsigned long long)overload.rejected);
 
-  const bool digests_match =
-      run_a.digest == run_b.digest && run_a.digest == direct;
-  if (!digests_match) {
-    std::fprintf(stderr, "FAIL: service digests diverge\n");
-    return 1;
-  }
-
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"digest_a\": \"%016llx\",\n"
-                 "  \"digest_b\": \"%016llx\",\n"
-                 "  \"digest_direct\": \"%016llx\",\n"
-                 "  \"digests_match\": %s,\n"
-                 "  \"nominal_rejected\": %llu,\n"
-                 "  \"nominal_decisions\": %llu,\n"
-                 "  \"nominal_routed\": %llu,\n"
-                 "  \"nominal_drains\": %llu,\n"
-                 "  \"overload_attempted\": %llu,\n"
-                 "  \"overload_published\": %llu,\n"
-                 "  \"overload_rejected\": %llu\n"
-                 "}\n",
-                 (unsigned long long)run_a.digest,
-                 (unsigned long long)run_b.digest, (unsigned long long)direct,
-                 digests_match ? "true" : "false",
-                 (unsigned long long)run_a.rejected,
-                 (unsigned long long)run_a.decisions,
-                 (unsigned long long)run_a.routed,
-                 (unsigned long long)run_a.drains,
-                 (unsigned long long)overload.attempted,
-                 (unsigned long long)overload.published,
-                 (unsigned long long)overload.rejected);
-    std::fclose(f);
-  }
-  return 0;
+  examples::Contracts contracts;
+  std::printf("\n");
+  contracts.Check(run_a.digest == run_b.digest,
+                  "the service run is run-twice bit-identical");
+  contracts.Check(run_a.digest == direct,
+                  "ring + batched evaluation matches the direct-feed serial "
+                  "reference");
+  contracts.Check(run_a.rejected == 0, "the nominal run rejects nothing");
+  contracts.Check(run_a.decisions > 0 && run_a.routed > 0,
+                  "the nominal run routes samples and decides");
+  contracts.Check(overload.rejected > 0 &&
+                      overload.published == overload.ring_capacity,
+                  "a flooded ring fills, then rejects");
+  contracts.Check(overload.published + overload.rejected ==
+                          overload.attempted &&
+                      overload.ring_rejected == overload.rejected,
+                  "every attempted push is counted as published or "
+                  "rejected, on the producer and on the ring");
+  return contracts.ExitCode();
 }

@@ -388,14 +388,6 @@ int Catalog::GridLevelFor(ResourceKind kind, double demand) const {
   return n - 1;
 }
 
-int Catalog::GridLevelWithin(ResourceKind kind, double value) const {
-  const int n = backend_->GridSize(kind);
-  for (int l = n - 1; l > 0; --l) {
-    if (backend_->GridValue(kind, l) <= value) return l;
-  }
-  return 0;
-}
-
 const ContainerSpec& Catalog::at(int id) const {
   DBSCALE_CHECK(id >= 0 && id < size());
   return specs()[static_cast<size_t>(id)];

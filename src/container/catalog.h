@@ -205,9 +205,6 @@ class Catalog {
   }
   /// Smallest grid level whose value meets `demand`; GridSize-1 if none.
   int GridLevelFor(ResourceKind kind, double demand) const;
-  /// Largest grid level whose value is <= `value`; 0 if even level 0
-  /// exceeds it (the "cover" level of an existing allocation).
-  int GridLevelWithin(ResourceKind kind, double value) const;
 
   // ---- Listed-spec surface (unchanged from the concrete Catalog) ----
   int size() const { return backend_->size(); }

@@ -4,22 +4,6 @@
 
 namespace dbscale::fault {
 
-const char* ResizeEventKindToString(ResizeEventKind kind) {
-  switch (kind) {
-    case ResizeEventKind::kNone:
-      return "none";
-    case ResizeEventKind::kPending:
-      return "pending";
-    case ResizeEventKind::kApplied:
-      return "applied";
-    case ResizeEventKind::kFailed:
-      return "failed";
-    case ResizeEventKind::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
-
 ResizeActuator::ResizeActuator(FaultPlan* plan) : plan_(plan) {
   DBSCALE_CHECK(plan != nullptr);
 }

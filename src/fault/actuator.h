@@ -29,8 +29,6 @@ enum class ResizeEventKind : uint8_t {
   kRejected  ///< permanent rejection, reported at Begin()
 };
 
-const char* ResizeEventKindToString(ResizeEventKind kind);
-
 struct ResizeEvent {
   ResizeEventKind kind = ResizeEventKind::kNone;
   container::ContainerSpec target;

@@ -68,22 +68,6 @@ Status FaultPlanOptions::Validate() const {
   return Status::OK();
 }
 
-const char* SampleFaultToString(SampleFault fault) {
-  switch (fault) {
-    case SampleFault::kNone:
-      return "none";
-    case SampleFault::kDrop:
-      return "drop";
-    case SampleFault::kNan:
-      return "nan";
-    case SampleFault::kOutlier:
-      return "outlier";
-    case SampleFault::kStale:
-      return "stale";
-  }
-  return "?";
-}
-
 // Options are validated by the owning simulation before any draw is made
 // (Simulation::Run / FleetSimulation::Run call options.fault.Validate()).
 // dbscale-lint: allow(options-validate)

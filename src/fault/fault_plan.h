@@ -86,8 +86,6 @@ struct ResizeFaultDraw {
 /// Fault injected into one telemetry sample.
 enum class SampleFault : uint8_t { kNone, kDrop, kNan, kOutlier, kStale };
 
-const char* SampleFaultToString(SampleFault fault);
-
 /// \brief Seeded fault source. Default-constructed plans are null: enabled()
 /// is false, no method draws, and every resize applies cleanly.
 class FaultPlan {
@@ -113,10 +111,10 @@ class FaultPlan {
   void CorruptSample(SampleFault fault,
                      telemetry::TelemetrySample* sample) const;
 
-  /// Generator position, for the fleet checkpoint format. Restoring it on
-  /// a plan built from the same options resumes the exact fault stream.
+  /// Generator position, for the fleet checkpoint format. A plan built
+  /// from the same options over `Rng::FromState` of it resumes the exact
+  /// fault stream.
   Rng::State SaveRngState() const { return rng_.SaveState(); }
-  void RestoreRngState(const Rng::State& state) { rng_.RestoreState(state); }
 
  private:
   FaultPlanOptions options_;

@@ -126,53 +126,6 @@ double FleetAggregate::AtMostTwoStepFraction() const {
   return StepFractionAtOrBelow(step_size_counts, 2);
 }
 
-double FleetAggregate::InterEventFractionAtOrBelow(double minutes) const {
-  uint64_t total = 0, within = 0;
-  for (size_t gap = 1; gap < inter_event_gap_counts.size(); ++gap) {
-    total += inter_event_gap_counts[gap];
-    if (static_cast<double>(gap) * kIntervalMinutes <= minutes) {
-      within += inter_event_gap_counts[gap];
-    }
-  }
-  return total > 0
-             ? static_cast<double>(within) / static_cast<double>(total)
-             : 0.0;
-}
-
-double FleetAggregate::TenantFractionWithChangesAtLeast(int n) const {
-  if (tenants == 0) return 0.0;
-  uint64_t at_least = 0;
-  const size_t from =
-      static_cast<size_t>(std::clamp(n, 0, kMaxChangesTracked));
-  for (size_t i = from; i < changes_per_tenant_counts.size(); ++i) {
-    at_least += changes_per_tenant_counts[i];
-  }
-  return static_cast<double>(at_least) / static_cast<double>(tenants);
-}
-
-double FleetAggregate::WaitPerReqPercentileUpperBound(
-    container::ResourceKind kind, int band, double pct) const {
-  const ResourceAgg& agg = resources[static_cast<size_t>(kind)];
-  const std::array<uint64_t, kWaitBuckets>& counts =
-      band == 1 ? agg.wait_per_req_low_util
-      : band == 2 ? agg.wait_per_req_high_util
-                  : agg.wait_per_req;
-  uint64_t total = 0;
-  for (const uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  const double target = std::clamp(pct, 0.0, 100.0) / 100.0 *
-                        static_cast<double>(total);
-  uint64_t cum = 0;
-  for (size_t b = 0; b < kWaitBuckets; ++b) {
-    cum += counts[b];
-    if (static_cast<double>(cum) >= target && counts[b] > 0) {
-      // Upper bound of bucket b (bucket 0 is "no wait").
-      return b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b) - 9);
-    }
-  }
-  return std::ldexp(1.0, static_cast<int>(kWaitBuckets) - 10);
-}
-
 FleetAggregate FleetAggregate::FromTelemetry(const FleetTelemetry& telemetry,
                                              int num_rungs) {
   FleetAggregate out;

@@ -136,16 +136,6 @@ struct FleetAggregate {
   // -- Queries ------------------------------------------------------------
   double OneStepFraction() const;
   double AtMostTwoStepFraction() const;
-  /// Fraction of change events whose inter-event gap is <= `minutes`
-  /// (Figure 2(a)-style CDF point), over events with a recorded gap.
-  double InterEventFractionAtOrBelow(double minutes) const;
-  /// Fraction of tenants with at least `n` changes over the run.
-  double TenantFractionWithChangesAtLeast(int n) const;
-  /// Approximate percentile (0..100) of the hourly wait-per-request
-  /// distribution for one resource and utilization band, read from the
-  /// bucket upper bound. `band` is 0 = all, 1 = low-util, 2 = high-util.
-  double WaitPerReqPercentileUpperBound(container::ResourceKind kind,
-                                        int band, double pct) const;
 
   /// Oracle builder: folds a materialized exact-path FleetTelemetry into an
   /// aggregate, so tests can check the materialized records against a

@@ -9,22 +9,6 @@ namespace dbscale::fleet {
 using container::ResourceKind;
 using container::ResourceVector;
 
-const char* DemandPatternToString(DemandPattern p) {
-  switch (p) {
-    case DemandPattern::kSteady:
-      return "steady";
-    case DemandPattern::kDiurnal:
-      return "diurnal";
-    case DemandPattern::kBursty:
-      return "bursty";
-    case DemandPattern::kSpiky:
-      return "spiky";
-    case DemandPattern::kGrowth:
-      return "growth";
-  }
-  return "?";
-}
-
 TenantParams DrawTenantParams(const container::Catalog& catalog,
                               const TenantModelOptions& options, Rng& rng) {
   TenantParams params;

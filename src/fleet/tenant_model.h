@@ -35,8 +35,6 @@ namespace dbscale::fleet {
 /// Demand shape over time.
 enum class DemandPattern { kSteady, kDiurnal, kBursty, kSpiky, kGrowth };
 
-const char* DemandPatternToString(DemandPattern p);
-
 /// Telemetry produced by one tenant for one 5-minute interval.
 struct TenantInterval {
   /// Demand in absolute units (cores, MB, IOPS, MB/s).

@@ -53,11 +53,9 @@ void AuditLog::Record(const PolicyInput& input,
         input.signals.resource(kind).utilization_pct;
     record.wait_ms_per_request[ri] =
         input.signals.resource(kind).wait_ms_per_request;
+    if (cats.valid) record.estimate_steps[ri] = estimate.For(kind).steps;
   }
-  if (cats.valid) {
-    record.categories = cats.ToString();
-    record.estimate = estimate.Summary();
-  }
+  if (cats.valid) record.categories = cats;
   record.from_container = input.current.name;
   record.to_container = decision.target.name;
   record.resized = decision.Changed(input.current);

@@ -43,10 +43,12 @@ struct AuditRecord {
   double latency_ms = 0.0;
   std::array<double, container::kNumResources> utilization_pct{};
   std::array<double, container::kNumResources> wait_ms_per_request{};
-  /// How it categorized it (empty when telemetry was not yet valid).
-  std::string categories;
-  /// What it estimated.
-  std::string estimate;
+  /// How it categorized it (`valid` is false when the decision came before
+  /// a valid reading was categorized).
+  CategorizedSignals categories;
+  /// What it estimated: demand steps per resource (all 0 when nothing was
+  /// categorized).
+  std::array<int, container::kNumResources> estimate_steps{};
   /// What it did.
   std::string from_container;
   std::string to_container;

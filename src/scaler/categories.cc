@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/string_util.h"
-
 namespace dbscale::scaler {
 
 namespace {
@@ -19,39 +17,6 @@ Level Categorize3(double value, double low, double high) {
 
 const char* LatencyCategoryToString(LatencyCategory c) {
   return c == LatencyCategory::kGood ? "GOOD" : "BAD";
-}
-
-const char* LevelToString(Level level) {
-  switch (level) {
-    case Level::kLow:
-      return "LOW";
-    case Level::kMedium:
-      return "MEDIUM";
-    case Level::kHigh:
-      return "HIGH";
-  }
-  return "?";
-}
-
-const char* SignificanceToString(Significance s) {
-  return s == Significance::kSignificant ? "SIGNIFICANT" : "NOT-SIGNIFICANT";
-}
-
-std::string CategorizedSignals::ToString() const {
-  if (!valid) return "<invalid>";
-  std::string out =
-      StrFormat("latency=%s%s", LatencyCategoryToString(latency),
-                latency_degrading ? "(degrading)" : "");
-  for (container::ResourceKind kind : container::kAllResources) {
-    const ResourceCategories& r = resource(kind);
-    out += StrFormat(
-        " | %s: util=%s wait=%s share=%s corr=%s",
-        container::ResourceKindToString(kind),
-        LevelToString(r.utilization), LevelToString(r.wait_magnitude),
-        SignificanceToString(r.wait_share),
-        SignificanceToString(r.wait_latency_correlation));
-  }
-  return out;
 }
 
 CategorizedSignals Categorize(const telemetry::SignalSnapshot& signals,

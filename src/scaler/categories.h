@@ -9,8 +9,8 @@
 #define DBSCALE_SCALER_CATEGORIES_H_
 
 #include <array>
+#include <cstdint>
 #include <optional>
-#include <string>
 
 #include "src/scaler/knobs.h"
 #include "src/scaler/thresholds.h"
@@ -19,13 +19,11 @@
 
 namespace dbscale::scaler {
 
-enum class LatencyCategory { kGood, kBad };
-enum class Level { kLow, kMedium, kHigh };
-enum class Significance { kNotSignificant, kSignificant };
+enum class LatencyCategory : uint8_t { kGood, kBad };
+enum class Level : uint8_t { kLow, kMedium, kHigh };
+enum class Significance : uint8_t { kNotSignificant, kSignificant };
 
 const char* LatencyCategoryToString(LatencyCategory c);
-const char* LevelToString(Level level);
-const char* SignificanceToString(Significance s);
 
 /// Categorized signals for one resource dimension.
 struct ResourceCategories {
@@ -47,10 +45,6 @@ struct ResourceCategories {
     return utilization_trend == stats::TrendDirection::kIncreasing ||
            wait_trend == stats::TrendDirection::kIncreasing;
   }
-  bool AnyIncreasingOrFlatTrend() const {
-    return utilization_trend != stats::TrendDirection::kDecreasing ||
-           wait_trend != stats::TrendDirection::kDecreasing;
-  }
 };
 
 /// The complete categorical view handed to the rule hierarchy.
@@ -71,8 +65,6 @@ struct CategorizedSignals {
   const ResourceCategories& resource(container::ResourceKind kind) const {
     return resources[static_cast<size_t>(kind)];
   }
-
-  std::string ToString() const;
 };
 
 /// Options for categorization.

@@ -57,7 +57,7 @@ std::string SummarizeSign(const DemandEstimate& estimate, int sign) {
   std::string out;
   for (ResourceKind kind : container::kAllResources) {
     const ResourceDemand& d = estimate.For(kind);
-    if (d.steps != 0 && (sign == 0 || (sign > 0) == (d.steps > 0))) {
+    if (d.steps != 0 && (sign > 0) == (d.steps > 0)) {
       if (!out.empty()) out += "; ";
       out += StrFormat("%s %+d (%s)",
                        container::ResourceKindToString(kind), d.steps,
@@ -68,10 +68,6 @@ std::string SummarizeSign(const DemandEstimate& estimate, int sign) {
 }
 
 }  // namespace
-
-std::string DemandEstimate::Summary() const {
-  return SummarizeSign(*this, 0);
-}
 
 std::string DemandEstimate::SummaryIncrease() const {
   return SummarizeSign(*this, +1);

@@ -79,8 +79,8 @@ struct DemandEstimate {
   /// one negative.
   bool SuggestsShrink() const;
 
-  std::string Summary() const;
-  /// Like Summary() but restricted to one sign of demand.
+  /// "cpu +1 (<rule explanation>); ..." over the resources whose demand
+  /// rises (falls); "no demand change" when none does.
   std::string SummaryIncrease() const;
   std::string SummaryDecrease() const;
 };

@@ -9,7 +9,6 @@ SimulationOptions SimConfig::EffectiveSimulationOptions() const {
     // signals in a different aggregate is a classic mis-wiring.
     out.telemetry.latency_aggregate = knobs.latency_goal->aggregate;
   }
-  if (host.enabled()) out.host = host;
   return out;
 }
 
@@ -35,7 +34,6 @@ Status SimConfig::Validate() const {
   }
   DBSCALE_RETURN_IF_ERROR(simulation.fault.Validate());
   DBSCALE_RETURN_IF_ERROR(simulation.host.Validate());
-  DBSCALE_RETURN_IF_ERROR(host.Validate());
   return Status::OK();
 }
 

@@ -29,13 +29,9 @@ struct SimConfigRun {
 
 /// \brief Everything one closed-loop Auto run needs, validated as a whole.
 struct SimConfig {
-  /// Harness options — catalog, workload, trace, telemetry, fault plan.
+  /// Harness options — catalog, workload, trace, telemetry, fault plan,
+  /// host plane.
   SimulationOptions simulation;
-  /// Host placement & interference plane (the canonical place to configure
-  /// it; copied over `simulation.host` by EffectiveSimulationOptions).
-  /// Disabled by default — num_hosts == 0 keeps runs bit-identical to the
-  /// host-free world.
-  host::HostOptions host;
   /// Tenant-facing knobs (budget, latency goal, sensitivity).
   scaler::TenantKnobs knobs;
   /// The scaler's settable options: signal thresholds, estimator ablation
@@ -47,8 +43,7 @@ struct SimConfig {
   Status Validate() const;
 
   /// `simulation` with derived consistency applied: the telemetry latency
-  /// aggregate follows the latency goal's aggregate when a goal is set,
-  /// and `host` overrides `simulation.host`.
+  /// aggregate follows the latency goal's aggregate when a goal is set.
   SimulationOptions EffectiveSimulationOptions() const;
 
   /// Validates, then builds the Auto policy for `simulation.catalog`.

@@ -9,6 +9,7 @@
 
 #include "tests/alloc_guard.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <functional>
@@ -28,12 +29,14 @@
 #include "src/host/placement.h"
 #include "src/ingest/ingest_ring.h"
 #include "src/ingest/producer.h"
+#include "src/ingest/scaler_service.h"
 #include "src/ingest/wire_sample.h"
 #include "src/scaler/batch_eval.h"
 #include "src/scaler/diagonal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/pipeline.h"
 #include "src/obs/trace.h"
+#include "src/scaler/autoscaler.h"
 #include "src/sim/report.h"
 #include "src/stats/cdf.h"
 #include "src/stats/robust.h"
@@ -276,24 +279,68 @@ TEST(AllocGuardTest, RecentIntoWithWarmBufferIsAllocationFree) {
 
 // The deployment access pattern: samples arrive between Computes, so every
 // call sees a slid window. The store's own Append may grow its ring, so it
-// happens outside the measured span — only Compute is on trial.
+// happens outside the measured span — only Compute is on trial. Runs the
+// default windows, then trend/correlation windows of 32, 128 and 512
+// samples with aggregation over half of each.
 TEST(AllocGuardTest, ComputeSlidingIsAllocationFree) {
+  struct Case {
+    size_t window;  // 0: the default options
+    int slides;
+  };
+  for (const Case c : {Case{0, 32}, Case{32, 32}, Case{128, 16},
+                       Case{512, 4}}) {
+    telemetry::TelemetryManagerOptions options;
+    if (c.window > 0) {
+      options.aggregation_samples = c.window / 2;
+      options.trend_samples = c.window;
+      options.correlation_samples = c.window;
+    }
+    const int filled = std::max(64, static_cast<int>(c.window));
+    TelemetryStore store = MakeStore(filled);
+    const TelemetryManager manager(options);
+    SignalScratch scratch;
+
+    // Warm-up: grows every scratch buffer to its high-water mark.
+    auto warm = manager.Compute(store, store.back().period_end, &scratch);
+    ASSERT_TRUE(warm.valid) << "W=" << c.window;
+
+    for (int i = 0; i < c.slides; ++i) {
+      store.Append(MakeSample(filled + i));
+      AllocSpan span;
+      auto snap = manager.Compute(store, store.back().period_end, &scratch);
+      EXPECT_EQ(span.allocations(), 0u)
+          << "sliding Compute at W=" << c.window << " allocated on slide "
+          << i;
+      ASSERT_TRUE(snap.valid);
+    }
+  }
+}
+
+// The observed deployment shape: one span tree per billing interval, with
+// Compute recording metrics into the primary shard and spans into the
+// preallocated trace ring. Observing must not add heap traffic.
+TEST(AllocGuardTest, ObservedComputeIsAllocationFree) {
   TelemetryStore store = MakeStore(64);
   TelemetryManager manager;
   SignalScratch scratch;
+  obs::Observability ob;
+  const obs::Sink sink = ob.PrimarySink();
+  const SimTime now = store.back().period_end;
+  auto observed_compute = [&](int interval) {
+    ob.trace().BeginInterval(interval, now);
+    auto snap = manager.Compute(store, now, &scratch,
+                                sink.Under(ob.trace().root()));
+    ob.trace().EndInterval(now);
+    return snap.valid;
+  };
+  // Warm-up: sizes the scratch (the trace ring is preallocated).
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(observed_compute(i));
 
-  // Warm-up: grows every scratch buffer to its high-water mark.
-  auto warm = manager.Compute(store, store.back().period_end, &scratch);
-  ASSERT_TRUE(warm.valid);
-
-  for (int i = 0; i < 32; ++i) {
-    store.Append(MakeSample(64 + i));
-    AllocSpan span;
-    auto snap = manager.Compute(store, store.back().period_end, &scratch);
-    EXPECT_EQ(span.allocations(), 0u)
-        << "sliding Compute allocated on slide " << i;
-    ASSERT_TRUE(snap.valid);
-  }
+  AllocSpan span;
+  for (int i = 16; i < 116; ++i) ASSERT_TRUE(observed_compute(i));
+  EXPECT_EQ(span.allocations(), 0u)
+      << "Compute allocated with a live metrics shard and trace sink";
+  EXPECT_GT(ob.trace().num_intervals(), 0u);
 }
 
 TEST(AllocGuardTest, LatencyHistogramSteadyOpsAreAllocationFree) {
@@ -555,6 +602,51 @@ TEST(AllocGuardTest, StoreAppendSteadyStateIsAllocationFree) {
       << "TelemetryStore::Append allocated at capacity (ring should "
          "recycle slots in place)";
   EXPECT_EQ(store.size(), 32u);
+}
+
+// The service's telemetry path between billing boundaries: publish, drain
+// and route into every tenant's store, with no decision due. Once each
+// store is at retention and the drain scratch is sized, it is heap-free.
+TEST(AllocGuardTest, WarmServiceDrainIsAllocationFree) {
+  constexpr uint64_t kTenants = 16;
+  const container::Catalog catalog = container::Catalog::MakeLockStep();
+  ingest::IngestRing ring(ingest::IngestRingOptions{.capacity = 1024});
+  ingest::ScalerServiceOptions options;
+  options.store_retention = 32;
+  options.samples_per_interval = size_t{1} << 30;  // never due
+  options.max_drain_batch = 256;
+  ingest::ScalerService service(&ring, options);
+  for (uint64_t t = 1; t <= kTenants; ++t) {
+    auto policy = scaler::AutoScaler::Create(catalog, scaler::TenantKnobs{});
+    ASSERT_TRUE(policy.ok());
+    ASSERT_TRUE(
+        service.AddTenant(t, std::move(policy).value(), catalog.rung(4))
+            .ok());
+  }
+  ingest::IngestProducer producer(&ring, 0);
+  auto feed_round = [&](int i) {
+    TelemetrySample sample = MakeSample(i);
+    sample.allocation = catalog.rung(4).resources;
+    sample.container_id = catalog.rung(4).id;
+    for (uint64_t t = 1; t <= kTenants; ++t) {
+      // dbscale-lint: allow(discarded-status)
+      (void)producer.Publish(t, sample);
+    }
+    // dbscale-lint: allow(discarded-status)
+    (void)service.DrainAll();
+  };
+  // Warm-up: fills every store to retention so Append recycles slots.
+  const int warm = static_cast<int>(options.store_retention) + 8;
+  for (int i = 0; i < warm; ++i) feed_round(i);
+  const uint64_t routed_before = service.counters().routed;
+
+  AllocSpan span;
+  for (int i = warm; i < warm + 64; ++i) feed_round(i);
+  EXPECT_EQ(span.allocations(), 0u)
+      << "warm ScalerService publish/drain/route allocated";
+  EXPECT_EQ(service.counters().routed - routed_before, 64 * kTenants);
+  EXPECT_EQ(service.counters().decisions, 0u);
+  EXPECT_EQ(service.counters().invalid, 0u);
 }
 
 TEST(AllocGuardTest, StoreAppendGrowthPhaseAllocates) {

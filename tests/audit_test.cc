@@ -9,6 +9,8 @@ namespace {
 
 using container::Catalog;
 
+constexpr std::array<int, container::kNumResources> kNoSteps{};
+
 PolicyInput MakeInput(const Catalog& catalog, int rung, int interval,
                       double latency) {
   PolicyInput input;
@@ -113,7 +115,7 @@ TEST(AuditLogTest, AutoScalerPopulatesAudit) {
   }
   EXPECT_EQ(scaler->audit().size(), 3u);
   EXPECT_FALSE(scaler->audit().back().explanation.empty());
-  EXPECT_FALSE(scaler->audit().back().categories.empty());
+  EXPECT_TRUE(scaler->audit().back().categories.valid);
 }
 
 TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
@@ -134,23 +136,23 @@ TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
   };
 
   decide(MakeInput(catalog, 3, interval, 100.0));
-  ASSERT_FALSE(audit.back().categories.empty());
-  ASSERT_FALSE(audit.back().estimate.empty());
+  ASSERT_TRUE(audit.back().categories.valid);
+  ASSERT_NE(audit.back().estimate_steps, kNoSteps);
 
   PolicyInput degraded = MakeInput(catalog, 3, interval, 100.0);
   degraded.signals.degraded = true;
   decide(degraded);
   EXPECT_EQ(audit.back().code, ExplanationCode::kHoldDegradedTelemetry);
-  EXPECT_TRUE(audit.back().categories.empty());
-  EXPECT_TRUE(audit.back().estimate.empty());
+  EXPECT_FALSE(audit.back().categories.valid);
+  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
 
   decide(MakeInput(catalog, 3, interval, 100.0));
   PolicyInput warming = MakeInput(catalog, 3, interval, 100.0);
   warming.signals.valid = false;
   decide(warming);
   EXPECT_EQ(audit.back().code, ExplanationCode::kHoldWarmup);
-  EXPECT_TRUE(audit.back().categories.empty());
-  EXPECT_TRUE(audit.back().estimate.empty());
+  EXPECT_FALSE(audit.back().categories.valid);
+  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
 
   decide(MakeInput(catalog, 3, interval, 100.0));
   PolicyInput pending = MakeInput(catalog, 3, interval, 100.0);
@@ -159,8 +161,8 @@ TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
   pending.actuation.attempt = 1;
   decide(pending);
   EXPECT_EQ(audit.back().code, ExplanationCode::kHoldResizePending);
-  EXPECT_TRUE(audit.back().categories.empty());
-  EXPECT_TRUE(audit.back().estimate.empty());
+  EXPECT_FALSE(audit.back().categories.valid);
+  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
 }
 
 }  // namespace

@@ -294,24 +294,13 @@ TEST(DiagonalOptionsTest, ValidateRejections) {
 // Closed-loop contracts.
 // ---------------------------------------------------------------------------
 
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
-}
-
 // The catalog-backend equivalence contract: Auto over a coupled
-// FlexibleCatalog (markup 1) is bit-identical to Auto over MakeLockStep —
-// including the digest pinned before the Catalog API existed.
+// FlexibleCatalog (markup 1) is bit-identical to Auto over MakeLockStep,
+// whose digest SimDigestTest.NullCpuioRunPinned pins.
 TEST(DiagonalSimTest, CoupledFlexibleCatalogReproducesLockStepDigest) {
   auto lockstep_run = BaseSimConfig().Run();
   ASSERT_TRUE(lockstep_run.ok()) << lockstep_run.status().message();
-  EXPECT_DOUBLE_EQ(RunDigest(lockstep_run->result), 2094099.7125696521);
+  EXPECT_EQ(lockstep_run->result.Digest(), 0x2b4227551f4cf98eULL);
 
   FlexibleCatalogOptions coupled;
   coupled.coupled = true;
@@ -322,7 +311,7 @@ TEST(DiagonalSimTest, CoupledFlexibleCatalogReproducesLockStepDigest) {
   config.simulation.catalog = *coupled_catalog;
   auto coupled_run = config.Run();
   ASSERT_TRUE(coupled_run.ok()) << coupled_run.status().message();
-  EXPECT_DOUBLE_EQ(RunDigest(coupled_run->result), 2094099.7125696521);
+  EXPECT_EQ(coupled_run->result.Digest(), 0x2b4227551f4cf98eULL);
 }
 
 sim::SimulationOptions DiagonalSimOptions(const Catalog& catalog) {
@@ -340,14 +329,14 @@ TEST(DiagonalSimTest, DiagonalRunIsDeterministicAndUsesDiagonalCodes) {
   knobs.latency_goal =
       scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 900.0};
 
-  double first_digest = 0.0;
+  uint64_t first_digest = 0;
   for (int repeat = 0; repeat < 2; ++repeat) {
     auto policy = DiagonalScaler::Create(*catalog, knobs);
     ASSERT_TRUE(policy.ok()) << policy.status().message();
     auto run = sim::RunWithPolicy(DiagonalSimOptions(*catalog),
                                   policy->get(), 3);
     ASSERT_TRUE(run.ok()) << run.status().message();
-    const double digest = RunDigest(*run);
+    const uint64_t digest = run->Digest();
     if (repeat == 0) {
       first_digest = digest;
       bool saw_diagonal_move = false;
@@ -364,7 +353,7 @@ TEST(DiagonalSimTest, DiagonalRunIsDeterministicAndUsesDiagonalCodes) {
       // Every decision fills the demand vector once signals warm up.
       EXPECT_GT((*policy)->audit().size(), 0u);
     } else {
-      EXPECT_DOUBLE_EQ(digest, first_digest);
+      EXPECT_EQ(digest, first_digest);
     }
   }
 }
@@ -456,11 +445,11 @@ TEST(DiagonalSimTest, GuardrailDecisionTrailsArePinned) {
        {0x8965c3e0f54a9b64ULL, 0xe8f4ef13ed867386ULL}},
       {"hot-host",
        [](SimConfig* c, int) {
-         c->host.num_hosts = 2;
-         c->host.hot_hosts = 1;
-         c->host.hot_extra.cpu_cores = 12.5;
-         c->host.migration_latency_intervals = 2;
-         c->host.migration_downtime_intervals = 1;
+         c->simulation.host.num_hosts = 2;
+         c->simulation.host.hot_hosts = 1;
+         c->simulation.host.hot_extra.cpu_cores = 12.5;
+         c->simulation.host.migration_latency_intervals = 2;
+         c->simulation.host.migration_downtime_intervals = 1;
        },
        {0x247bd10dc7033d8bULL, 0x066abd7fe5e6c320ULL}},
   };

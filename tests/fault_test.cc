@@ -19,6 +19,7 @@
 #include "src/sim/experiment.h"
 #include "src/workload/mix.h"
 #include "src/workload/paper_traces.h"
+#include "tests/fleet_telemetry_digest.h"
 
 namespace dbscale::fault {
 namespace {
@@ -717,22 +718,6 @@ TEST(SimulationFaultTest, DroppedTelemetryDegradesWindowsAndHoldsDemand) {
 // ---------------------------------------------------------------------------
 // Fleet integration: determinism across thread counts under faults.
 
-double FleetDigest(const fleet::FleetTelemetry& t) {
-  double sum = 0.0, weight = 1.0;
-  for (const auto& r : t.hourly) {
-    weight = weight >= 1e9 ? 1.0 : weight + 1e-3;
-    for (size_t ri = 0; ri < container::kNumResources; ++ri) {
-      sum += weight * (r.utilization_pct[ri] + r.wait_ms_per_request[ri]);
-    }
-  }
-  for (double m : t.inter_event_minutes) sum += m;
-  for (size_t i = 0; i < t.step_size_counts.size(); ++i) {
-    sum += static_cast<double>(i) *
-           static_cast<double>(t.step_size_counts[i]);
-  }
-  return sum;
-}
-
 TEST(FleetFaultTest, FaultyDigestIsThreadCountInvariant) {
   const Catalog catalog = Catalog::MakeLockStep();
   fleet::FleetOptions options;
@@ -750,7 +735,8 @@ TEST(FleetFaultTest, FaultyDigestIsThreadCountInvariant) {
   auto parallel = fleet::FleetSimulator(catalog, options).Run();
   ASSERT_TRUE(serial.ok() && parallel.ok());
 
-  EXPECT_DOUBLE_EQ(FleetDigest(*serial), FleetDigest(*parallel));
+  EXPECT_EQ(fleet::TelemetryDigest(*serial),
+            fleet::TelemetryDigest(*parallel));
   EXPECT_EQ(serial->resize_failures, parallel->resize_failures);
   EXPECT_EQ(serial->resize_retries, parallel->resize_retries);
   EXPECT_GT(serial->resize_failures, 0u);
@@ -769,7 +755,8 @@ TEST(FleetFaultTest, FaultyRunDiffersFromNullRun) {
   auto faulty = fleet::FleetSimulator(catalog, options).Run();
   ASSERT_TRUE(null_run.ok() && faulty.ok());
   EXPECT_EQ(null_run->resize_failures, 0u);
-  EXPECT_NE(FleetDigest(*null_run), FleetDigest(*faulty));
+  EXPECT_NE(fleet::TelemetryDigest(*null_run),
+            fleet::TelemetryDigest(*faulty));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "src/fleet/fleet_sim.h"
 #include "src/obs/export.h"
 #include "src/obs/pipeline.h"
+#include "tests/fleet_telemetry_digest.h"
 
 namespace dbscale::fleet {
 namespace {
@@ -428,41 +429,7 @@ TEST(FleetScaleTest, ExactPathSeedScaleDigestUnchangedByRefactor) {
   }
 }
 
-// Exact-path pins over every FleetTelemetry field: the records, their
-// order, the per-tenant change stats and the totals. Unlike FleetChecksum
-// (a weighted float sum), equal digests mean bit-equal telemetry.
-uint64_t TelemetryDigest(const FleetTelemetry& t) {
-  Fnv64Stream h;
-  h.I32(t.num_tenants);
-  h.I32(t.num_intervals);
-  h.U64(t.hourly.size());
-  for (const HourlyRecord& r : t.hourly) {
-    h.I32(r.tenant_id);
-    h.I32(r.hour);
-    for (size_t ri = 0; ri < container::kNumResources; ++ri) {
-      h.Dbl(r.utilization_pct[ri]);
-      h.Dbl(r.wait_ms[ri]);
-      h.Dbl(r.wait_pct[ri]);
-      h.Dbl(r.wait_ms_per_request[ri]);
-    }
-  }
-  h.U64(t.inter_event_minutes.size());
-  for (const double minutes : t.inter_event_minutes) h.Dbl(minutes);
-  h.U64(t.tenant_changes.size());
-  for (const TenantChangeStats& c : t.tenant_changes) {
-    h.I32(c.tenant_id);
-    h.I32(c.num_changes);
-    h.Dbl(c.changes_per_day);
-  }
-  h.U64(t.step_size_counts.size());
-  for (const int64_t count : t.step_size_counts) {
-    h.U64(static_cast<uint64_t>(count));
-  }
-  h.U64(t.resize_failures);
-  h.U64(t.resize_retries);
-  return h.value;
-}
-
+// Exact-path pins over every FleetTelemetry field (TelemetryDigest).
 // num_threads stays 0 (the process default), so running the suite under
 // different DBSCALE_NUM_THREADS values checks these pins at each count.
 TEST(FleetScaleTest, ExactPathTelemetryDigestPinned) {

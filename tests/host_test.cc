@@ -242,26 +242,12 @@ SimConfig BaseSimConfig() {
   return config;
 }
 
-// The digest formula the pre-host baselines were captured with
-// (examples/faulty_resize.cpp); covers cost, latency, rung trajectory,
-// resize timing, and utilization of every interval.
-double RunDigest(const sim::RunResult& run) {
-  double sum = 0.0;
-  for (const auto& interval : run.intervals) {
-    sum += interval.cost + interval.latency_p95_ms +
-           static_cast<double>(interval.completed) +
-           1000.0 * interval.container.base_rung + (interval.resized ? 7 : 0);
-    for (double u : interval.utilization_pct) sum += u;
-  }
-  return sum;
-}
-
-// A SimConfig that never mentions hosts must reproduce the digests pinned
-// before the host layer existed, null-fault and faulty alike.
+// A SimConfig that never mentions hosts must reproduce the null-fault and
+// faulty run digests SimDigestTest pins for the same two configs.
 TEST(HostSimTest, NullHostPlanReproducesPreHostDigests) {
   auto null_run = BaseSimConfig().Run();
   ASSERT_TRUE(null_run.ok()) << null_run.status().message();
-  EXPECT_DOUBLE_EQ(RunDigest(null_run->result), 2094099.7125696521);
+  EXPECT_EQ(null_run->result.Digest(), 0x2b4227551f4cf98eULL);
   EXPECT_EQ(null_run->result.host_digest, 0u);
   EXPECT_EQ(null_run->result.migrations_begun, 0u);
 
@@ -272,7 +258,7 @@ TEST(HostSimTest, NullHostPlanReproducesPreHostDigests) {
   faulty.simulation.fault.telemetry.drop_probability = 0.05;
   auto faulty_run = faulty.Run();
   ASSERT_TRUE(faulty_run.ok()) << faulty_run.status().message();
-  EXPECT_DOUBLE_EQ(RunDigest(faulty_run->result), 2130223.0493377685);
+  EXPECT_EQ(faulty_run->result.Digest(), 0x07d25cbb19ae1fd3ULL);
 }
 
 SimConfig HotHostSimConfig() {
@@ -280,11 +266,11 @@ SimConfig HotHostSimConfig() {
   // Two hosts; host 0 is hot enough that the tenant's container fits but
   // its first scale-up does not — the scale-up must become a migration to
   // the cold host.
-  config.host.num_hosts = 2;
-  config.host.hot_hosts = 1;
-  config.host.hot_extra.cpu_cores = 12.5;
-  config.host.migration_latency_intervals = 2;
-  config.host.migration_downtime_intervals = 1;
+  config.simulation.host.num_hosts = 2;
+  config.simulation.host.hot_hosts = 1;
+  config.simulation.host.hot_extra.cpu_cores = 12.5;
+  config.simulation.host.migration_latency_intervals = 2;
+  config.simulation.host.migration_downtime_intervals = 1;
   return config;
 }
 
@@ -325,13 +311,13 @@ TEST(HostSimTest, ScaleUpOnHotHostBecomesBilledMigration) {
   // Deterministic: an identical config reproduces both digests bit for bit.
   auto again = HotHostSimConfig().Run();
   ASSERT_TRUE(again.ok());
-  EXPECT_DOUBLE_EQ(RunDigest(again->result), RunDigest(r));
+  EXPECT_EQ(again->result.Digest(), r.Digest());
   EXPECT_EQ(again->result.host_digest, r.host_digest);
 }
 
 TEST(HostSimTest, FailedMigrationReleasesDestinationAndCountsFailure) {
   SimConfig config = HotHostSimConfig();
-  config.host.migration_latency_intervals = 1;
+  config.simulation.host.migration_latency_intervals = 1;
   config.simulation.fault.resize.failure_probability = 1.0;
   auto run = config.Run();
   ASSERT_TRUE(run.ok()) << run.status().message();

@@ -110,6 +110,12 @@ TEST(SimDigestTest, NullCpuioRunPinned) {
   EXPECT_GT(WaitMs(run, WaitClass::kLatch), 0.0);
   EXPECT_GT(WaitMs(run, WaitClass::kSystem), 0.0);
   EXPECT_GT(WaitMs(run, WaitClass::kLogIo), 0.0);
+  // A null fault plan fails no resize, degrades no window and applies
+  // every request at once.
+  EXPECT_EQ(run.resize_failures, 0u);
+  EXPECT_EQ(run.degraded_windows, 0u);
+  EXPECT_GT(run.container_changes, 0);
+  EXPECT_EQ(run.resize_attempts, static_cast<uint64_t>(run.container_changes));
 }
 
 TEST(SimDigestTest, FaultyCpuioRunPinned) {
@@ -122,6 +128,9 @@ TEST(SimDigestTest, FaultyCpuioRunPinned) {
   EXPECT_EQ(run.Digest(), 0x07d25cbb19ae1fd3ULL);
   EXPECT_EQ(run.events_processed, 1771045u);
   EXPECT_GT(run.resize_failures, 0u);
+  // The loop still scales, with at least one request per applied change.
+  EXPECT_GT(run.container_changes, 0);
+  EXPECT_GE(run.resize_attempts, static_cast<uint64_t>(run.container_changes));
 }
 
 // Lock-bound TPC-C with a short lock timeout: hot-row waits, think time
