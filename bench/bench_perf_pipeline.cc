@@ -24,9 +24,9 @@
 // interesting results are the allocation counts, which do not depend on
 // core count.
 //
-// --quick shrinks every section to a few seconds total; ci/check.sh runs
-// it as a smoke stage and asserts on the JSON (zero allocations on the
-// scratch paths, fleet digests match).
+// --quick shrinks every section to a few seconds total. No gate runs this
+// bench: the zero-allocation and digest contracts it reports are ctest
+// cases (tests/alloc_guard_test.cc, the fleet thread-count tests).
 
 #include <algorithm>
 #include <chrono>

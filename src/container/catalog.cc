@@ -351,6 +351,13 @@ Result<Catalog> Catalog::FromSpecs(std::vector<ContainerSpec> specs) {
   if (specs.empty()) {
     return Status::InvalidArgument("catalog needs at least one container");
   }
+  for (const ContainerSpec& spec : specs) {
+    if (spec.name.size() > kMaxContainerNameLength) {
+      return Status::InvalidArgument(StrFormat(
+          "container name '%s' is longer than %zu bytes", spec.name.c_str(),
+          kMaxContainerNameLength));
+    }
+  }
   // Treat every spec as its own rung when built from explicit specs.
   std::stable_sort(specs.begin(), specs.end(),
                    [](const ContainerSpec& a, const ContainerSpec& b) {

@@ -100,6 +100,11 @@ std::string ResourceVector::ToString() const {
                    cpu_cores, memory_mb, disk_iops, log_mbps);
 }
 
+ContainerName::ContainerName(std::string_view name) {
+  DBSCALE_CHECK(name.size() <= kMaxContainerNameLength);
+  std::copy(name.begin(), name.end(), chars_.begin());
+}
+
 std::string ContainerSpec::ToString() const {
   return StrFormat("%s %s @%.1f units/interval", name.c_str(),
                    resources.ToString().c_str(), price_per_interval);

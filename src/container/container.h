@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/fnv.h"
 
@@ -68,6 +69,28 @@ struct ResourceVector {
   bool operator==(const ResourceVector& other) const = default;
 
   std::string ToString() const;
+};
+
+/// Longest container name a catalog accepts: decision records and
+/// explanations keep names inline (ContainerName). The longest generated
+/// name, "S10-disk_io+2", has 13 bytes.
+inline constexpr size_t kMaxContainerNameLength = 15;
+
+/// \brief A container name held inline, NUL-terminated: what decision
+/// records and explanations store instead of a heap string.
+class ContainerName {
+ public:
+  ContainerName() = default;
+  /// CHECKs that `name` has at most kMaxContainerNameLength bytes.
+  explicit ContainerName(std::string_view name);
+
+  std::string_view view() const { return std::string_view(chars_.data()); }
+  const char* c_str() const { return chars_.data(); }
+
+  bool operator==(std::string_view other) const { return view() == other; }
+
+ private:
+  std::array<char, kMaxContainerNameLength + 1> chars_{};
 };
 
 /// \brief One entry of a DaaS catalog: a named resource bundle with a price

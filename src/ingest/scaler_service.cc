@@ -14,8 +14,13 @@ constexpr uint64_t kNoSeqYet = UINT64_MAX;
 }  // namespace
 
 Status ScalerServiceOptions::Validate() const {
-  if (store_retention == 0) {
-    return Status::InvalidArgument("store_retention must be >= 1");
+  const size_t widest_window =
+      std::max({telemetry.aggregation_samples, telemetry.trend_samples,
+                telemetry.correlation_samples});
+  if (store_retention < widest_window) {
+    // A shorter store would silently truncate every window that reads it.
+    return Status::InvalidArgument(
+        "store_retention must cover the largest telemetry window");
   }
   if (samples_per_interval == 0) {
     return Status::InvalidArgument("samples_per_interval must be >= 1");
@@ -108,8 +113,8 @@ void ScalerService::CheckProducerSeqs(const WireSample* samples, size_t n) {
 }
 
 // dbscale-hot: the batch drain loop — pop, route in rounds, evaluate.
-// Steady-state allocation-free on the pop/route path (decision evaluation
-// may allocate inside policies, e.g. the audit trail).
+// Steady-state allocation-free, decisions included once Auto's and
+// Diagonal's audit logs are full (a policy of the caller's may allocate).
 size_t ScalerService::DrainOnce() {
   DBSCALE_CHECK(ring_ != nullptr);
   EnsureBuffers();

@@ -63,8 +63,9 @@ namespace dbscale::ingest {
 struct ScalerServiceOptions {
   /// Signal-window configuration shared by every tenant.
   telemetry::TelemetryManagerOptions telemetry;
-  /// Per-tenant store retention (samples).
-  size_t store_retention = 4096;
+  /// Per-tenant store retention (samples); at least the largest telemetry
+  /// window. At 216 B per sample the default holds ~14 KB per tenant.
+  size_t store_retention = 64;
   /// Samples that make up one billing interval; the tenant's decision is
   /// evaluated when the interval's last sample lands (now = its
   /// period_end, matching the sim loop's boundary clock).

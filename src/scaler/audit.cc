@@ -1,5 +1,7 @@
 #include "src/scaler/audit.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/common/string_util.h"
 
@@ -23,11 +25,21 @@ const char* ResizeOutcomeToString(ResizeOutcome outcome) {
   return "?";
 }
 
+std::array<int, container::kNumResources> AuditRecord::estimate_steps()
+    const {
+  std::array<int, container::kNumResources> steps{};
+  if (!categories.valid) return steps;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    steps[i] = RuleSteps(explanation.rules[i]);
+  }
+  return steps;
+}
+
 std::string AuditRecord::ToString() const {
   std::string out = StrFormat("[%4d] %-4s %s %-4s | p95=%6.0fms | %s",
                               interval_index, from_container.c_str(),
                               resized ? "->" : "==", to_container.c_str(),
-                              latency_ms, explanation.c_str());
+                              latency_ms, explanation.ToString().c_str());
   if (resize_outcome != ResizeOutcome::kNone) {
     out += StrFormat(" [resize %s, attempt %d]",
                      ResizeOutcomeToString(resize_outcome), resize_attempt);
@@ -39,45 +51,54 @@ AuditLog::AuditLog(size_t max_records) : max_records_(max_records) {
   DBSCALE_CHECK(max_records > 0);
 }
 
+size_t AuditLog::NextSlot() {
+  if (size_ == max_records_) {
+    const size_t oldest = head_;
+    head_ = Slot(1);
+    return oldest;
+  }
+  if (size_ % kBlockRecords == 0) {
+    blocks_.push_back(std::make_unique<AuditRecord[]>(
+        std::min(kBlockRecords, max_records_ - size_)));
+  }
+  return size_++;
+}
+
+// dbscale-hot: once per decision. Allocation-free once the log is full.
 void AuditLog::Record(const PolicyInput& input,
                       const CategorizedSignals& cats,
                       const DemandEstimate& estimate,
                       const ScalingDecision& decision, int resize_attempt) {
-  AuditRecord record;
+  AuditRecord& record = Stored(NextSlot());
   record.interval_index = input.interval_index;
+  record.resized = decision.Changed(input.current);
+  record.resize_outcome =
+      record.resized ? ResizeOutcome::kRequested : ResizeOutcome::kNone;
+  record.resize_attempt =
+      static_cast<int16_t>(record.resized ? resize_attempt : 0);
+  record.from_container = container::ContainerName(input.current.name);
+  record.to_container = container::ContainerName(decision.target.name);
   record.time = input.now;
   record.latency_ms = input.signals.latency_ms;
   for (container::ResourceKind kind : container::kAllResources) {
-    const size_t ri = static_cast<size_t>(kind);
-    record.utilization_pct[ri] =
+    record.utilization_pct[static_cast<size_t>(kind)] =
         input.signals.resource(kind).utilization_pct;
-    record.wait_ms_per_request[ri] =
-        input.signals.resource(kind).wait_ms_per_request;
-    if (cats.valid) record.estimate_steps[ri] = estimate.For(kind).steps;
   }
-  if (cats.valid) record.categories = cats;
-  record.from_container = input.current.name;
-  record.to_container = decision.target.name;
-  record.resized = decision.Changed(input.current);
-  if (record.resized) {
-    record.resize_outcome = ResizeOutcome::kRequested;
-    record.resize_attempt = resize_attempt;
-  }
-  record.code = decision.explanation.code;
-  record.explanation = decision.explanation.ToString();
-
-  records_.push_back(std::move(record));
-  while (records_.size() > max_records_) records_.pop_front();
+  record.categories = cats.valid ? cats : CategorizedSignals{};
+  record.explanation = decision.explanation;
+  if (cats.valid) record.explanation.rules = estimate.rules;
 }
 
+// dbscale-hot: once per actuation report; settles a record in place.
 void AuditLog::NoteResizeOutcome(ResizeOutcome outcome, int attempt) {
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (it->resize_outcome == ResizeOutcome::kRequested) {
-      it->resize_outcome = outcome;
-      it->resize_attempt = attempt;
+  for (size_t i = size_; i-- > 0;) {
+    AuditRecord& r = Stored(Slot(i));
+    if (r.resize_outcome == ResizeOutcome::kRequested) {
+      r.resize_outcome = outcome;
+      r.resize_attempt = static_cast<int16_t>(attempt);
       return;
     }
-    if (it->resize_outcome != ResizeOutcome::kNone) {
+    if (r.resize_outcome != ResizeOutcome::kNone) {
       // The most recent resize request is already settled; the feedback is
       // stale (e.g. a duplicate report) — ignore it.
       return;
@@ -87,18 +108,17 @@ void AuditLog::NoteResizeOutcome(ResizeOutcome outcome, int attempt) {
 
 std::vector<const AuditRecord*> AuditLog::Resizes() const {
   std::vector<const AuditRecord*> out;
-  for (const AuditRecord& r : records_) {
-    if (r.resized) out.push_back(&r);
+  for (size_t i = 0; i < size(); ++i) {
+    if (at(i).resized) out.push_back(&at(i));
   }
   return out;
 }
 
 std::string AuditLog::ToString(size_t n) const {
-  const size_t start =
-      (n == 0 || n >= records_.size()) ? 0 : records_.size() - n;
+  const size_t start = (n == 0 || n >= size()) ? 0 : size() - n;
   std::string out;
-  for (size_t i = start; i < records_.size(); ++i) {
-    out += records_[i].ToString() + "\n";
+  for (size_t i = start; i < size(); ++i) {
+    out += at(i).ToString() + "\n";
   }
   return out;
 }
@@ -107,7 +127,8 @@ std::string AuditLog::ToCsv() const {
   std::string out =
       "interval,time_sec,latency_ms,cpu_util,mem_util,disk_util,log_util,"
       "from,to,resized,resize_outcome,resize_attempt,code,explanation\n";
-  for (const AuditRecord& r : records_) {
+  for (size_t i = 0; i < size(); ++i) {
+    const AuditRecord& r = at(i);
     out += StrFormat(
         "%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%s,%s,%d,%s,%d,%s,",
         r.interval_index, r.time.ToSeconds(), r.latency_ms,
@@ -115,13 +136,17 @@ std::string AuditLog::ToCsv() const {
         r.utilization_pct[3], r.from_container.c_str(),
         r.to_container.c_str(), r.resized ? 1 : 0,
         ResizeOutcomeToString(r.resize_outcome), r.resize_attempt,
-        ExplanationCodeToken(r.code));
-    CsvEscapeTo(r.explanation, out);
+        ExplanationCodeToken(r.explanation.code));
+    CsvEscapeTo(r.explanation.ToString(), out);
     out += '\n';
   }
   return out;
 }
 
-void AuditLog::Clear() { records_.clear(); }
+void AuditLog::Clear() {
+  blocks_.clear();
+  size_ = 0;
+  head_ = 0;
+}
 
 }  // namespace dbscale::scaler

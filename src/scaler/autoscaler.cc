@@ -67,9 +67,8 @@ ScalingDecision AutoScaler::Decide(const PolicyInput& input) {
       [this](const ContainerSpec&,
              double budget) -> std::optional<ContainerSpec> {
         // Downsize to the most expensive affordable container.
-        auto affordable = catalog_.MostExpensiveWithin(budget);
-        if (!affordable.ok()) return std::nullopt;
-        return *affordable;
+        if (!AnyAffordable(budget)) return std::nullopt;
+        return *catalog_.MostExpensiveWithin(budget);
       });
   if (clamped) {
     balloon_.Reset();
@@ -126,26 +125,27 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
 
     ResourceVector desired = input.current.resources;
     for (ResourceKind kind : container::kAllResources) {
-      const int steps = est.For(kind).steps;
+      const int steps = est.Steps(kind);
       if (steps > 0) {
         const int rung = catalog_.ClampRung(cur_rung + steps);
         desired.Set(kind, catalog_.rung(rung).resources.Get(kind));
       }
     }
 
-    auto within_budget =
-        catalog_.CheapestDominating(desired, guardrails_.AvailableBudget());
-    if (!within_budget.ok()) {
+    const double budget = guardrails_.AvailableBudget();
+    if (!AnyAffordable(budget)) {
       ScalingDecision d = HoldCurrent(
           input,
           Explanation(ExplanationCode::kHoldNoAffordableContainer));
       d.memory_limit_mb = memory_restore;
       return d;
     }
+    const ContainerSpec within_budget =
+        *catalog_.CheapestDominating(desired, budget);
     const ContainerSpec unconstrained = catalog_.CheapestDominating(desired);
 
     ScalingDecision d;
-    d.target = *within_budget;
+    d.target = within_budget;
     d.demand = desired;
     d.memory_limit_mb = memory_restore;
     if (d.target.id != input.current.id) {
@@ -157,17 +157,17 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
       guardrails_.NoteScaleUp(input);
     }
     if (d.target.id == input.current.id) {
-      d.explanation = Explanation(ExplanationCode::kHoldNoLargerAffordable,
-                                  est.SummaryIncrease());
-    } else if (within_budget->id != unconstrained.id) {
-      d.explanation =
-          Explanation(ExplanationCode::kScaleUpBudgetConstrained,
-                      unconstrained.name);
+      d.explanation = Explanation::WithDemand(
+          ExplanationCode::kHoldNoLargerAffordable, DetailKind::kIncrease,
+          est.rules);
+    } else if (within_budget.id != unconstrained.id) {
+      d.explanation = Explanation::WithContainer(
+          ExplanationCode::kScaleUpBudgetConstrained, unconstrained.name);
       d.explanation.args[0] = unconstrained.price_per_interval;
-      d.explanation.args[1] = guardrails_.AvailableBudget();
+      d.explanation.args[1] = budget;
     } else {
-      d.explanation = Explanation(ExplanationCode::kScaleUpDemand,
-                                  est.SummaryIncrease());
+      d.explanation = Explanation::WithDemand(
+          ExplanationCode::kScaleUpDemand, DetailKind::kIncrease, est.rules);
     }
     return d;
   }
@@ -218,7 +218,7 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
   ResourceVector desired = input.current.resources;
   for (ResourceKind kind : container::kAllResources) {
     if (kind == ResourceKind::kMemory) continue;
-    int target_rung = cur_rung + std::min(est.For(kind).steps, 0);
+    int target_rung = cur_rung + std::min(est.Steps(kind), 0);
     if (slack_low) target_rung = std::min(target_rung, cur_rung - 1);
     target_rung = catalog_.ClampRung(target_rung);
     const double usage = signals.resource(kind).utilization_pct / 100.0 *
@@ -238,16 +238,17 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
                 catalog_.rung(cur_rung - 1).resources.memory_mb);
   }
 
-  auto chosen =
-      catalog_.CheapestDominating(desired, guardrails_.AvailableBudget());
-  if (chosen.ok()) {
+  const double budget = guardrails_.AvailableBudget();
+  std::optional<ContainerSpec> chosen;
+  if (AnyAffordable(budget)) {
+    chosen = *catalog_.CheapestDominating(desired, budget);
     if (std::optional<ScalingDecision> hold =
             guardrails_.RefuseRejected(input, *chosen)) {
       return *std::move(hold);
     }
   }
-  if (chosen.ok() && chosen->price_per_interval <
-                         input.current.price_per_interval) {
+  if (chosen.has_value() && chosen->price_per_interval <
+                                input.current.price_per_interval) {
     const bool memory_was_confirmed = memory_low_confirmed_;
     guardrails_.ResetLowStreak();
     memory_low_confirmed_ = false;
@@ -255,11 +256,11 @@ ScalingDecision AutoScaler::DecideUnclamped(const PolicyInput& input) {
     ScalingDecision d;
     d.target = *chosen;
     if (est.AnyDecrease() || memory_was_confirmed) {
-      d.explanation = Explanation(
+      d.explanation = Explanation::WithDemand(
           memory_was_confirmed
               ? ExplanationCode::kScaleDownMemoryReclaimable
               : ExplanationCode::kScaleDownDemand,
-          est.SummaryDecrease());
+          DetailKind::kDecrease, est.rules);
     } else {
       d.explanation =
           Explanation(ExplanationCode::kScaleDownLatencySlack,

@@ -55,6 +55,12 @@ class AutoScaler : public ScalingPolicy {
   AutoScaler(const container::Catalog& catalog, Guardrails guardrails);
 
   ScalingDecision DecideUnclamped(const PolicyInput& input);
+  /// Whether any container fits `budget`. Decide asks first, so the
+  /// catalog's budgeted lookups never fail: their error Status would
+  /// allocate on every unaffordable decision.
+  bool AnyAffordable(double budget) const {
+    return catalog_.smallest().price_per_interval <= budget;
+  }
   /// Finishes a "balloon" trace span and bumps the tick/abort/completion
   /// counters for one advice.
   static void RecordBalloonAdvice(const BalloonController::Advice& advice,

@@ -1,9 +1,8 @@
 #include "src/scaler/demand_estimator.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "src/common/check.h"
-#include "src/common/string_util.h"
 
 namespace dbscale::scaler {
 
@@ -31,16 +30,118 @@ bool DemandRule::Matches(const ResourceCategories& r) const {
   return true;
 }
 
+namespace {
+
+constexpr auto kHigh = Level::kHigh;
+constexpr auto kMedium = Level::kMedium;
+constexpr auto kLow = Level::kLow;
+constexpr auto kSig = Significance::kSignificant;
+constexpr auto kNotSig = Significance::kNotSignificant;
+constexpr auto kAny = std::nullopt;
+
+// The static rule table: every rule of the hierarchy in ExplanationCode
+// order, so a matched rule's code indexes it. Estimators select and adjust
+// entries per ablation switch (BuildRules); ResourceDemand::rule views the
+// names here.
+constexpr DemandRule kRuleTable[] = {
+    // ---- High-demand hierarchy (Section 4.2), most specific first. ----
+    // (0) Overwhelming evidence on both axes: 2-step demand.
+    {"severe-bottleneck", kHigh, kHigh, kSig, kAny, false, false,
+     /*require_extreme=*/true, +2, ExplanationCode::kRuleSevereBottleneck},
+    // (a) High utilization + high waits + significant share.
+    {"high-util-high-wait", kHigh, kHigh, kSig, kAny, false, false, false,
+     +1, ExplanationCode::kRuleHighUtilHighWait},
+    // (b) High utilization + high waits, share not significant, but the
+    // pressure is building.
+    {"high-util-high-wait-trend", kHigh, kHigh, kNotSig, kAny,
+     /*require_increasing_trend=*/true, false, false, +1,
+     ExplanationCode::kRuleHighUtilHighWaitTrend},
+    // (c) High utilization + medium waits + significant share + trend.
+    {"high-util-med-wait-trend", kHigh, kMedium, kSig, kAny,
+     /*require_increasing_trend=*/true, false, false, +1,
+     ExplanationCode::kRuleHighUtilMedWaitTrend},
+    // (d) High utilization + medium waits whose magnitude tracks latency.
+    {"high-util-corr", kHigh, kMedium, kSig, kSig, false, false, false, +1,
+     ExplanationCode::kRuleHighUtilCorrelation},
+    // (e) Waits leading utilization: medium utilization but high,
+    // significant, latency-correlated waits.
+    {"wait-led-demand", kMedium, kHigh, kSig, kSig, false, false, false, +1,
+     ExplanationCode::kRuleWaitLedDemand},
+    // ---- Low-demand rules (Section 4.3): the other end of the spectrum.
+    // Both axes near zero: 2-step shrink. BuildRules sets
+    // forbid_increasing_trend when trends are in use.
+    {"idle", kLow, kLow, kAny, kAny, false, false, /*require_extreme=*/true,
+     -2, ExplanationCode::kRuleIdle},
+    {"low-util-low-wait", kLow, kLow, kAny, kAny, false, false, false, -1,
+     ExplanationCode::kRuleLowUtilLowWait},
+    // ---- Waits ablated: a utilization-only estimator (what the Util
+    // baseline's demand model looks like; kept for the ablation bench).
+    {"util-extreme", kHigh, kAny, kAny, kAny, false, false,
+     /*require_extreme=*/true, +2, ExplanationCode::kRuleUtilOnlyExtreme},
+    {"util-high", kHigh, kAny, kAny, kAny, false, false, false, +1,
+     ExplanationCode::kRuleUtilOnlyHigh},
+    {"util-low", kLow, kAny, kAny, kAny, false, false, false, -1,
+     ExplanationCode::kRuleUtilOnlyLow},
+};
+
+constexpr ExplanationCode kFirstRule = ExplanationCode::kRuleSevereBottleneck;
+constexpr size_t kNumRules = std::size(kRuleTable);
+
+constexpr bool RuleTableIsCodeIndexed() {
+  for (size_t i = 0; i < kNumRules; ++i) {
+    const DemandRule& rule = kRuleTable[i];
+    const size_t code = static_cast<size_t>(rule.code);
+    if (code != static_cast<size_t>(kFirstRule) + i || rule.steps == 0 ||
+        rule.steps < -kMaxDemandSteps || rule.steps > kMaxDemandSteps) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(RuleTableIsCodeIndexed(),
+              "kRuleTable lists the kRule* codes in order, each with "
+              "nonzero steps within kMaxDemandSteps");
+
+/// The table entry for a kRule* code; nullptr for any other code.
+const DemandRule* RuleFor(ExplanationCode code) {
+  const size_t i = static_cast<size_t>(code) - static_cast<size_t>(kFirstRule);
+  return code >= kFirstRule && i < kNumRules ? &kRuleTable[i] : nullptr;
+}
+
+const DemandRule& TableRule(ExplanationCode code) {
+  const DemandRule* rule = RuleFor(code);
+  DBSCALE_CHECK(rule != nullptr);
+  return *rule;
+}
+
+}  // namespace
+
+int RuleSteps(ExplanationCode code) {
+  const DemandRule* rule = RuleFor(code);
+  return rule != nullptr ? rule->steps : 0;
+}
+
+ResourceDemand DemandEstimate::For(ResourceKind kind) const {
+  ResourceDemand d;
+  const DemandRule* rule = RuleFor(rules[static_cast<size_t>(kind)]);
+  if (rule != nullptr) {
+    d.steps = rule->steps;
+    d.rule = rule->name;
+    d.explanation = Explanation(rule->code, kind);
+  }
+  return d;
+}
+
 bool DemandEstimate::AnyIncrease() const {
-  for (const ResourceDemand& d : demand) {
-    if (d.steps > 0) return true;
+  for (ResourceKind kind : container::kAllResources) {
+    if (Steps(kind) > 0) return true;
   }
   return false;
 }
 
 bool DemandEstimate::AnyDecrease() const {
-  for (const ResourceDemand& d : demand) {
-    if (d.steps < 0) return true;
+  for (ResourceKind kind : container::kAllResources) {
+    if (Steps(kind) < 0) return true;
   }
   return false;
 }
@@ -51,30 +152,12 @@ bool DemandEstimate::SuggestsShrink() const {
   return NoneIncrease() && AnyDecrease();
 }
 
-namespace {
-
-std::string SummarizeSign(const DemandEstimate& estimate, int sign) {
-  std::string out;
-  for (ResourceKind kind : container::kAllResources) {
-    const ResourceDemand& d = estimate.For(kind);
-    if (d.steps != 0 && (sign > 0) == (d.steps > 0)) {
-      if (!out.empty()) out += "; ";
-      out += StrFormat("%s %+d (%s)",
-                       container::ResourceKindToString(kind), d.steps,
-                       d.explanation.ToString().c_str());
-    }
-  }
-  return out.empty() ? "no demand change" : out;
-}
-
-}  // namespace
-
 std::string DemandEstimate::SummaryIncrease() const {
-  return SummarizeSign(*this, +1);
+  return DemandSummary(rules, +1);
 }
 
 std::string DemandEstimate::SummaryDecrease() const {
-  return SummarizeSign(*this, -1);
+  return DemandSummary(rules, -1);
 }
 
 DemandEstimator::DemandEstimator(DemandEstimatorOptions options)
@@ -83,78 +166,38 @@ DemandEstimator::DemandEstimator(DemandEstimatorOptions options)
 }
 
 void DemandEstimator::BuildRules() {
-  const auto kHigh = Level::kHigh;
-  const auto kMedium = Level::kMedium;
-  const auto kLow = Level::kLow;
-  const auto kSig = Significance::kSignificant;
-  const auto kNotSig = Significance::kNotSignificant;
-
   high_rules_.clear();
   low_rules_.clear();
+  auto add_low = [&](ExplanationCode code) {
+    DemandRule rule = TableRule(code);
+    rule.forbid_increasing_trend = options_.use_trends;
+    low_rules_.push_back(rule);
+  };
 
   if (!options_.use_waits) {
-    // Ablated to a utilization-only estimator (what the Util baseline's
-    // demand model looks like; kept here for the ablation bench).
-    high_rules_.push_back(DemandRule{
-        "util-extreme", kHigh, std::nullopt, std::nullopt, std::nullopt,
-        false, false, /*require_extreme=*/true, +2,
-        ExplanationCode::kRuleUtilOnlyExtreme});
-    high_rules_.push_back(DemandRule{
-        "util-high", kHigh, std::nullopt, std::nullopt, std::nullopt,
-        false, false, false, +1, ExplanationCode::kRuleUtilOnlyHigh});
-    DemandRule down{"util-low", kLow, std::nullopt, std::nullopt,
-                    std::nullopt, false, options_.use_trends, false, -1,
-                    ExplanationCode::kRuleUtilOnlyLow};
-    low_rules_.push_back(down);
+    high_rules_.push_back(TableRule(ExplanationCode::kRuleUtilOnlyExtreme));
+    high_rules_.push_back(TableRule(ExplanationCode::kRuleUtilOnlyHigh));
+    add_low(ExplanationCode::kRuleUtilOnlyLow);
     return;
   }
 
-  // ---- High-demand hierarchy (Section 4.2), most specific first. ----
-  // (0) Overwhelming evidence on both axes: 2-step demand.
-  high_rules_.push_back(DemandRule{
-      "severe-bottleneck", kHigh, kHigh, kSig, std::nullopt, false, false,
-      /*require_extreme=*/true, +2, ExplanationCode::kRuleSevereBottleneck});
-  // (a) High utilization + high waits + significant share.
-  high_rules_.push_back(DemandRule{
-      "high-util-high-wait", kHigh, kHigh, kSig, std::nullopt, false, false,
-      false, +1, ExplanationCode::kRuleHighUtilHighWait});
+  high_rules_.push_back(TableRule(ExplanationCode::kRuleSevereBottleneck));
+  high_rules_.push_back(TableRule(ExplanationCode::kRuleHighUtilHighWait));
   if (options_.use_trends) {
-    // (b) High utilization + high waits, share not significant, but the
-    // pressure is building.
-    high_rules_.push_back(DemandRule{
-        "high-util-high-wait-trend", kHigh, kHigh, kNotSig, std::nullopt,
-        /*require_increasing_trend=*/true, false, false, +1,
-        ExplanationCode::kRuleHighUtilHighWaitTrend});
-    // (c) High utilization + medium waits + significant share + trend.
-    high_rules_.push_back(DemandRule{
-        "high-util-med-wait-trend", kHigh, kMedium, kSig, std::nullopt,
-        /*require_increasing_trend=*/true, false, false, +1,
-        ExplanationCode::kRuleHighUtilMedWaitTrend});
+    high_rules_.push_back(
+        TableRule(ExplanationCode::kRuleHighUtilHighWaitTrend));
+    high_rules_.push_back(
+        TableRule(ExplanationCode::kRuleHighUtilMedWaitTrend));
   }
   if (options_.use_correlation) {
-    // (d) High utilization + medium waits whose magnitude tracks latency.
-    high_rules_.push_back(DemandRule{
-        "high-util-corr", kHigh, kMedium, kSig, kSig, false, false, false,
-        +1, ExplanationCode::kRuleHighUtilCorrelation});
-    // (e) Waits leading utilization: medium utilization but high,
-    // significant, latency-correlated waits.
-    high_rules_.push_back(DemandRule{
-        "wait-led-demand", kMedium, kHigh, kSig, kSig, false, false, false,
-        +1, ExplanationCode::kRuleWaitLedDemand});
+    high_rules_.push_back(TableRule(ExplanationCode::kRuleHighUtilCorrelation));
+    high_rules_.push_back(TableRule(ExplanationCode::kRuleWaitLedDemand));
   }
-
-  // ---- Low-demand rules (Section 4.3): the other end of the spectrum. ----
-  // Both axes near zero: 2-step shrink.
-  low_rules_.push_back(DemandRule{
-      "idle", kLow, kLow, std::nullopt, std::nullopt, false,
-      /*forbid_increasing_trend=*/options_.use_trends,
-      /*require_extreme=*/true, -2, ExplanationCode::kRuleIdle});
-  low_rules_.push_back(DemandRule{
-      "low-util-low-wait", kLow, kLow, std::nullopt, std::nullopt, false,
-      /*forbid_increasing_trend=*/options_.use_trends, false, -1,
-      ExplanationCode::kRuleLowUtilLowWait});
+  add_low(ExplanationCode::kRuleIdle);
+  add_low(ExplanationCode::kRuleLowUtilLowWait);
 }
 
+// dbscale-hot: runs once per decision; the estimate is four rule codes.
 DemandEstimate DemandEstimator::Estimate(
     const CategorizedSignals& signals) const {
   DemandEstimate estimate;
@@ -162,17 +205,15 @@ DemandEstimate DemandEstimator::Estimate(
 
   for (ResourceKind kind : container::kAllResources) {
     const ResourceCategories& r = signals.resource(kind);
-    ResourceDemand& d = estimate.demand[static_cast<size_t>(kind)];
+    ExplanationCode& matched = estimate.rules[static_cast<size_t>(kind)];
 
     for (const DemandRule& rule : high_rules_) {
       if (rule.Matches(r)) {
-        d.steps = std::clamp(rule.steps, -kMaxDemandSteps, kMaxDemandSteps);
-        d.rule = rule.name;
-        d.explanation = Explanation(rule.code, kind);
+        matched = rule.code;
         break;
       }
     }
-    if (d.steps != 0) continue;
+    if (matched != ExplanationCode::kUnset) continue;
 
     // Low-memory demand cannot be read off utilization and waits: the
     // buffer pool keeps memory utilization high and waits low even when the
@@ -182,9 +223,7 @@ DemandEstimate DemandEstimator::Estimate(
 
     for (const DemandRule& rule : low_rules_) {
       if (rule.Matches(r)) {
-        d.steps = std::clamp(rule.steps, -kMaxDemandSteps, kMaxDemandSteps);
-        d.rule = rule.name;
-        d.explanation = Explanation(rule.code, kind);
+        matched = rule.code;
         break;
       }
     }

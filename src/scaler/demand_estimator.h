@@ -20,6 +20,8 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/scaler/categories.h"
@@ -33,7 +35,8 @@ inline constexpr int kMaxDemandSteps = 2;
 /// One rule of the hierarchy: a precondition pattern over the categorical
 /// signals of a resource, and the demand steps implied when it matches.
 struct DemandRule {
-  std::string name;
+  /// Static storage: ResourceDemand::rule views it.
+  std::string_view name;
   /// Precondition pattern; nullopt means "don't care".
   std::optional<Level> utilization;
   std::optional<Level> wait_magnitude;
@@ -55,21 +58,28 @@ struct DemandRule {
   bool Matches(const ResourceCategories& r) const;
 };
 
-/// Demand estimate for one resource.
+/// Demand steps of the rule with `code` in the static rule table (0 for
+/// kUnset and for codes that are not rules).
+int RuleSteps(ExplanationCode code);
+
+/// Demand estimate for one resource: a view of the rule it matched.
 struct ResourceDemand {
   int steps = 0;
-  /// Name of the matched rule (empty when no rule matched).
-  std::string rule;
+  /// Name of the matched rule, in the static rule table (empty when no rule
+  /// matched).
+  std::string_view rule;
   /// Matched rule's code with `resource` filled in (kUnset: no match).
   Explanation explanation;
 };
+static_assert(std::is_trivially_copyable_v<ResourceDemand>);
 
-/// \brief Demand estimate across all resources.
+/// \brief Demand estimate across all resources: the rule each matched.
 struct DemandEstimate {
-  std::array<ResourceDemand, container::kNumResources> demand{};
+  DemandRules rules{};
 
-  const ResourceDemand& For(container::ResourceKind kind) const {
-    return demand[static_cast<size_t>(kind)];
+  ResourceDemand For(container::ResourceKind kind) const;
+  int Steps(container::ResourceKind kind) const {
+    return RuleSteps(rules[static_cast<size_t>(kind)]);
   }
   bool AnyIncrease() const;
   bool AnyDecrease() const;
@@ -79,8 +89,7 @@ struct DemandEstimate {
   /// one negative.
   bool SuggestsShrink() const;
 
-  /// "cpu +1 (<rule explanation>); ..." over the resources whose demand
-  /// rises (falls); "no demand change" when none does.
+  /// DemandSummary over the resources whose demand rises (falls).
   std::string SummaryIncrease() const;
   std::string SummaryDecrease() const;
 };

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/common/string_util.h"
 #include "src/telemetry/wait_class.h"
 
 namespace dbscale::scaler {
@@ -444,7 +443,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     for (ResourceKind kind : container::kAllResources) {
       const size_t d = static_cast<size_t>(kind);
       const int top = optimizer_.grid_size(kind) - 1;
-      const int steps = est.For(kind).steps;
+      const int steps = est.Steps(kind);
       if (wait_directed && kind == *wait_dim) {
         // One corrective level (or up to the utilization-implied demand):
         // small because it is inference from waits, not a rule hit, and
@@ -493,9 +492,10 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
         e.args[1] = guardrails_.AvailableBudget();
         return HoldCurrent(input, std::move(e));
       }
-      return HoldCurrent(input,
-                         Explanation(ExplanationCode::kHoldNoLargerAffordable,
-                                     est.SummaryIncrease()));
+      return HoldCurrent(
+          input, Explanation::WithDemand(
+                     ExplanationCode::kHoldNoLargerAffordable,
+                     DetailKind::kIncrease, est.rules));
     }
     if (std::optional<ScalingDecision> hold =
             guardrails_.RefuseRejected(input, d.target)) {
@@ -511,24 +511,23 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
     if (solved.budget_limited) {
       const DiagonalOptimizer::Target unconstrained =
           optimizer_.Solve(want, std::numeric_limits<double>::infinity());
-      d.explanation =
-          Explanation(ExplanationCode::kScaleUpBudgetConstrained,
-                      optimizer_.Materialize(unconstrained).name);
+      d.explanation = Explanation::WithContainer(
+          ExplanationCode::kScaleUpBudgetConstrained,
+          optimizer_.Materialize(unconstrained).name);
       d.explanation.args[0] = unconstrained.price;
       d.explanation.args[1] = guardrails_.AvailableBudget();
     } else if (ups > 0 && downs > 0) {
-      d.explanation = Explanation(ExplanationCode::kScaleDiagonalRebalance,
-                                  d.target.name);
+      d.explanation = Explanation::WithContainer(
+          ExplanationCode::kScaleDiagonalRebalance, d.target.name);
       d.explanation.args[0] = static_cast<double>(ups);
       d.explanation.args[1] = static_cast<double>(downs);
     } else {
-      d.explanation = Explanation(
-          ExplanationCode::kScaleDiagonalUp,
+      d.explanation =
           wait_directed
-              ? StrFormat("wait-directed: %s %.0f%% of waits",
-                          telemetry::WaitClassToString(dominant.wait_class),
-                          dominant.pct)
-              : est.SummaryIncrease());
+              ? Explanation::WithWait(ExplanationCode::kScaleDiagonalUp,
+                                      DetailKind::kWaitDirected, dominant)
+              : Explanation::WithDemand(ExplanationCode::kScaleDiagonalUp,
+                                        DetailKind::kIncrease, est.rules);
       d.explanation.args[0] = d.target.price_per_interval;
       d.explanation.args[1] = input.current.price_per_interval;
     }
@@ -579,7 +578,7 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
   for (ResourceKind kind : container::kAllResources) {
     const size_t d = static_cast<size_t>(kind);
     int cand = cur[d];
-    const int steps = est.For(kind).steps;
+    const int steps = est.Steps(kind);
     if (steps < 0) cand = cur[d] + steps * step;
     if (guardrails_.slack_low()) cand = std::min(cand, cur[d] - step);
     if (util_level[d] < cur[d]) {
@@ -621,10 +620,11 @@ ScalingDecision DiagonalScaler::DecideUnclamped(const PolicyInput& input) {
                        Explanation(ExplanationCode::kHoldDemandSteady));
   }
   guardrails_.ResetLowStreak();
-  d.explanation = Explanation(
-      ExplanationCode::kScaleDiagonalDown,
-      est.AnyDecrease() ? est.SummaryDecrease()
-                        : std::string("latency slack"));
+  d.explanation =
+      est.AnyDecrease()
+          ? Explanation::WithDemand(ExplanationCode::kScaleDiagonalDown,
+                                    DetailKind::kDecrease, est.rules)
+          : Explanation(ExplanationCode::kScaleDiagonalDown, "latency slack");
   d.explanation.args[0] = d.target.price_per_interval;
   d.explanation.args[1] = input.current.price_per_interval;
   return d;

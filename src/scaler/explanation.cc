@@ -2,6 +2,7 @@
 
 #include "src/common/check.h"
 #include "src/common/string_util.h"
+#include "src/scaler/demand_estimator.h"
 
 namespace dbscale::scaler {
 
@@ -10,9 +11,9 @@ namespace {
 const char* ResourceName(const Explanation& e) {
   // kRule* codes are per-resource by construction; default defensively so
   // a mis-built Explanation still renders.
-  return e.resource.has_value()
-             ? container::ResourceKindToString(*e.resource)
-             : "resource";
+  const std::optional<container::ResourceKind> resource = e.resource();
+  return resource.has_value() ? container::ResourceKindToString(*resource)
+                              : "resource";
 }
 
 }  // namespace
@@ -129,12 +130,79 @@ const char* ExplanationCodeToken(ExplanationCode code) {
   return "unknown";
 }
 
+std::string DemandSummary(const DemandRules& rules, int sign) {
+  std::string out;
+  for (container::ResourceKind kind : container::kAllResources) {
+    const ExplanationCode rule = rules[static_cast<size_t>(kind)];
+    const int steps = RuleSteps(rule);
+    if (steps != 0 && (sign > 0) == (steps > 0)) {
+      if (!out.empty()) out += "; ";
+      out += StrFormat("%s %+d (%s)", container::ResourceKindToString(kind),
+                       steps, Explanation(rule, kind).ToString().c_str());
+    }
+  }
+  return out.empty() ? "no demand change" : out;
+}
+
+Explanation Explanation::WithContainer(ExplanationCode c,
+                                       std::string_view name) {
+  Explanation e(c);
+  e.detail = DetailKind::kContainer;
+  e.container = container::ContainerName(name);
+  return e;
+}
+
+Explanation Explanation::WithDemand(ExplanationCode c, DetailKind summary,
+                                    const DemandRules& rules) {
+  DBSCALE_CHECK(summary == DetailKind::kIncrease ||
+                summary == DetailKind::kDecrease);
+  Explanation e(c);
+  e.detail = summary;
+  e.rules = rules;
+  return e;
+}
+
+Explanation Explanation::WithWait(ExplanationCode c, DetailKind kind,
+                                  DominantWait wait) {
+  DBSCALE_CHECK(kind == DetailKind::kDominantWait ||
+                kind == DetailKind::kWaitDirected);
+  Explanation e(c);
+  e.detail = kind;
+  e.wait = wait;
+  return e;
+}
+
+std::string Explanation::DetailText() const {
+  switch (detail) {
+    case DetailKind::kNone:
+      return "";
+    case DetailKind::kNote:
+      return note;
+    case DetailKind::kContainer:
+      return std::string(container.view());
+    case DetailKind::kIncrease:
+      return DemandSummary(rules, +1);
+    case DetailKind::kDecrease:
+      return DemandSummary(rules, -1);
+    case DetailKind::kDominantWait:
+      if (wait.pct <= 0.0) return "no waits observed";
+      return StrFormat("dominant waits: %s %.0f%%",
+                       telemetry::WaitClassToString(wait.wait_class),
+                       wait.pct);
+    case DetailKind::kWaitDirected:
+      return StrFormat("wait-directed: %s %.0f%% of waits",
+                       telemetry::WaitClassToString(wait.wait_class),
+                       wait.pct);
+  }
+  return "";
+}
+
 std::string Explanation::ToString() const {
   switch (code) {
     case ExplanationCode::kUnset:
       return "(no explanation)";
     case ExplanationCode::kNote:
-      return detail;
+      return DetailText();
 
     case ExplanationCode::kHoldWarmup:
       return "Hold: warming up (insufficient telemetry)";
@@ -146,25 +214,25 @@ std::string Explanation::ToString() const {
     case ExplanationCode::kHoldNoLargerAffordable:
       return StrFormat(
           "Hold: demand high (%s) but no larger affordable container",
-          detail.c_str());
+          DetailText().c_str());
     case ExplanationCode::kScaleUpBudgetConstrained:
       return StrFormat(
           "Scale-up constrained by budget: wanted %s (%.1f) but budget "
           "allows %.1f",
-          detail.c_str(), args[0], args[1]);
+          DetailText().c_str(), args[0], args[1]);
     case ExplanationCode::kScaleUpDemand:
-      return detail;
+      return DetailText();
     case ExplanationCode::kHoldLatencyNotResource:
       return StrFormat(
           "Hold: latency above goal but no resource demand (%s) — scaling "
           "would not help",
-          detail.c_str());
+          DetailText().c_str());
     case ExplanationCode::kHoldBalloonRevert:
       return "Hold: demand returned during balloon — reverting memory";
     case ExplanationCode::kHoldGoalMetSavings:
       return StrFormat(
           "Hold: demand high (%s) but latency goal met — holding for cost",
-          detail.c_str());
+          DetailText().c_str());
     case ExplanationCode::kHoldBalloonShrinking:
       return StrFormat("Hold: balloon shrinking to %.0f MB (target %.0f)",
                        args[0], args[1]);
@@ -185,19 +253,23 @@ std::string Explanation::ToString() const {
     case ExplanationCode::kHoldMemoryUnvalidated:
       return "Hold: demand low but memory shrink not yet validated";
     case ExplanationCode::kScaleDownDemand:
-      return StrFormat("Scale-down: %s", detail.c_str());
+      return StrFormat("Scale-down: %s", DetailText().c_str());
     case ExplanationCode::kScaleDownMemoryReclaimable:
       return StrFormat("Scale-down: memory reclaimable; %s",
-                       detail.c_str());
+                       DetailText().c_str());
     case ExplanationCode::kScaleDownLatencySlack:
       return StrFormat(
           "Scale-down: latency %.0fms well within goal %.0fms — smaller "
           "container suffices",
           args[0], args[1]);
-    case ExplanationCode::kScaleDownForcedByBudget:
+    case ExplanationCode::kScaleDownForcedByBudget: {
+      Explanation inner = *this;
+      inner.code = overridden;
+      inner.overridden = ExplanationCode::kUnset;
       return StrFormat(
           "Scale-down forced by budget: %.1f/interval available (%s)",
-          args[0], detail.c_str());
+          budget, inner.ToString().c_str());
+    }
     case ExplanationCode::kHoldResizePending:
       return StrFormat("Hold: resize in flight (attempt %d)",
                        static_cast<int>(args[0]));
@@ -207,13 +279,13 @@ std::string Explanation::ToString() const {
           "before retry",
           static_cast<int>(args[0]), static_cast<int>(args[1]));
     case ExplanationCode::kScaleRetryResize:
-      return StrFormat("Retry resize to %s (attempt %d)", detail.c_str(),
+      return StrFormat("Retry resize to %s (attempt %d)", DetailText().c_str(),
                        static_cast<int>(args[0]));
     case ExplanationCode::kHoldResizeRejected:
       return StrFormat(
           "Hold: resize to %s rejected by the service — cooling down %d "
           "intervals",
-          detail.c_str(), static_cast<int>(args[0]));
+          DetailText().c_str(), static_cast<int>(args[0]));
     case ExplanationCode::kHoldResizeAbandoned:
       return StrFormat(
           "Hold: resize abandoned after %d failed attempts",
@@ -295,24 +367,24 @@ std::string Explanation::ToString() const {
       return StrFormat(
           "Scale-up to %s does not fit on the current host — migrating "
           "(target rung %d)",
-          detail.c_str(), static_cast<int>(args[0]));
+          DetailText().c_str(), static_cast<int>(args[0]));
     case ExplanationCode::kHoldHostSaturated:
       return StrFormat(
           "Hold: no host has capacity for %s — cooling down %d intervals",
-          detail.c_str(), static_cast<int>(args[0]));
+          DetailText().c_str(), static_cast<int>(args[0]));
 
     case ExplanationCode::kScaleDiagonalUp:
       return StrFormat(
           "Diagonal scale-up: %s (%.1f -> %.1f units/interval)",
-          detail.c_str(), args[1], args[0]);
+          DetailText().c_str(), args[1], args[0]);
     case ExplanationCode::kScaleDiagonalDown:
       return StrFormat(
           "Diagonal scale-down: %s (%.1f -> %.1f units/interval)",
-          detail.c_str(), args[1], args[0]);
+          DetailText().c_str(), args[1], args[0]);
     case ExplanationCode::kScaleDiagonalRebalance:
       return StrFormat(
           "Diagonal rebalance to %s: %d dimension(s) up, %d down",
-          detail.c_str(), static_cast<int>(args[0]),
+          DetailText().c_str(), static_cast<int>(args[0]),
           static_cast<int>(args[1]));
     case ExplanationCode::kHoldBudgetBindingDimension:
       return StrFormat(

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 #include "src/telemetry/wait_class.h"
 
 namespace dbscale::scaler {
@@ -115,6 +114,7 @@ Guardrails::Guardrails(const TenantKnobs& knobs,
                        const GuardrailOptions& options)
     : options_(options), knobs_(knobs), estimator_(options.estimator) {}
 
+// dbscale-hot: opens every decision; no heap once the audit log is full.
 std::optional<ScalingDecision> Guardrails::Open(const PolicyInput& input) {
   if (budget_ && input.charged_cost > 0.0) {
     // The price of the interval that just ended arrives with the decision
@@ -197,16 +197,19 @@ std::optional<ScalingDecision> Guardrails::HoldWithoutUpMove(
     // help (poor application code, lock contention, ...). Do not scale
     // (Section 2.3: latency goals are a knob, not a guarantee).
     low_streak_ = 0;
-    return HoldCurrent(
-        input, Explanation(ExplanationCode::kHoldLatencyNotResource,
-                           DominantWaitNote(input.signals)));
+    return HoldCurrent(input,
+                       Explanation::WithWait(
+                           ExplanationCode::kHoldLatencyNotResource,
+                           DetailKind::kDominantWait,
+                           FindDominantWait(input.signals)));
   }
   if (knobs_.latency_goal.has_value() && estimate_.AnyIncrease()) {
     // Latency goal met: convert slack into savings by not chasing demand.
     low_streak_ = 0;
-    return HoldCurrent(input,
-                       Explanation(ExplanationCode::kHoldGoalMetSavings,
-                                   estimate_.SummaryIncrease()));
+    return HoldCurrent(
+        input, Explanation::WithDemand(ExplanationCode::kHoldGoalMetSavings,
+                                       DetailKind::kIncrease,
+                                       estimate_.rules));
   }
   return std::nullopt;
 }
@@ -279,9 +282,10 @@ std::optional<ScalingDecision> Guardrails::HandleFeedback(
           input.interval_index + kResizeRejectionCooldownIntervals;
       // A rejected migration means no host in the fleet had capacity —
       // same cooldown bookkeeping, distinct explanation.
-      Explanation e(migration ? ExplanationCode::kHoldHostSaturated
-                              : ExplanationCode::kHoldResizeRejected,
-                    fb.target.name);
+      Explanation e = Explanation::WithContainer(
+          migration ? ExplanationCode::kHoldHostSaturated
+                    : ExplanationCode::kHoldResizeRejected,
+          fb.target.name);
       e.args[0] = static_cast<double>(kResizeRejectionCooldownIntervals);
       return HoldCurrent(input, std::move(e));
     }
@@ -327,8 +331,8 @@ std::optional<ScalingDecision> Guardrails::HandleFeedback(
     decision_attempt_ = attempt;
     ScalingDecision d;
     d.target = plan.target;
-    d.explanation =
-        Explanation(ExplanationCode::kScaleRetryResize, plan.target.name);
+    d.explanation = Explanation::WithContainer(
+        ExplanationCode::kScaleRetryResize, plan.target.name);
     d.explanation.args[0] = static_cast<double>(attempt);
     return d;
   }
@@ -341,12 +345,14 @@ std::optional<ScalingDecision> Guardrails::RefuseRejected(
       input.interval_index >= rejected_until_interval_) {
     return std::nullopt;
   }
-  Explanation e(ExplanationCode::kHoldResizeRejected, target.name);
+  Explanation e = Explanation::WithContainer(
+      ExplanationCode::kHoldResizeRejected, target.name);
   e.args[0] =
       static_cast<double>(rejected_until_interval_ - input.interval_index);
   return HoldCurrent(input, std::move(e));
 }
 
+// dbscale-hot: closes every decision; no heap once the audit log is full.
 bool Guardrails::Finish(const PolicyInput& input, obs::SpanId budget_span,
                         double budget, std::optional<ContainerSpec> forced,
                         ScalingDecision* d) {
@@ -355,9 +361,12 @@ bool Guardrails::Finish(const PolicyInput& input, obs::SpanId budget_span,
   if (clamped) {
     low_streak_ = 0;
     d->target = *std::move(forced);
-    Explanation e(ExplanationCode::kScaleDownForcedByBudget, budget);
-    e.detail = d->explanation.ToString();
-    d->explanation = std::move(e);
+    // The overridden decision's resource, args and detail stay in place and
+    // render as the parenthesized reason.
+    Explanation& e = d->explanation;
+    e.overridden = e.code;
+    e.code = ExplanationCode::kScaleDownForcedByBudget;
+    e.budget = budget;
   }
   if (budget_) sink.trace.Attr(budget_span, "available", budget);
   sink.trace.Attr(budget_span, "price", d->target.price_per_interval);
@@ -385,8 +394,8 @@ bool Guardrails::Finish(const PolicyInput& input, obs::SpanId budget_span,
       }
     }
     if (!fits_locally) {
-      Explanation e(ExplanationCode::kScaleTriggersMigration,
-                    d->target.name);
+      Explanation e = Explanation::WithContainer(
+          ExplanationCode::kScaleTriggersMigration, d->target.name);
       e.args[0] = static_cast<double>(d->target.base_rung);
       d->explanation = std::move(e);
     }
@@ -405,7 +414,7 @@ ScalingDecision HoldCurrent(const PolicyInput& input,
 }
 
 DominantWait FindDominantWait(const telemetry::SignalSnapshot& signals) {
-  DominantWait dominant;
+  DominantWait dominant{telemetry::WaitClass::kSystem, -1.0};
   for (telemetry::WaitClass wc : telemetry::kAllWaitClasses) {
     const double pct = signals.wait_pct_by_class[static_cast<size_t>(wc)];
     if (pct > dominant.pct) {
@@ -414,14 +423,6 @@ DominantWait FindDominantWait(const telemetry::SignalSnapshot& signals) {
     }
   }
   return dominant;
-}
-
-std::string DominantWaitNote(const telemetry::SignalSnapshot& signals) {
-  const DominantWait dominant = FindDominantWait(signals);
-  if (dominant.pct <= 0.0) return "no waits observed";
-  return StrFormat("dominant waits: %s %.0f%%",
-                   telemetry::WaitClassToString(dominant.wait_class),
-                   dominant.pct);
 }
 
 }  // namespace dbscale::scaler

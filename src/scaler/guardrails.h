@@ -28,7 +28,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "src/container/catalog.h"
 #include "src/scaler/audit.h"
@@ -205,15 +204,7 @@ class Guardrails {
 ScalingDecision HoldCurrent(const PolicyInput& input, Explanation explanation);
 
 /// The wait class holding the largest share of waits (first on ties).
-struct DominantWait {
-  telemetry::WaitClass wait_class = telemetry::WaitClass::kSystem;
-  double pct = -1.0;
-};
 DominantWait FindDominantWait(const telemetry::SignalSnapshot& signals);
-
-/// Dominant wait class summary ("dominant waits: Lock 92%"), used in
-/// not-scaling explanations.
-std::string DominantWaitNote(const telemetry::SignalSnapshot& signals);
 
 }  // namespace dbscale::scaler
 

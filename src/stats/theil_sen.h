@@ -13,6 +13,7 @@
 #define DBSCALE_STATS_THEIL_SEN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/result.h"
@@ -28,7 +29,7 @@ namespace dbscale::stats {
 inline constexpr std::size_t kMaxTheilSenPoints = 4096;
 
 /// Direction of an accepted trend.
-enum class TrendDirection { kNone, kIncreasing, kDecreasing };
+enum class TrendDirection : uint8_t { kNone, kIncreasing, kDecreasing };
 
 const char* TrendDirectionToString(TrendDirection d);
 

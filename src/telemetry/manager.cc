@@ -37,11 +37,14 @@ stats::TrendResult TrendOrNone(const stats::TheilSenEstimator& estimator,
   return result.ok() ? *result : stats::TrendResult{};
 }
 
+/// Spearman's rho of `x` against the series whose ranks `scratch->rank_y`
+/// already holds (every correlation in one Compute shares the latency
+/// window, so it is ranked once); 0 when rho is undefined.
 double CorrelationOrZero(const std::vector<double>& x,
-                         const std::vector<double>& y,
                          stats::SpearmanScratch* scratch) {
-  if (x.size() < 3 || x.size() != y.size()) return 0.0;
-  auto rho = stats::SpearmanCorrelation(x, y, scratch);
+  if (x.size() < 3 || x.size() != scratch->rank_y.size()) return 0.0;
+  stats::RankWithTiesInto(x, scratch->order, scratch->rank_x);
+  auto rho = stats::PearsonCorrelation(scratch->rank_x, scratch->rank_y);
   return rho.ok() ? *rho : 0.0;
 }
 
@@ -228,6 +231,8 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   std::vector<double>& corr_latency = scratch->corr_latency;
   corr_latency.clear();
   for (const TelemetrySample* s : corr) corr_latency.push_back(latency_of(*s));
+  stats::RankWithTiesInto(corr_latency, scratch->spearman.order,
+                          scratch->spearman.rank_y);
 
   for (ResourceKind kind : container::kAllResources) {
     ResourceSignals& r = snap.resources[static_cast<size_t>(kind)];
@@ -275,10 +280,9 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
       util_c.push_back(s->utilization_pct[ri]);
       wait_c.push_back(ResourceWaitMs(*s, kind));
     }
-    r.wait_latency_correlation =
-        CorrelationOrZero(wait_c, corr_latency, &scratch->spearman);
+    r.wait_latency_correlation = CorrelationOrZero(wait_c, &scratch->spearman);
     r.utilization_latency_correlation =
-        CorrelationOrZero(util_c, corr_latency, &scratch->spearman);
+        CorrelationOrZero(util_c, &scratch->spearman);
   }
 
   return snap;

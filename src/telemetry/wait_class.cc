@@ -24,35 +24,4 @@ const char* WaitClassToString(WaitClass wc) {
   return "?";
 }
 
-std::optional<container::ResourceKind> WaitClassResource(WaitClass wc) {
-  switch (wc) {
-    case WaitClass::kCpu:
-      return container::ResourceKind::kCpu;
-    case WaitClass::kDiskIo:
-      return container::ResourceKind::kDiskIo;
-    case WaitClass::kLogIo:
-      return container::ResourceKind::kLogIo;
-    case WaitClass::kMemory:
-    case WaitClass::kBufferPool:
-      return container::ResourceKind::kMemory;
-    case WaitClass::kLock:
-    case WaitClass::kLatch:
-    case WaitClass::kSystem:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::array<bool, kNumWaitClasses> WaitClassesForResource(
-    container::ResourceKind kind) {
-  std::array<bool, kNumWaitClasses> mask{};
-  for (WaitClass wc : kAllWaitClasses) {
-    auto resource = WaitClassResource(wc);
-    if (resource.has_value() && *resource == kind) {
-      mask[static_cast<size_t>(wc)] = true;
-    }
-  }
-  return mask;
-}
-
 }  // namespace dbscale::telemetry

@@ -47,11 +47,44 @@ const char* WaitClassToString(WaitClass wc);
 ///   log I/O waits           -> log I/O
 ///   memory grant waits      -> memory
 ///   buffer pool waits       -> memory (more cache -> fewer page stalls)
-std::optional<container::ResourceKind> WaitClassResource(WaitClass wc);
+constexpr std::optional<container::ResourceKind> WaitClassResource(
+    WaitClass wc) {
+  switch (wc) {
+    case WaitClass::kCpu:
+      return container::ResourceKind::kCpu;
+    case WaitClass::kDiskIo:
+      return container::ResourceKind::kDiskIo;
+    case WaitClass::kLogIo:
+      return container::ResourceKind::kLogIo;
+    case WaitClass::kMemory:
+    case WaitClass::kBufferPool:
+      return container::ResourceKind::kMemory;
+    case WaitClass::kLock:
+    case WaitClass::kLatch:
+    case WaitClass::kSystem:
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
 
-/// Wait classes attributed to a resource kind (inverse of the above).
-std::array<bool, kNumWaitClasses> WaitClassesForResource(
-    container::ResourceKind kind);
+/// Wait-class masks per resource kind (the inverse of WaitClassResource),
+/// built at compile time: Compute reads one per sample and resource.
+inline constexpr auto kWaitClassesForResource = [] {
+  std::array<std::array<bool, kNumWaitClasses>, container::kNumResources>
+      masks{};
+  for (WaitClass wc : kAllWaitClasses) {
+    if (const auto resource = WaitClassResource(wc)) {
+      masks[static_cast<size_t>(*resource)][static_cast<size_t>(wc)] = true;
+    }
+  }
+  return masks;
+}();
+
+/// Wait classes attributed to a resource kind.
+constexpr const std::array<bool, kNumWaitClasses>& WaitClassesForResource(
+    container::ResourceKind kind) {
+  return kWaitClassesForResource[static_cast<size_t>(kind)];
+}
 
 }  // namespace dbscale::telemetry
 

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <malloc.h>
 #include <memory>
 #include <new>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/check.h"
 #include "src/container/catalog.h"
 #include "src/engine/engine.h"
 #include "src/fault/actuator.h"
@@ -38,6 +40,8 @@
 #include "src/obs/trace.h"
 #include "src/scaler/autoscaler.h"
 #include "src/sim/report.h"
+#include "src/sim/sim_config.h"
+#include "src/sim/simulation.h"
 #include "src/stats/cdf.h"
 #include "src/stats/robust.h"
 #include "src/stats/spearman.h"
@@ -47,6 +51,7 @@
 #include "src/telemetry/store.h"
 #include "src/workload/generator.h"
 #include "src/workload/mix.h"
+#include "src/workload/paper_traces.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -604,49 +609,89 @@ TEST(AllocGuardTest, StoreAppendSteadyStateIsAllocationFree) {
   EXPECT_EQ(store.size(), 32u);
 }
 
-// The service's telemetry path between billing boundaries: publish, drain
-// and route into every tenant's store, with no decision due. Once each
-// store is at retention and the drain scratch is sized, it is heap-free.
-TEST(AllocGuardTest, WarmServiceDrainIsAllocationFree) {
-  constexpr uint64_t kTenants = 16;
+/// 16 Auto tenants fed through producer, ring and service one sample each
+/// per round: `warm` rounds, then 64 measured ones. Returns the measured
+/// rounds' heap allocations and counter deltas.
+struct WarmDrain {
+  static constexpr uint64_t kTenants = 16;
+  static constexpr int kRounds = 64;
+  size_t allocations = 0;
+  uint64_t routed = 0;
+  uint64_t decisions = 0;
+  ingest::IngestCounters totals;
+};
+
+WarmDrain MeasureWarmDrain(size_t samples_per_interval,
+                           const scaler::TenantKnobs& knobs, int warm) {
   const container::Catalog catalog = container::Catalog::MakeLockStep();
   ingest::IngestRing ring(ingest::IngestRingOptions{.capacity = 1024});
   ingest::ScalerServiceOptions options;
   options.store_retention = 32;
-  options.samples_per_interval = size_t{1} << 30;  // never due
+  options.samples_per_interval = samples_per_interval;
   options.max_drain_batch = 256;
   ingest::ScalerService service(&ring, options);
-  for (uint64_t t = 1; t <= kTenants; ++t) {
-    auto policy = scaler::AutoScaler::Create(catalog, scaler::TenantKnobs{});
-    ASSERT_TRUE(policy.ok());
-    ASSERT_TRUE(
-        service.AddTenant(t, std::move(policy).value(), catalog.rung(4))
-            .ok());
+  for (uint64_t t = 1; t <= WarmDrain::kTenants; ++t) {
+    auto policy = scaler::AutoScaler::Create(catalog, knobs);
+    DBSCALE_CHECK_OK(policy.status());
+    DBSCALE_CHECK_OK(
+        service.AddTenant(t, std::move(policy).value(), catalog.rung(4)));
   }
   ingest::IngestProducer producer(&ring, 0);
   auto feed_round = [&](int i) {
     TelemetrySample sample = MakeSample(i);
     sample.allocation = catalog.rung(4).resources;
     sample.container_id = catalog.rung(4).id;
-    for (uint64_t t = 1; t <= kTenants; ++t) {
+    for (uint64_t t = 1; t <= WarmDrain::kTenants; ++t) {
       // dbscale-lint: allow(discarded-status)
       (void)producer.Publish(t, sample);
     }
     // dbscale-lint: allow(discarded-status)
     (void)service.DrainAll();
   };
-  // Warm-up: fills every store to retention so Append recycles slots.
-  const int warm = static_cast<int>(options.store_retention) + 8;
   for (int i = 0; i < warm; ++i) feed_round(i);
-  const uint64_t routed_before = service.counters().routed;
+  const ingest::IngestCounters before = service.counters();
 
+  WarmDrain out;
   AllocSpan span;
-  for (int i = warm; i < warm + 64; ++i) feed_round(i);
-  EXPECT_EQ(span.allocations(), 0u)
+  for (int i = warm; i < warm + WarmDrain::kRounds; ++i) feed_round(i);
+  out.allocations = span.allocations();
+  out.totals = service.counters();
+  out.routed = out.totals.routed - before.routed;
+  out.decisions = out.totals.decisions - before.decisions;
+  return out;
+}
+
+// The service's telemetry path between billing boundaries: publish, drain
+// and route into every tenant's store, with no decision due. Once each
+// store is at retention (32 samples, warmed past) and the drain scratch is
+// sized, it is heap-free.
+TEST(AllocGuardTest, WarmServiceDrainIsAllocationFree) {
+  const WarmDrain d = MeasureWarmDrain(size_t{1} << 30,  // never due
+                                       scaler::TenantKnobs{}, 32 + 8);
+  EXPECT_EQ(d.allocations, 0u)
       << "warm ScalerService publish/drain/route allocated";
-  EXPECT_EQ(service.counters().routed - routed_before, 64 * kTenants);
-  EXPECT_EQ(service.counters().decisions, 0u);
-  EXPECT_EQ(service.counters().invalid, 0u);
+  EXPECT_EQ(d.routed, WarmDrain::kRounds * WarmDrain::kTenants);
+  EXPECT_EQ(d.totals.decisions, 0u);
+  EXPECT_EQ(d.totals.invalid, 0u);
+}
+
+// The same path when decisions are due: Compute plus each tenant's Auto
+// Decide. Once every store is at retention and every policy's audit log is
+// full, a drain that decides is heap-free too.
+TEST(AllocGuardTest, WarmDecidingServiceDrainIsAllocationFree) {
+  constexpr int kSamplesPerInterval = 4;
+  scaler::TenantKnobs knobs;
+  knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 60.0};
+  // Warm-up: past the audit log's capacity in decisions per tenant.
+  const int warm = kSamplesPerInterval *
+                   static_cast<int>(scaler::AuditLog::kDefaultCapacity + 8);
+  const WarmDrain d = MeasureWarmDrain(kSamplesPerInterval, knobs, warm);
+  EXPECT_EQ(d.allocations, 0u)
+      << "warm ScalerService drain with decisions allocated";
+  EXPECT_EQ(d.decisions, WarmDrain::kRounds / kSamplesPerInterval *
+                             WarmDrain::kTenants);
+  EXPECT_EQ(d.totals.invalid, 0u);
 }
 
 TEST(AllocGuardTest, StoreAppendGrowthPhaseAllocates) {
@@ -661,7 +706,7 @@ TEST(AllocGuardTest, StoreAppendGrowthPhaseAllocates) {
 namespace batch_eval_policies {
 
 /// Alloc-free policy: echoes the current container with a code-only
-/// explanation (empty SSO detail string, no heap traffic).
+/// explanation (no heap traffic).
 class FixedPolicy : public scaler::ScalingPolicy {
  public:
   scaler::ScalingDecision Decide(const scaler::PolicyInput& input) override {
@@ -679,12 +724,14 @@ class AllocatingPolicy : public scaler::ScalingPolicy {
   scaler::ScalingDecision Decide(const scaler::PolicyInput& input) override {
     scaler::ScalingDecision d;
     d.target = input.current;
-    d.explanation = scaler::Explanation(
-        scaler::ExplanationCode::kNote,
-        std::string(128, 'x'));  // forces a heap string
+    d.explanation = scaler::Explanation(scaler::ExplanationCode::kNote);
+    note_ = std::string(128, 'x');  // forces a heap string
     return d;
   }
   std::string name() const override { return "Allocating"; }
+
+ private:
+  std::string note_;
 };
 
 }  // namespace batch_eval_policies
@@ -720,6 +767,211 @@ TEST(AllocGuardTest, DecideBatchAllocatingPolicyIsObserved) {
   AllocSpan span;
   scaler::DecideBatch(slots.data(), kSlots, nullptr);
   EXPECT_GT(span.allocations(), 0u);
+}
+
+// -------- Decision legs: Auto and Diagonal once their audit log is full ----
+
+/// Wraps a policy in a closed loop and counts the heap allocations of every
+/// Decide made after the first `warm` ones, with the explanations those
+/// decisions carried.
+class AllocCountingPolicy : public scaler::ScalingPolicy {
+ public:
+  AllocCountingPolicy(scaler::ScalingPolicy* inner, int warm)
+      : inner_(inner), warm_(warm) {}
+
+  scaler::ScalingDecision Decide(const scaler::PolicyInput& input) override {
+    AllocSpan span;
+    scaler::ScalingDecision d = inner_->Decide(input);
+    const size_t allocations = span.allocations();
+    if (decisions_++ < warm_) return d;
+    allocations_ += allocations;
+    ++measured_;
+    const scaler::Explanation& e = d.explanation;
+    seen_[static_cast<size_t>(e.code)] = true;
+    if (e.code == scaler::ExplanationCode::kScaleDownForcedByBudget) {
+      seen_[static_cast<size_t>(e.overridden)] = true;
+    }
+    if (d.Changed(input.current)) {
+      up_summary_ |= e.detail == scaler::DetailKind::kIncrease;
+      down_summary_ |= e.detail == scaler::DetailKind::kDecrease;
+    }
+    return d;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  bool Saw(scaler::ExplanationCode code) const {
+    return seen_[static_cast<size_t>(code)];
+  }
+  std::string Seen() const {
+    std::string out;
+    for (size_t c = 0; c < seen_.size(); ++c) {
+      if (!seen_[c]) continue;
+      out += scaler::ExplanationCodeToken(static_cast<scaler::ExplanationCode>(c));
+      out += ' ';
+    }
+    return out;
+  }
+
+  scaler::ScalingPolicy* inner_;
+  int warm_;
+  int decisions_ = 0;
+  int measured_ = 0;
+  size_t allocations_ = 0;
+  std::array<bool, scaler::kNumExplanationCodes> seen_{};
+  bool up_summary_ = false;
+  bool down_summary_ = false;
+};
+
+/// A closed loop that reaches every guardrail branch well past the audit
+/// log's capacity: trace 4's bursts scale up and down, a budget of
+/// `budget_per_interval` clamps, and resize faults fail (retries) and
+/// reject. Every interval's bill fits the bucket here: a bill above it (a
+/// forced shrink whose resize failed) fails the charge, which logs an error
+/// and so allocates.
+SimConfig GuardrailLoopConfig(const container::Catalog& catalog,
+                              double budget_per_interval) {
+  SimConfig config;
+  config.simulation.catalog = catalog;
+  config.simulation.workload = workload::MakeCpuioWorkload();
+  config.simulation.trace = *workload::MakeTrace4ManyBursts().Subsampled(2);
+  config.simulation.interval_duration = Duration::Seconds(20);
+  config.simulation.seed = 5;
+  config.simulation.initial_rung = 3;
+  config.simulation.fault.resize.failure_probability = 0.15;
+  config.simulation.fault.resize.rejection_probability = 0.1;
+  const int n = static_cast<int>(config.simulation.trace.num_steps());
+  config.knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 1200.0};
+  config.knobs.budget = scaler::BudgetKnob{budget_per_interval * n, n};
+  return config;
+}
+
+void ExpectDecideAllocationFree(const SimConfig& config,
+                                scaler::ScalingPolicy* policy) {
+  ASSERT_TRUE(config.Validate().ok());
+  const int warm = static_cast<int>(scaler::AuditLog::kDefaultCapacity) + 1;
+  AllocCountingPolicy counting(policy, warm);
+  auto run =
+      sim::Simulation(config.EffectiveSimulationOptions()).Run(&counting);
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  ASSERT_GT(counting.measured_, 200);
+  EXPECT_EQ(counting.allocations_, 0u)
+      << policy->name() << "::Decide allocated over " << counting.measured_
+      << " decisions past a full audit log";
+  // The measured decisions cover the composed explanations and the
+  // guardrails: summaries both ways, the goal-met hold, a budget clamp,
+  // a retry and a rejection hold.
+  const std::string seen = counting.Seen();
+  EXPECT_TRUE(counting.up_summary_) << seen;
+  EXPECT_TRUE(counting.down_summary_) << seen;
+  EXPECT_TRUE(counting.Saw(scaler::ExplanationCode::kHoldGoalMetSavings))
+      << seen;
+  EXPECT_TRUE(counting.Saw(scaler::ExplanationCode::kScaleDownForcedByBudget))
+      << seen;
+  EXPECT_TRUE(counting.Saw(scaler::ExplanationCode::kScaleRetryResize))
+      << seen;
+  EXPECT_TRUE(counting.Saw(scaler::ExplanationCode::kHoldResizeRejected))
+      << seen;
+}
+
+TEST(AllocGuardTest, AutoScalerDecideIsAllocationFreeOnceAuditIsFull) {
+  const SimConfig config =
+      GuardrailLoopConfig(container::Catalog::MakeLockStep(), 85.0);
+  auto policy = scaler::AutoScaler::Create(config.simulation.catalog,
+                                           config.knobs, config.scaler);
+  ASSERT_TRUE(policy.ok());
+  ExpectDecideAllocationFree(config, policy->get());
+}
+
+TEST(AllocGuardTest, DiagonalScalerDecideIsAllocationFreeOnceAuditIsFull) {
+  container::FlexibleCatalogOptions fopts;
+  fopts.subdivisions = 1;
+  auto flexible = container::Catalog::MakeFlexible(fopts);
+  ASSERT_TRUE(flexible.ok());
+  const SimConfig config = GuardrailLoopConfig(*flexible, 55.0);
+  auto policy = scaler::DiagonalScaler::Create(*flexible, config.knobs,
+                                               config.scaler);
+  ASSERT_TRUE(policy.ok());
+  ExpectDecideAllocationFree(config, policy->get());
+}
+
+// -------- Audit bytes: a policy's heap is flat once its log is full --------
+
+/// Heap bytes in use, as perfbench's HeapInUseBytes reads them.
+size_t HeapInUseBytes() { return mallinfo2().uordblks; }
+
+/// Decides intervals [first, first + n) on synthetic signals that swing
+/// load and latency around a 60 ms goal, applying each decided target.
+void DriveDecisions(scaler::ScalingPolicy* policy,
+                    container::ContainerSpec* current, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    scaler::PolicyInput input;
+    input.now = SimTime::Zero() + Duration::Seconds(20.0 * (i + 1));
+    input.interval_index = i;
+    input.current = *current;
+    input.charged_cost = current->price_per_interval;
+    telemetry::SignalSnapshot& s = input.signals;
+    s.valid = true;
+    s.latency_ms = (i / 16) % 2 == 0 ? 40.0 : 95.0;
+    s.allocation = current->resources;
+    s.total_wait_ms = 400.0;
+    for (container::ResourceKind kind : container::kAllResources) {
+      const int r = static_cast<int>(kind);
+      telemetry::ResourceSignals& rs = s.resources[static_cast<size_t>(r)];
+      rs.utilization_pct = 10.0 + 40.0 * ((i / 8 + r) % 3);
+      rs.wait_ms_per_request = 2.0 + 30.0 * ((i / 8 + r) % 3);
+      rs.wait_pct = 20.0 + 15.0 * ((i / 8 + r) % 3);
+    }
+    s.wait_pct_by_class[static_cast<size_t>((i / 8) % 8)] = 60.0;
+    const scaler::ScalingDecision d = policy->Decide(input);
+    *current = d.target;
+  }
+}
+
+// Each policy's heap grows by at most one ~200-B record per decision until
+// its audit log holds kDefaultCapacity records, and not at all after: the
+// bytes after 10x the capacity equal those after 1x.
+TEST(AllocGuardTest, PolicyHeapIsFlatOnceAuditIsFull) {
+  constexpr int kCapacity =
+      static_cast<int>(scaler::AuditLog::kDefaultCapacity);
+  constexpr size_t kMaxBytesPerDecision = 216;
+  container::FlexibleCatalogOptions fopts;
+  fopts.subdivisions = 1;
+  auto flexible = container::Catalog::MakeFlexible(fopts);
+  ASSERT_TRUE(flexible.ok());
+  const container::Catalog lockstep = container::Catalog::MakeLockStep();
+  scaler::TenantKnobs knobs;
+  knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 60.0};
+  for (const bool diagonal : {false, true}) {
+    const container::Catalog& catalog = diagonal ? *flexible : lockstep;
+    std::unique_ptr<scaler::ScalingPolicy> policy;
+    const scaler::AuditLog* audit = nullptr;
+    if (diagonal) {
+      auto made = scaler::DiagonalScaler::Create(catalog, knobs);
+      ASSERT_TRUE(made.ok());
+      audit = &(*made)->audit();
+      policy = std::move(made).value();
+    } else {
+      auto made = scaler::AutoScaler::Create(catalog, knobs);
+      ASSERT_TRUE(made.ok());
+      audit = &(*made)->audit();
+      policy = std::move(made).value();
+    }
+    container::ContainerSpec current = catalog.rung(3);
+    const size_t start = HeapInUseBytes();
+    DriveDecisions(policy.get(), &current, 0, kCapacity);
+    const size_t at_capacity = HeapInUseBytes();
+    DriveDecisions(policy.get(), &current, kCapacity, 9 * kCapacity);
+    const size_t at_10x = HeapInUseBytes();
+
+    const char* name = diagonal ? "Diagonal" : "Auto";
+    EXPECT_EQ(audit->size(), static_cast<size_t>(kCapacity)) << name;
+    EXPECT_EQ(at_10x, at_capacity) << name;
+    EXPECT_LE(at_capacity - start, kMaxBytesPerDecision * kCapacity)
+        << name << ": " << (at_capacity - start) / kCapacity
+        << " B per decision";
+  }
 }
 
 // -------- PR-9 host legs: placement scans and interference kernel --------

@@ -114,7 +114,7 @@ TEST(AuditLogTest, AutoScalerPopulatesAudit) {
         MakeInput(catalog, 3, i, 100.0));
   }
   EXPECT_EQ(scaler->audit().size(), 3u);
-  EXPECT_FALSE(scaler->audit().back().explanation.empty());
+  EXPECT_FALSE(scaler->audit().back().explanation.ToString().empty());
   EXPECT_TRUE(scaler->audit().back().categories.valid);
 }
 
@@ -137,22 +137,23 @@ TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
 
   decide(MakeInput(catalog, 3, interval, 100.0));
   ASSERT_TRUE(audit.back().categories.valid);
-  ASSERT_NE(audit.back().estimate_steps, kNoSteps);
+  ASSERT_NE(audit.back().estimate_steps(), kNoSteps);
 
   PolicyInput degraded = MakeInput(catalog, 3, interval, 100.0);
   degraded.signals.degraded = true;
   decide(degraded);
-  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldDegradedTelemetry);
+  EXPECT_EQ(audit.back().explanation.code,
+            ExplanationCode::kHoldDegradedTelemetry);
   EXPECT_FALSE(audit.back().categories.valid);
-  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
+  EXPECT_EQ(audit.back().estimate_steps(), kNoSteps);
 
   decide(MakeInput(catalog, 3, interval, 100.0));
   PolicyInput warming = MakeInput(catalog, 3, interval, 100.0);
   warming.signals.valid = false;
   decide(warming);
-  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldWarmup);
+  EXPECT_EQ(audit.back().explanation.code, ExplanationCode::kHoldWarmup);
   EXPECT_FALSE(audit.back().categories.valid);
-  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
+  EXPECT_EQ(audit.back().estimate_steps(), kNoSteps);
 
   decide(MakeInput(catalog, 3, interval, 100.0));
   PolicyInput pending = MakeInput(catalog, 3, interval, 100.0);
@@ -160,9 +161,10 @@ TEST(AuditLogTest, HoldsBeforeCategorizingRecordNoCategories) {
   pending.actuation.target = catalog.rung(4);
   pending.actuation.attempt = 1;
   decide(pending);
-  EXPECT_EQ(audit.back().code, ExplanationCode::kHoldResizePending);
+  EXPECT_EQ(audit.back().explanation.code,
+            ExplanationCode::kHoldResizePending);
   EXPECT_FALSE(audit.back().categories.valid);
-  EXPECT_EQ(audit.back().estimate_steps, kNoSteps);
+  EXPECT_EQ(audit.back().estimate_steps(), kNoSteps);
 }
 
 }  // namespace

@@ -211,6 +211,20 @@ TEST(CatalogTest, FromSpecs) {
   EXPECT_EQ(c->smallest().name, "small");
   EXPECT_EQ(c->largest().name, "big");
   EXPECT_FALSE(Catalog::FromSpecs({}).ok());
+  // Names are held inline in decision records: at most 15 bytes.
+  specs[0].name = std::string(kMaxContainerNameLength, 'b');
+  EXPECT_TRUE(Catalog::FromSpecs(specs).ok());
+  specs[0].name += 'b';
+  EXPECT_FALSE(Catalog::FromSpecs(specs).ok());
+}
+
+TEST(ContainerNameTest, HoldsNamesInline) {
+  EXPECT_EQ(ContainerName().view(), "");
+  const ContainerName name("S10-disk_io+2");
+  EXPECT_EQ(name, "S10-disk_io+2");
+  EXPECT_EQ(std::string(name.c_str()), "S10-disk_io+2");
+  const ContainerName longest(std::string(kMaxContainerNameLength, 'x'));
+  EXPECT_EQ(longest.view().size(), kMaxContainerNameLength);
 }
 
 }  // namespace

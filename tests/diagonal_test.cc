@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/fnv.h"
 #include "src/container/catalog.h"
 #include "src/obs/export.h"
@@ -397,97 +398,156 @@ uint64_t DecisionTrailDigest(const sim::RunResult& run) {
   return h.value;
 }
 
-// Both policies' decision trails under configs that reach every guardrail
-// branch: feedback holds, retries with backoff, abandons, rejection
-// cooldowns, budget clamps and migrations. One faulty run per policy is
-// observed, pinning its metrics and span exports too.
-TEST(DiagonalSimTest, GuardrailDecisionTrailsArePinned) {
+// The configs that reach every guardrail branch: feedback holds, retries
+// with backoff, abandons, rejection cooldowns, budget clamps and
+// migrations. Each runs 360 intervals.
+struct GuardrailCase {
+  const char* name;
+  void (*apply)(SimConfig*, int intervals);
+  bool observed = false;
+};
+const GuardrailCase kGuardrailCases[] = {
+    {"null", [](SimConfig*, int) {}},
+    {"acceptance",
+     [](SimConfig* c, int) {
+       c->simulation.fault.resize.failure_probability = 0.1;
+       c->simulation.fault.resize.min_latency_intervals = 1;
+       c->simulation.fault.resize.max_latency_intervals = 2;
+     },
+     true},
+    {"always-failing",
+     [](SimConfig* c, int) {
+       c->simulation.fault.resize.failure_probability = 1.0;
+     }},
+    {"fail-and-reject",
+     [](SimConfig* c, int) {
+       c->simulation.fault.resize.failure_probability = 0.1;
+       c->simulation.fault.resize.rejection_probability = 0.2;
+     }},
+    {"budget",
+     [](SimConfig* c, int n) {
+       c->knobs.budget = scaler::BudgetKnob{40.0 * n, n};
+     }},
+    {"hot-host",
+     [](SimConfig* c, int) {
+       c->simulation.host.num_hosts = 2;
+       c->simulation.host.hot_hosts = 1;
+       c->simulation.host.hot_extra.cpu_cores = 12.5;
+       c->simulation.host.migration_latency_intervals = 2;
+       c->simulation.host.migration_downtime_intervals = 1;
+     }},
+};
+constexpr size_t kNumGuardrailCases = std::size(kGuardrailCases);
+
+// One guardrail case run under Auto on the lock-step catalog or Diagonal on
+// the flexible grid, with the policy kept so its audit log can be read.
+struct GuardrailRun {
+  std::unique_ptr<scaler::ScalingPolicy> policy;
+  const scaler::AuditLog* audit = nullptr;
+  sim::RunResult result;
+};
+
+GuardrailRun RunGuardrailCase(const GuardrailCase& c, bool diagonal,
+                              obs::Observability* ob) {
   FlexibleCatalogOptions fopts;
   fopts.subdivisions = 1;
-  auto flexible = Catalog::MakeFlexible(fopts);
-  ASSERT_TRUE(flexible.ok());
+  const Catalog flexible = Catalog::MakeFlexible(fopts).value();
   const int intervals =
       static_cast<int>(BaseSimConfig().simulation.trace.num_steps());
-  ASSERT_EQ(intervals, 360);
+  SimConfig config = BaseSimConfig();
+  if (diagonal) config.simulation.catalog = flexible;
+  c.apply(&config, intervals);
+  DBSCALE_CHECK(config.Validate().ok());
+  sim::SimulationOptions options = config.EffectiveSimulationOptions();
+  if (c.observed) options.obs = ob;
+  GuardrailRun out;
+  if (diagonal) {
+    auto made = DiagonalScaler::Create(flexible, config.knobs).value();
+    out.audit = &made->audit();
+    out.policy = std::move(made);
+  } else {
+    auto made = scaler::AutoScaler::Create(config.simulation.catalog,
+                                           config.knobs, config.scaler)
+                    .value();
+    out.audit = &made->audit();
+    out.policy = std::move(made);
+  }
+  out.result = sim::Simulation(options).Run(out.policy.get()).value();
+  return out;
+}
 
-  struct Case {
-    const char* name;
-    void (*apply)(SimConfig*, int intervals);
-    std::array<uint64_t, 2> trail;  // Auto, Diagonal
-    bool observed = false;
-  };
-  const Case cases[] = {
-      {"null", [](SimConfig*, int) {},
-       {0x8a0338153fbf7f5eULL, 0x2bff72a80c8b9cc7ULL}},
-      {"acceptance",
-       [](SimConfig* c, int) {
-         c->simulation.fault.resize.failure_probability = 0.1;
-         c->simulation.fault.resize.min_latency_intervals = 1;
-         c->simulation.fault.resize.max_latency_intervals = 2;
-       },
-       {0xecb142dbb491db4cULL, 0x7d7b47214e14ab46ULL},
-       true},
-      {"always-failing",
-       [](SimConfig* c, int) {
-         c->simulation.fault.resize.failure_probability = 1.0;
-       },
-       {0xbf2a8b7f02f4201eULL, 0x2efa5d40cb8367fbULL}},
-      {"fail-and-reject",
-       [](SimConfig* c, int) {
-         c->simulation.fault.resize.failure_probability = 0.1;
-         c->simulation.fault.resize.rejection_probability = 0.2;
-       },
-       {0x39b5a855b5de514bULL, 0x38808ce0d5d8a9f9ULL}},
-      {"budget",
-       [](SimConfig* c, int n) {
-         c->knobs.budget = scaler::BudgetKnob{40.0 * n, n};
-       },
-       {0x8965c3e0f54a9b64ULL, 0xe8f4ef13ed867386ULL}},
-      {"hot-host",
-       [](SimConfig* c, int) {
-         c->simulation.host.num_hosts = 2;
-         c->simulation.host.hot_hosts = 1;
-         c->simulation.host.hot_extra.cpu_cores = 12.5;
-         c->simulation.host.migration_latency_intervals = 2;
-         c->simulation.host.migration_downtime_intervals = 1;
-       },
-       {0x247bd10dc7033d8bULL, 0x066abd7fe5e6c320ULL}},
-  };
+uint64_t TextDigest(const std::string& text) {
+  Fnv64Stream h;
+  h.Bytes(text.data(), text.size());
+  return h.value;
+}
+
+// Both policies' decision trails under every guardrail case. One faulty run
+// per policy is observed, pinning its metrics and span exports too.
+TEST(DiagonalSimTest, GuardrailDecisionTrailsArePinned) {
+  ASSERT_EQ(BaseSimConfig().simulation.trace.num_steps(), 360u);
+  // Per case, Auto then Diagonal.
+  const std::array<std::array<uint64_t, 2>, kNumGuardrailCases> trails = {{
+      {0x8a0338153fbf7f5eULL, 0x2bff72a80c8b9cc7ULL},
+      {0xecb142dbb491db4cULL, 0x7d7b47214e14ab46ULL},
+      {0xbf2a8b7f02f4201eULL, 0x2efa5d40cb8367fbULL},
+      {0x39b5a855b5de514bULL, 0x38808ce0d5d8a9f9ULL},
+      {0x8965c3e0f54a9b64ULL, 0xe8f4ef13ed867386ULL},
+      {0x247bd10dc7033d8bULL, 0x066abd7fe5e6c320ULL},
+  }};
   const std::array<uint64_t, 2> observed_metrics = {0x018db21e3dd9060fULL,
                                                    0x00355947efd601d4ULL};
   const std::array<uint64_t, 2> observed_trace = {0x5c4c69c887939666ULL,
                                                  0x1086ff8bab021342ULL};
 
-  for (const Case& c : cases) {
+  for (size_t i = 0; i < kNumGuardrailCases; ++i) {
+    const GuardrailCase& c = kGuardrailCases[i];
     for (const bool diagonal : {false, true}) {
-      SimConfig config = BaseSimConfig();
-      if (diagonal) config.simulation.catalog = *flexible;
-      c.apply(&config, intervals);
-      ASSERT_TRUE(config.Validate().ok()) << c.name;
-      sim::SimulationOptions options = config.EffectiveSimulationOptions();
       obs::Observability ob;
-      if (c.observed) options.obs = &ob;
-      std::unique_ptr<scaler::ScalingPolicy> policy;
-      if (diagonal) {
-        auto made = DiagonalScaler::Create(*flexible, config.knobs);
-        ASSERT_TRUE(made.ok()) << made.status().message();
-        policy = std::move(made).value();
-      } else {
-        auto made = scaler::AutoScaler::Create(config.simulation.catalog,
-                                               config.knobs, config.scaler);
-        ASSERT_TRUE(made.ok()) << made.status().message();
-        policy = std::move(made).value();
-      }
-      auto run = sim::Simulation(options).Run(policy.get());
-      ASSERT_TRUE(run.ok()) << run.status().message();
+      const GuardrailRun run = RunGuardrailCase(c, diagonal, &ob);
       const size_t p = diagonal ? 1 : 0;
-      EXPECT_EQ(DecisionTrailDigest(*run), c.trail[p])
+      EXPECT_EQ(DecisionTrailDigest(run.result), trails[i][p])
           << c.name << (diagonal ? " / Diagonal" : " / Auto");
       if (c.observed) {
         EXPECT_EQ(obs::MetricsDigest(ob.registry(), ob.primary()),
                   observed_metrics[p]);
         EXPECT_EQ(obs::TraceDigest(ob.trace()), observed_trace[p]);
       }
+    }
+  }
+}
+
+// The audit log's text and CSV renderings of the same runs. Each run's 360
+// records fit in the log, so the digests cover every decision's record.
+TEST(DiagonalSimTest, GuardrailAuditRenderingsArePinned) {
+  // Per case: Auto text, Auto CSV, Diagonal text, Diagonal CSV.
+  const std::array<std::array<uint64_t, 4>, kNumGuardrailCases> pins = {{
+      {0xb108eb104fa7329dULL, 0xc908fca75f1863e1ULL, 0x8b2ccb39a9a32b6cULL,
+       0x7feb5b7a70fe4fd6ULL},
+      {0xe062f46998ee795fULL, 0x05c28d1c968d0177ULL, 0x0dca1454e4d25fc8ULL,
+       0x61fa6b1f7cc4dfcfULL},
+      {0xb318e0903740f539ULL, 0xf203cf5386aa6315ULL, 0xb6607dbf0176264fULL,
+       0x9043dc2700c822f8ULL},
+      {0xd064b264441f1bb2ULL, 0xc4bd8076b3b30a32ULL, 0x57207632ebe57173ULL,
+       0xaebe29543ba56d23ULL},
+      {0x2d3fe416e23821d2ULL, 0x1fef3f1c283c0b45ULL, 0x40dbc60327ac51f4ULL,
+       0xc41394cf61d766f7ULL},
+      {0x657e24dc0364c7f2ULL, 0xe50af2b1b0c5e98aULL, 0x31a6f9ebc392a218ULL,
+       0xd9159f633ac5e750ULL},
+  }};
+  for (size_t i = 0; i < kNumGuardrailCases; ++i) {
+    const GuardrailCase& c = kGuardrailCases[i];
+    for (const bool diagonal : {false, true}) {
+      obs::Observability ob;
+      const GuardrailRun run = RunGuardrailCase(c, diagonal, &ob);
+      ASSERT_EQ(run.audit->size(), run.result.intervals.size()) << c.name;
+      const size_t p = diagonal ? 2 : 0;
+      const uint64_t text = TextDigest(run.audit->ToString());
+      const uint64_t csv = TextDigest(run.audit->ToCsv());
+      EXPECT_EQ(text, pins[i][p])
+          << c.name << (diagonal ? " / Diagonal" : " / Auto") << " text";
+      EXPECT_EQ(csv, pins[i][p + 1])
+          << c.name << (diagonal ? " / Diagonal" : " / Auto") << " csv";
     }
   }
 }

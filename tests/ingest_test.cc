@@ -722,6 +722,21 @@ TEST(IngestServiceTest, OptionsValidate) {
   std::vector<uint64_t> sink;
   o.decision_latency_sink = &sink;  // sink without timer is rejected
   EXPECT_FALSE(o.Validate().ok());
+
+  // The store must hold the widest telemetry window (24 samples by
+  // default); a shorter one would silently truncate it.
+  o = ScalerServiceOptions{};
+  EXPECT_EQ(o.store_retention, 64u);
+  o.store_retention = 0;
+  EXPECT_FALSE(o.Validate().ok());
+  o.store_retention = 23;
+  EXPECT_FALSE(o.Validate().ok());
+  o.store_retention = 24;
+  EXPECT_TRUE(o.Validate().ok());
+  o.telemetry.aggregation_samples = 40;
+  EXPECT_FALSE(o.Validate().ok());
+  o.store_retention = 40;
+  EXPECT_TRUE(o.Validate().ok());
 }
 
 namespace fake_clock {
