@@ -89,7 +89,7 @@ double NowSeconds() {
 /// mean bit-equal telemetry, and the hex string form survives the JSON
 /// round trip losslessly (a %f double prints truncated).
 uint64_t FleetDigest(const fleet::FleetTelemetry& t) {
-  fleet::Fnv64Stream d;
+  Fnv64Stream d;
   for (const fleet::HourlyRecord& r : t.hourly) {
     for (size_t ri = 0; ri < container::kNumResources; ++ri) {
       d.Dbl(r.utilization_pct[ri]);

@@ -1,8 +1,7 @@
-// Incremental FNV-1a over raw value bytes: the digest primitive shared by
-// the streaming fleet aggregation, the checkpoint footer hash, and the
-// host-placement accounting digest. Lives in common/ so layers below
-// fleet/ (host/, ingest/) can fold digests without a fleet dependency;
-// fleet re-exports it as fleet::Fnv64Stream for existing call sites.
+// Incremental FNV-1a over raw value bytes: the one digest primitive, shared
+// by the streaming fleet aggregation, the checkpoint footer hash, the
+// host-placement accounting digest, the service and sim digests, and the
+// metrics and trace digests.
 
 #ifndef DBSCALE_COMMON_FNV_H_
 #define DBSCALE_COMMON_FNV_H_

@@ -4,36 +4,50 @@
 
 namespace dbscale::fault {
 
-ResizeActuator::ResizeActuator(FaultPlan* plan) : plan_(plan) {
+ResizeActuator::ResizeActuator(FaultPlan* plan, int migration_latency_intervals,
+                               int migration_downtime_intervals)
+    : plan_(plan),
+      migration_latency_intervals_(migration_latency_intervals),
+      migration_downtime_intervals_(migration_downtime_intervals) {
   DBSCALE_CHECK(plan != nullptr);
+  DBSCALE_CHECK(migration_latency_intervals >= 0);
+  DBSCALE_CHECK(migration_downtime_intervals >= 0);
 }
 
-ResizeEvent ResizeActuator::Begin(const container::ContainerSpec& target,
-                                  int extra_latency_intervals) {
+// dbscale-hot
+ActuationOutcome ResizeActuator::Begin(const container::ContainerSpec& target,
+                                       ActuationKind kind) {
   DBSCALE_CHECK(!pending_);
-  DBSCALE_CHECK(extra_latency_intervals >= 0);
-  ++begins_;
   attempt_ = target.id == last_target_id_ ? attempt_ + 1 : 1;
   last_target_id_ = target.id;
   target_ = target;
+  kind_ = kind;
+  downtime_billed_ = 0;
 
   const ResizeFaultDraw draw = plan_->NextResizeFault();
   if (draw.fate == ResizeFate::kRejected) {
-    ++rejected_;
-    return ResizeEvent{ResizeEventKind::kRejected, target_, attempt_};
+    return Outcome(ActuationPhase::kRejected);
   }
   fate_ = draw.fate;
-  remaining_intervals_ = draw.latency_intervals + extra_latency_intervals;
+  remaining_intervals_ = draw.latency_intervals;
+  if (kind == ActuationKind::kMigration) {
+    remaining_intervals_ +=
+        migration_latency_intervals_ + migration_downtime_intervals_;
+  }
   if (remaining_intervals_ == 0) return Resolve();
   pending_ = true;
-  return ResizeEvent{ResizeEventKind::kPending, target_, attempt_};
+  return Outcome(ActuationPhase::kPending);
 }
 
-ResizeEvent ResizeActuator::Tick() {
-  if (!pending_) return ResizeEvent{};
+// dbscale-hot
+ActuationOutcome ResizeActuator::Tick() {
+  if (!pending_) return ActuationOutcome{};
   --remaining_intervals_;
   if (remaining_intervals_ > 0) {
-    return ResizeEvent{ResizeEventKind::kPending, target_, attempt_};
+    // Still in flight: an interval inside the migration blackout window is
+    // one more downtime interval billed against the tenant.
+    if (in_downtime()) ++downtime_billed_;
+    return Outcome(ActuationPhase::kPending);
   }
   pending_ = false;
   return Resolve();
@@ -47,6 +61,7 @@ ResizeActuator::State ResizeActuator::SaveState() const {
   s.remaining_intervals = remaining_intervals_;
   s.attempt = attempt_;
   s.last_target_id = last_target_id_;
+  s.kind = pending_ ? kind_ : ActuationKind::kLocalResize;
   return s;
 }
 
@@ -59,15 +74,13 @@ void ResizeActuator::RestoreState(const State& state,
   remaining_intervals_ = state.remaining_intervals;
   attempt_ = state.attempt;
   last_target_id_ = state.last_target_id;
+  kind_ = state.kind;
+  downtime_billed_ = 0;
 }
 
-ResizeEvent ResizeActuator::Resolve() {
-  if (fate_ == ResizeFate::kApplied) {
-    ++applied_;
-    return ResizeEvent{ResizeEventKind::kApplied, target_, attempt_};
-  }
-  ++failed_;
-  return ResizeEvent{ResizeEventKind::kFailed, target_, attempt_};
+ActuationOutcome ResizeActuator::Resolve() {
+  return Outcome(fate_ == ResizeFate::kApplied ? ActuationPhase::kApplied
+                                               : ActuationPhase::kFailed);
 }
 
 }  // namespace dbscale::fault

@@ -153,4 +153,32 @@ bool SampleLooksValid(const telemetry::TelemetrySample& sample) {
          std::isfinite(sample.memory_active_mb);
 }
 
+// dbscale-hot: one call per collected sample under a fault plan.
+SampleFault TelemetryFaultEdge::Apply(FaultPlan* plan,
+                                      telemetry::TelemetrySample* sample) {
+  SampleFault fault = plan->NextSampleFault();
+  if (fault == SampleFault::kStale && !have_clean_) fault = SampleFault::kNone;
+  switch (fault) {
+    case SampleFault::kNone:
+      last_clean_ = *sample;
+      have_clean_ = true;
+      break;
+    case SampleFault::kStale: {
+      const SimTime start = sample->period_start;
+      const SimTime end = sample->period_end;
+      *sample = last_clean_;
+      sample->period_start = start;
+      sample->period_end = end;
+      break;
+    }
+    case SampleFault::kNan:
+    case SampleFault::kOutlier:
+      plan->CorruptSample(fault, sample);
+      break;
+    case SampleFault::kDrop:
+      break;
+  }
+  return fault;
+}
+
 }  // namespace dbscale::fault

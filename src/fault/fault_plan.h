@@ -127,6 +127,25 @@ class FaultPlan {
 /// trends, and correlations downstream.
 bool SampleLooksValid(const telemetry::TelemetrySample& sample);
 
+/// \brief The telemetry-fault edge of one collection stream: the sim loop
+/// and IngestProducer each keep one, so both apply a plan's faults the same
+/// way. Single-threaded state (the last clean sample).
+class TelemetryFaultEdge {
+ public:
+  /// Draws the next sample's fault from `plan` and applies it to `sample`
+  /// in place, returning the fault that took effect:
+  ///   * kNone    — the sample is clean and becomes the last clean one;
+  ///   * kDrop    — left untouched; the caller discards it;
+  ///   * kNan / kOutlier — corrupted (CorruptSample);
+  ///   * kStale   — the last clean payload under the sample's own period
+  ///                bounds. With no clean sample yet it reads as kNone.
+  SampleFault Apply(FaultPlan* plan, telemetry::TelemetrySample* sample);
+
+ private:
+  telemetry::TelemetrySample last_clean_{};
+  bool have_clean_ = false;
+};
+
 }  // namespace dbscale::fault
 
 #endif  // DBSCALE_FAULT_FAULT_PLAN_H_

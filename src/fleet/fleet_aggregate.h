@@ -42,11 +42,6 @@
 
 namespace dbscale::fleet {
 
-/// The streaming digest primitive (moved to src/common/fnv.h so host/ and
-/// ingest/ can fold digests without a fleet dependency); re-exported here
-/// for the existing fleet::Fnv64Stream call sites.
-using ::dbscale::Fnv64Stream;
-
 /// \brief Exact streaming aggregate of one fleet run (or one tenant
 /// block's share of it). Plain data plus fold/merge/query helpers, like
 /// FleetTelemetry.

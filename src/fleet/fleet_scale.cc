@@ -7,7 +7,6 @@
 #include "src/common/thread_pool.h"
 #include "src/fault/actuator.h"
 #include "src/fleet/checkpoint.h"
-#include "src/host/actuation.h"
 #include "src/host/placement.h"
 #include "src/stats/robust.h"
 
@@ -101,6 +100,7 @@ fault::ResizeActuator::State FleetSoaState::ActuatorAt(size_t i) const {
   s.remaining_intervals = act_remaining[i];
   s.attempt = act_attempt[i];
   s.last_target_id = act_last_target[i];
+  if (host_sized()) s.kind = static_cast<fault::ActuationKind>(act_kind[i]);
   return s;
 }
 
@@ -112,6 +112,7 @@ void FleetSoaState::SetActuatorAt(size_t i,
   act_remaining[i] = s.remaining_intervals;
   act_attempt[i] = s.attempt;
   act_last_target[i] = s.last_target_id;
+  if (host_sized()) act_kind[i] = static_cast<uint8_t>(s.kind);
 }
 
 namespace {
@@ -537,10 +538,10 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1) {
       // An in-flight resize resolves at the START of the interval: on
       // success the new container serves this interval's demand.
       if (fault_enabled_ && actuator.pending()) {
-        const fault::ResizeEvent ev = actuator.Tick();
-        if (ev.kind == fault::ResizeEventKind::kApplied) {
+        const fault::ActuationOutcome ev = actuator.Tick();
+        if (ev.phase == fault::ActuationPhase::kApplied) {
           applied_rung = ev.target.base_rung;
-        } else if (ev.kind == fault::ResizeEventKind::kFailed) {
+        } else if (ev.phase == fault::ActuationPhase::kFailed) {
           ++out.agg.resize_failures;
           if (out.pm != nullptr) {
             out.metrics.Add(out.pm->fleet_resize_failures_total, 1.0);
@@ -558,7 +559,7 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1) {
           applied_rung = interval.assigned_rung;
         } else if (!actuator.pending() &&
                    interval.assigned_rung != applied_rung) {
-          const fault::ResizeEvent ev =
+          const fault::ActuationOutcome ev =
               actuator.Begin(catalog_.rung(interval.assigned_rung));
           if (ev.attempt > 1) {
             ++out.agg.resize_retries;
@@ -566,10 +567,10 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1) {
               out.metrics.Add(out.pm->fleet_resize_retries_total, 1.0);
             }
           }
-          if (ev.kind == fault::ResizeEventKind::kApplied) {
+          if (ev.phase == fault::ActuationPhase::kApplied) {
             applied_rung = ev.target.base_rung;
-          } else if (ev.kind == fault::ResizeEventKind::kFailed ||
-                     ev.kind == fault::ResizeEventKind::kRejected) {
+          } else if (ev.phase == fault::ActuationPhase::kFailed ||
+                     ev.phase == fault::ActuationPhase::kRejected) {
             ++out.agg.resize_failures;
             if (out.pm != nullptr) {
               out.metrics.Add(out.pm->fleet_resize_failures_total, 1.0);
@@ -606,12 +607,13 @@ void FleetScaleRunner::RunBlockEpoch(int block, int t0, int t1) {
 
 void FleetScaleRunner::HostTickActuations() {
   const int n = options_.num_tenants;
-  const int D = options_.host.migration_downtime_intervals;
   const double downtime_factor = options_.host.migration_downtime_wait_factor;
   // Tick never draws from the fault plan (fates are drawn at Begin), so a
   // shared null plan suffices for restoring the actuator per tenant.
   fault::FaultPlan null_plan;
-  fault::ResizeActuator actuator(&null_plan);
+  fault::ResizeActuator actuator(&null_plan,
+                                 options_.host.migration_latency_intervals,
+                                 options_.host.migration_downtime_intervals);
   const obs::PipelineMetrics* pm =
       options_.obs != nullptr ? &options_.obs->pipeline() : nullptr;
 
@@ -621,71 +623,41 @@ void FleetScaleRunner::HostTickActuations() {
     if (state_.act_pending[idx] == 0) continue;
 
     actuator.RestoreState(state_.ActuatorAt(idx), catalog_);
-
-    const bool migration = state_.act_kind[idx] != 0;
-    const fault::ResizeEvent ev = actuator.Tick();
-    FleetAggregate& agg =
-        block_aggs_[static_cast<size_t>(i / options_.block_size)];
+    const fault::ActuationOutcome ev = actuator.Tick();
     obs::MetricShard* shard =
         BlockShard(static_cast<size_t>(i / options_.block_size));
     obs::MetricSink sink{shard};
+    const bool observed = pm != nullptr && shard != nullptr;
 
-    if (ev.kind == fault::ResizeEventKind::kApplied) {
-      const container::ResourceVector old_bundle =
-          catalog_.rung(state_.applied_rung[idx]).resources;
-      const container::ResourceVector& new_bundle = ev.target.resources;
-      if (migration) {
-        host_map_->CompleteMigration(state_.host_of[idx],
-                                     state_.act_dest[idx], old_bundle,
-                                     new_bundle);
-        state_.host_of[idx] = state_.act_dest[idx];
-        if (pm != nullptr && shard != nullptr) {
-          sink.Add(pm->host_migrations_total, 1.0);
-        }
-      } else {
-        host_map_->CommitLocal(state_.host_of[idx],
-                               host::UpDelta(old_bundle, new_bundle),
-                               old_bundle, new_bundle);
-      }
-      state_.applied_rung[idx] = ev.target.base_rung;
-      state_.act_kind[idx] = 0;
+    if (ev.phase == fault::ActuationPhase::kApplied ||
+        ev.phase == fault::ActuationPhase::kFailed) {
+      // A failed migration is revealed at cutover: the tenant stays where
+      // it was, having already suffered the blackout.
+      state_.host_of[idx] = host_map_->Settle(
+          ev, state_.host_of[idx], state_.act_dest[idx],
+          catalog_.rung(state_.applied_rung[idx]).resources);
       state_.act_dest[idx] = -1;
-    } else if (ev.kind == fault::ResizeEventKind::kFailed) {
-      // A failed migration is revealed at cutover: the destination
-      // reservation is released and the tenant stays where it was (having
-      // already suffered the blackout). A failed local resize releases its
-      // up-delta reservation.
-      const container::ResourceVector old_bundle =
-          catalog_.rung(state_.applied_rung[idx]).resources;
-      if (migration) {
-        host_map_->AbortMigration(state_.act_dest[idx], ev.target.resources);
-        if (pm != nullptr && shard != nullptr) {
+      const bool migration = ev.kind == fault::ActuationKind::kMigration;
+      if (ev.phase == fault::ActuationPhase::kApplied) {
+        state_.applied_rung[idx] = ev.target.base_rung;
+        if (migration && observed) sink.Add(pm->host_migrations_total, 1.0);
+      } else {
+        if (migration && observed) {
           sink.Add(pm->host_migration_failures_total, 1.0);
         }
-      } else {
-        host_map_->AbortLocal(state_.host_of[idx],
-                              host::UpDelta(old_bundle, ev.target.resources));
+        ++block_aggs_[static_cast<size_t>(i / options_.block_size)]
+              .resize_failures;
+        if (observed) sink.Add(pm->fleet_resize_failures_total, 1.0);
       }
-      ++agg.resize_failures;
-      if (pm != nullptr && shard != nullptr) {
-        sink.Add(pm->fleet_resize_failures_total, 1.0);
-      }
-      state_.act_kind[idx] = 0;
-      state_.act_dest[idx] = -1;
     }
+    state_.SetActuatorAt(idx, actuator.SaveState());
 
-    const fault::ResizeActuator::State saved = actuator.SaveState();
-    state_.SetActuatorAt(idx, saved);
-
-    // Migration blackout: the last D pending intervals before cutover. The
-    // tenant's own waits are inflated and the downtime is billed.
-    if (saved.pending && migration && D > 0 &&
-        saved.remaining_intervals <= D) {
+    // Migration blackout: the tenant's own waits are inflated and the
+    // downtime is billed.
+    if (actuator.in_downtime()) {
       host_map_->AddDowntimeInterval();
       tenant_throttle_[idx] *= downtime_factor;
-      if (pm != nullptr && shard != nullptr) {
-        sink.Add(pm->host_migration_downtime_intervals_total, 1.0);
-      }
+      if (observed) sink.Add(pm->host_migration_downtime_intervals_total, 1.0);
     }
   }
 
@@ -754,8 +726,6 @@ void FleetScaleRunner::HostStepBlock(int block, int t) {
 
 void FleetScaleRunner::HostBeginActuations() {
   const int n = options_.num_tenants;
-  const int migration_latency = options_.host.migration_latency_intervals +
-                                options_.host.migration_downtime_intervals;
   const obs::PipelineMetrics* pm =
       options_.obs != nullptr ? &options_.obs->pipeline() : nullptr;
 
@@ -776,6 +746,7 @@ void FleetScaleRunner::HostBeginActuations() {
     obs::MetricShard* shard =
         BlockShard(static_cast<size_t>(i / options_.block_size));
     obs::MetricSink sink{shard};
+    const bool observed = pm != nullptr && shard != nullptr;
 
     // Placement decision: a scale-up that does not fit next to the host's
     // current allocation + reservations must migrate; scale-downs always
@@ -790,9 +761,7 @@ void FleetScaleRunner::HostBeginActuations() {
         // consuming a fault draw, so the tenant retries next interval with
         // an unchanged fault stream.
         host_map_->AddPlacementHold();
-        if (pm != nullptr && shard != nullptr) {
-          sink.Add(pm->host_placement_holds_total, 1.0);
-        }
+        if (observed) sink.Add(pm->host_placement_holds_total, 1.0);
         continue;
       }
     }
@@ -802,49 +771,41 @@ void FleetScaleRunner::HostBeginActuations() {
       plan = fault::FaultPlan(options_.fault,
                               Rng::FromState(state_.PlanRngAt(idx)));
     }
-    fault::ResizeActuator actuator(&plan);
+    fault::ResizeActuator actuator(&plan,
+                                   options_.host.migration_latency_intervals,
+                                   options_.host.migration_downtime_intervals);
     actuator.RestoreState(state_.ActuatorAt(idx), catalog_);
 
-    const fault::ResizeEvent ev =
-        actuator.Begin(target, migrate ? migration_latency : 0);
+    const fault::ActuationOutcome ev = actuator.Begin(
+        target, migrate ? fault::ActuationKind::kMigration
+                        : fault::ActuationKind::kLocalResize);
     if (ev.attempt > 1) {
       ++agg.resize_retries;
-      if (pm != nullptr && shard != nullptr) {
-        sink.Add(pm->fleet_resize_retries_total, 1.0);
-      }
+      if (observed) sink.Add(pm->fleet_resize_retries_total, 1.0);
     }
-    if (ev.kind == fault::ResizeEventKind::kRejected) {
-      // Control-plane rejection before any host accounting was touched.
-      ++agg.resize_failures;
-      if (pm != nullptr && shard != nullptr) {
-        sink.Add(pm->fleet_resize_failures_total, 1.0);
-      }
-    } else if (migrate) {
-      // extra latency >= 1 forces kPending: a migration can never apply or
-      // fail in its Begin interval.
-      host_map_->BeginMigration(dest, target.resources);
-      state_.act_kind[idx] = 1;
-      state_.act_dest[idx] = dest;
-      if (pm != nullptr && shard != nullptr) {
-        sink.Add(pm->host_migrations_begun_total, 1.0);
-      }
-    } else {
-      state_.act_kind[idx] = 0;
-      state_.act_dest[idx] = -1;
-      if (ev.kind == fault::ResizeEventKind::kApplied) {
-        // Zero-latency local resize: applied within the interval.
-        host_map_->CommitLocal(state_.host_of[idx], up_delta, old_bundle,
-                               target.resources);
-        state_.applied_rung[idx] = target.base_rung;
-      } else if (ev.kind == fault::ResizeEventKind::kFailed) {
-        ++agg.resize_failures;
-        if (pm != nullptr && shard != nullptr) {
-          sink.Add(pm->fleet_resize_failures_total, 1.0);
+    switch (ev.phase) {
+      case fault::ActuationPhase::kPending:
+        // A migration always starts here: latency + downtime >= 1.
+        if (migrate) {
+          host_map_->BeginMigration(dest, target.resources);
+          state_.act_dest[idx] = dest;
+          if (observed) sink.Add(pm->host_migrations_begun_total, 1.0);
+        } else {
+          host_map_->ReserveLocal(state_.host_of[idx], up_delta);
         }
-      } else {
-        // Pending local resize: reserve its up-delta until it resolves.
-        host_map_->ReserveLocal(state_.host_of[idx], up_delta);
-      }
+        break;
+      case fault::ActuationPhase::kApplied:
+        // Committed unreserved, unlike the sim: reserving first would move
+        // every host-mode fleet pin.
+        host_map_->Settle(ev, state_.host_of[idx], dest, old_bundle);
+        state_.applied_rung[idx] = target.base_rung;
+        break;
+      default:
+        // A rejection (before any host accounting) or an immediate local
+        // failure, which has no reservation to release.
+        ++agg.resize_failures;
+        if (observed) sink.Add(pm->fleet_resize_failures_total, 1.0);
+        break;
     }
 
     state_.SetActuatorAt(idx, actuator.SaveState());

@@ -96,7 +96,7 @@ struct FleetSoaState {
   // previous interval's CPU demand, which drives next interval's
   // interference pressure.
   std::vector<int32_t> host_of;
-  std::vector<uint8_t> act_kind;   ///< host::ActuationKind of the pending act
+  std::vector<uint8_t> act_kind;   ///< fault::ActuationKind of the pending act
   std::vector<int32_t> act_dest;   ///< migration destination host (-1 = none)
   std::vector<double> prev_demand_cpu;
   /// Per-tenant constants: rebuilt deterministically from the seed on

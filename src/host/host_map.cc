@@ -243,6 +243,27 @@ void HostMap::AbortMigration(int dest, const container::ResourceVector& target) 
 }
 
 // dbscale-hot
+int HostMap::Settle(const fault::ActuationOutcome& outcome, int host, int dest,
+                    const container::ResourceVector& from) {
+  const bool migration = outcome.kind == fault::ActuationKind::kMigration;
+  const container::ResourceVector& to = outcome.target.resources;
+  if (outcome.phase == fault::ActuationPhase::kApplied) {
+    if (migration) {
+      CompleteMigration(host, dest, from, to);
+      return dest;
+    }
+    CommitLocal(host, UpDelta(from, to), from, to);
+  } else if (outcome.phase == fault::ActuationPhase::kFailed) {
+    if (migration) {
+      AbortMigration(dest, to);
+    } else {
+      AbortLocal(host, UpDelta(from, to));
+    }
+  }
+  return host;
+}
+
+// dbscale-hot
 void HostMap::UpdateInterference(
     const std::vector<double>& resident_demand_cpu) {
   DBSCALE_CHECK(resident_demand_cpu.size() == hosts_.size());

@@ -33,6 +33,7 @@
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/container/container.h"
+#include "src/fault/actuator.h"
 
 namespace dbscale::host {
 
@@ -153,6 +154,15 @@ class HostMap {
   /// Failed migration: the destination reservation is released; the source
   /// accounting was never touched.
   void AbortMigration(int dest, const container::ResourceVector& target);
+
+  // -- Resolved requests ---------------------------------------------------
+  /// Books a resolved actuation of a tenant resident on `host` with bundle
+  /// `from` (`dest`: the migration's destination): an applied migration
+  /// completes and an applied local resize commits; a failed migration or
+  /// local resize releases its reservation. Any other phase books nothing.
+  /// Returns the tenant's host afterwards.
+  int Settle(const fault::ActuationOutcome& outcome, int host, int dest,
+             const container::ResourceVector& from);
 
   // -- Interference -------------------------------------------------------
   /// Folds the previous interval's per-host resident CPU demand (already

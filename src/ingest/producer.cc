@@ -16,40 +16,24 @@ PublishOutcome IngestProducer::Publish(
   if (plan_ == nullptr || !plan_->enabled()) {
     return Push(MakeWireSample(tenant_id, sample));
   }
-  switch (plan_->NextSampleFault()) {
+  telemetry::TelemetrySample edged = sample;
+  switch (edge_.Apply(plan_, &edged)) {
     case fault::SampleFault::kDrop:
       ++dropped_;
       return PublishOutcome::kDropped;
-    case fault::SampleFault::kNan: {
-      telemetry::TelemetrySample corrupted = sample;
-      plan_->CorruptSample(fault::SampleFault::kNan, &corrupted);
-      ++corrupted_;
+    case fault::SampleFault::kNan:
+    case fault::SampleFault::kOutlier:
       // Published corrupted: the service's ingestion guard is the line of
       // defense, same as the sim loop's store-side check.
-      return Push(MakeWireSample(tenant_id, corrupted));
-    }
-    case fault::SampleFault::kOutlier: {
-      telemetry::TelemetrySample corrupted = sample;
-      plan_->CorruptSample(fault::SampleFault::kOutlier, &corrupted);
       ++corrupted_;
-      return Push(MakeWireSample(tenant_id, corrupted));
-    }
+      break;
     case fault::SampleFault::kStale:
-      if (have_good_) {
-        // Stale read: previous good payload under the current period.
-        telemetry::TelemetrySample stale = last_good_;
-        stale.period_start = sample.period_start;
-        stale.period_end = sample.period_end;
-        ++stale_;
-        return Push(MakeWireSample(tenant_id, stale));
-      }
-      [[fallthrough]];  // no previous payload: behaves like kNone
+      ++stale_;
+      break;
     case fault::SampleFault::kNone:
-      last_good_ = sample;
-      have_good_ = true;
-      return Push(MakeWireSample(tenant_id, sample));
+      break;
   }
-  return PublishOutcome::kDropped;  // unreachable
+  return Push(MakeWireSample(tenant_id, edged));
 }
 
 // dbscale-hot: stamps identity and pushes; allocation-free.

@@ -4,7 +4,8 @@
 // TelemetrySamples onto the wire, stamps its producer id and a per-producer
 // monotone sequence number, and pushes into the shared IngestRing. The
 // telemetry fault model (src/fault/) is applied HERE, at the producer
-// edge, exactly as the simulator applies it at its ingestion site:
+// edge, through the same fault::TelemetryFaultEdge the sim loop applies at
+// its ingestion site, so the two agree by construction:
 //
 //   * kDrop    — the sample never reaches the ring (counted);
 //   * kNan     — pushed corrupted; the service's ingestion guard rejects
@@ -12,15 +13,12 @@
 //                around it);
 //   * kOutlier — pushed with inflated latency/wait figures (the robust
 //                aggregates absorb it);
-//   * kStale   — the previous good payload is replayed under the current
+//   * kStale   — the previous clean payload is replayed under the current
 //                sample's period bounds.
 //
-// Fault draws consume the plan's RNG in sample order, so a producer-edge
-// fault stream is bit-identical to the same plan driven by the sim loop.
-//
-// A producer is single-threaded state (sequence counter, last-good
-// payload); give each producer thread its own instance. Many instances
-// may share one ring.
+// A producer is single-threaded state (sequence counter, fault edge); give
+// each producer thread its own instance. Many instances may share one
+// ring.
 
 #ifndef DBSCALE_INGEST_PRODUCER_H_
 #define DBSCALE_INGEST_PRODUCER_H_
@@ -77,8 +75,7 @@ class IngestProducer {
   uint32_t producer_id_;
   uint64_t next_seq_ = 0;
 
-  telemetry::TelemetrySample last_good_{};
-  bool have_good_ = false;
+  fault::TelemetryFaultEdge edge_;
 
   uint64_t published_ = 0;
   uint64_t dropped_ = 0;

@@ -319,7 +319,7 @@ void ScalerService::OfferDirect(const WireSample& sample) {
 }
 
 uint64_t ScalerService::Digest() const {
-  fleet::Fnv64Stream d;
+  Fnv64Stream d;
   for (const auto& [id, t] : tenants_) {
     d.U64(id);
     d.U64(static_cast<uint64_t>(t.interval_index));

@@ -45,10 +45,10 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
 #include "src/container/container.h"
-#include "src/fleet/fleet_aggregate.h"
 #include "src/ingest/ingest_ring.h"
 #include "src/ingest/metrics.h"
 #include "src/ingest/wire_sample.h"
@@ -169,7 +169,7 @@ class ScalerService {
     /// Round stamp: samples of a tenant that already parked one sample
     /// this round must park too (per-tenant FIFO through the rounds).
     uint64_t parked_round = 0;
-    fleet::Fnv64Stream digest;
+    Fnv64Stream digest;
 
     explicit TenantState(size_t retention) : store(retention) {}
   };

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "src/common/fnv.h"
 #include "src/common/string_util.h"
 
 namespace dbscale::obs {
@@ -240,26 +241,27 @@ void AppendMetricsCsv(const MetricRegistry& registry,
   }
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+namespace {
+
+uint64_t TextDigest(const std::string& text) {
+  Fnv64Stream hash;
+  hash.Bytes(text.data(), text.size());
+  return hash.value;
 }
+
+}  // namespace
 
 uint64_t MetricsDigest(const MetricRegistry& registry,
                        const MetricShard& shard) {
   std::string text;
   AppendPrometheus(registry, shard, text);
-  return Fnv1a64(text);
+  return TextDigest(text);
 }
 
 uint64_t TraceDigest(const TraceRecorder& recorder) {
   std::string text;
   AppendSpansJsonl(recorder, text);
-  return Fnv1a64(text);
+  return TextDigest(text);
 }
 
 }  // namespace dbscale::obs

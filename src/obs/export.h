@@ -41,9 +41,6 @@ uint64_t MetricsDigest(const MetricRegistry& registry,
 /// FNV-1a 64-bit over the canonical JSONL span export.
 uint64_t TraceDigest(const TraceRecorder& recorder);
 
-/// FNV-1a 64-bit of a byte string (exposed for tests).
-uint64_t Fnv1a64(const std::string& bytes);
-
 }  // namespace dbscale::obs
 
 #endif  // DBSCALE_OBS_EXPORT_H_

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "src/container/catalog.h"
-#include "src/host/actuation.h"
+#include "src/fault/actuator.h"
 #include "src/obs/pipeline.h"
 #include "src/scaler/explanation.h"
 #include "src/telemetry/manager.h"
@@ -18,18 +18,33 @@
 namespace dbscale::scaler {
 
 /// The actuation vocabulary policies speak (one surface for local resizes
-/// and migrations — see src/host/actuation.h). The harness drives the
+/// and migrations — see src/fault/actuator.h). The harness drives the
 /// asynchronous lifecycle (Pending -> Applied | Failed) and reports the
 /// most recent transition in PolicyInput.actuation before each Decide;
 /// policies that ignore it simply keep requesting their preferred target.
-using host::ActuationFeedback;
-using host::ActuationKind;
-using host::ActuationPhase;
+using ActuationFeedback = fault::ActuationOutcome;
+using fault::ActuationKind;
+using fault::ActuationPhase;
 
 /// The per-resource vector type policies reason in (CPU cores, memory MB,
 /// disk IOPS, log MB/s): a fixed 4-dim POD with per-dimension ops and an
 /// FNV digest fold (ResourceVector::Fold).
 using ResourceVector = container::ResourceVector;
+
+/// What the scaler may know about its tenant's placement when a host plane
+/// is attached (absent = the pre-host "infinite capacity" world).
+struct PlacementView {
+  bool present = false;
+  int host_id = -1;
+  /// Per-resource headroom left on the tenant's host (capacity *
+  /// overcommit - allocated - reserved).
+  ResourceVector free;
+  /// Deterministic wait-inflation factor currently applied to the host's
+  /// tenants (1.0 = no interference).
+  double throttle_factor = 1.0;
+  /// CPU pressure at or beyond the interference knee.
+  bool saturated = false;
+};
 
 /// What a policy sees at the end of each billing interval.
 struct PolicyInput {
@@ -54,7 +69,7 @@ struct PolicyInput {
   ActuationFeedback actuation;
   /// The tenant's placement (host id, headroom, interference) when a host
   /// plane is attached; `placement.present == false` otherwise.
-  host::PlacementView placement;
+  PlacementView placement;
   /// Observability handle (no-ops when disabled). Policies record decision
   /// metrics and nest spans under `obs.trace.parent`.
   obs::Sink obs;

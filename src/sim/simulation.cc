@@ -6,7 +6,6 @@
 #include "src/common/fnv.h"
 #include "src/common/logging.h"
 #include "src/fault/actuator.h"
-#include "src/host/actuation.h"
 #include "src/host/host_map.h"
 #include "src/host/placement.h"
 #include "src/stats/cdf.h"
@@ -159,14 +158,12 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     fault_plan = fault::FaultPlan(options_.fault, rng.Fork());
   }
   const bool faulty = fault_plan.enabled();
-  fault::ResizeActuator actuator(&fault_plan);
-  // The placement-aware actuation channel: local resizes pass straight
-  // through to the fault actuator; migrations add copy latency + blackout
-  // on top of its draws.
-  host::ActuationChannel channel(&actuator,
+  // The placement-aware actuation channel: migrations add copy latency +
+  // blackout on top of the plan's draws.
+  fault::ResizeActuator actuator(&fault_plan,
                                  options_.host.migration_latency_intervals,
                                  options_.host.migration_downtime_intervals);
-  host::ActuationFeedback feedback;
+  scaler::ActuationFeedback feedback;
 
   // Host plane (optional): the single tenant seed-placed next to the
   // configured background load. Disabled, none of this state exists and
@@ -175,6 +172,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
   std::optional<host::HostMap> host_map;
   std::unique_ptr<host::PlacementPolicy> placement;
   int tenant_host = -1;
+  int migration_dest = -1;  // destination of the in-flight migration
   std::vector<double> host_demand;
   double prev_cpu_demand = 0.0;
   if (host_enabled) {
@@ -185,9 +183,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     tenant_host = placed.value()[0];
     host_demand.assign(static_cast<size_t>(host_map->num_hosts()), 0.0);
   }
-  // Last sample that passed ingestion unfaulted; replayed on stale reads.
-  telemetry::TelemetrySample last_good;
-  bool have_good = false;
+  fault::TelemetryFaultEdge telemetry_edge;
 
   telemetry::TelemetryStore store;
   telemetry::TelemetryManager manager(options_.telemetry);
@@ -231,28 +227,28 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
   const int whole_samples =
       std::max(1, static_cast<int>(samples_per_interval));
 
-  // An applied resize or migration: the engine, the host plane and the
-  // counters follow the new container, and the policy hears of it before
-  // its next decision.
-  auto apply = [&](const host::ActuationOutcome& ev) {
-    DBSCALE_CHECK(engine.CompleteResize().ok());
-    ++result.container_changes;
+  // A resolved request: the host plane books it, and the policy hears of
+  // it before its next decision.
+  auto settle = [&](const scaler::ActuationFeedback& ev) {
     if (host_enabled) {
-      if (ev.kind == host::ActuationKind::kMigration) {
-        // Cutover: the tenant leaves its source host and lands on the
-        // destination under the new container.
-        host_map->CompleteMigration(tenant_host, ev.to_host,
-                                    current.resources, ev.target.resources);
-        tenant_host = ev.to_host;
-        if (sink.pipeline != nullptr) {
-          sink.metrics.Add(sink.pipeline->host_migrations_total, 1.0);
-        }
-      } else {
-        host_map->CommitLocal(
-            tenant_host, host::UpDelta(current.resources, ev.target.resources),
-            current.resources, ev.target.resources);
+      tenant_host =
+          host_map->Settle(ev, tenant_host, migration_dest, current.resources);
+      if (ev.kind == scaler::ActuationKind::kMigration &&
+          sink.pipeline != nullptr) {
+        sink.metrics.Add(ev.phase == scaler::ActuationPhase::kApplied
+                             ? sink.pipeline->host_migrations_total
+                             : sink.pipeline->host_migration_failures_total,
+                         1.0);
       }
     }
+    feedback = ev;
+  };
+  // An applied resize or migration: the engine and the counters follow the
+  // new container.
+  auto apply = [&](const scaler::ActuationFeedback& ev) {
+    DBSCALE_CHECK(engine.CompleteResize().ok());
+    ++result.container_changes;
+    settle(ev);
     if (sink.pipeline != nullptr) {
       sink.metrics.Add(sink.pipeline->sim_resizes_total, 1.0);
       sink.metrics.Add(ev.target.base_rung > current.base_rung
@@ -262,7 +258,22 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
       sink.metrics.Add(sink.pipeline->resize_applies_total, 1.0);
     }
     current = ev.target;
-    feedback = ev;
+  };
+  // A transient failure (revealed at cutover for a migration, whose
+  // blackout the tenant already suffered).
+  auto fail = [&](const scaler::ActuationFeedback& ev) {
+    ++result.resize_failures;
+    settle(ev);
+    if (sink.pipeline != nullptr) {
+      sink.metrics.Add(sink.pipeline->resize_failures_total, 1.0);
+    }
+  };
+
+  // One telemetry-fault tally: the run's counter and its pipeline metric.
+  auto tally = [&](uint64_t* counter,
+                   obs::MetricId obs::PipelineMetrics::*metric) {
+    ++*counter;
+    if (sink.pipeline != nullptr) sink.metrics.Add(sink.pipeline->*metric, 1.0);
   };
 
   SimTime interval_start = SimTime::Zero();
@@ -277,37 +288,17 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     // resolves at the START of an interval — the new container (if the
     // actuation succeeded) is in effect, and therefore billed, for the
     // whole interval.
-    if (channel.pending()) {
-      const host::ActuationOutcome ev = channel.Tick();
+    if (actuator.pending()) {
+      const scaler::ActuationFeedback ev = actuator.Tick();
       switch (ev.phase) {
-        case host::ActuationPhase::kApplied:
+        case scaler::ActuationPhase::kApplied:
           apply(ev);
           break;
-        case host::ActuationPhase::kFailed:
+        case scaler::ActuationPhase::kFailed:
           DBSCALE_CHECK(engine.AbortResize().ok());
-          ++result.resize_failures;
-          if (host_enabled) {
-            if (ev.kind == host::ActuationKind::kMigration) {
-              // Failure is revealed at cutover (the tenant already
-              // suffered the blackout); the destination reservation is
-              // released, the source accounting was never touched.
-              host_map->AbortMigration(ev.to_host, ev.target.resources);
-              if (sink.pipeline != nullptr) {
-                sink.metrics.Add(
-                    sink.pipeline->host_migration_failures_total, 1.0);
-              }
-            } else {
-              host_map->AbortLocal(
-                  tenant_host,
-                  host::UpDelta(current.resources, ev.target.resources));
-            }
-          }
-          if (sink.pipeline != nullptr) {
-            sink.metrics.Add(sink.pipeline->resize_failures_total, 1.0);
-          }
-          feedback = ev;
+          fail(ev);
           break;
-        case host::ActuationPhase::kPending:
+        case scaler::ActuationPhase::kPending:
           if (sink.pipeline != nullptr) {
             sink.metrics.Add(sink.pipeline->resize_pending_intervals_total,
                              1.0);
@@ -334,7 +325,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
       host_demand[static_cast<size_t>(tenant_host)] =
           std::min(prev_cpu_demand, current.resources.cpu_cores);
       host_map->UpdateInterference(host_demand);
-      const bool in_downtime = channel.pending() && channel.in_downtime();
+      const bool in_downtime = actuator.in_downtime();
       if (in_downtime) {
         host_map->AddDowntimeInterval();
         if (sink.pipeline != nullptr) {
@@ -377,69 +368,34 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
       record.completed += sample.requests_completed;
       memory_used_sum += sample.memory_used_mb;
       if (options_.keep_samples) result.samples.push_back(sample);
-      if (!faulty) {
-        store.Append(std::move(sample));
-        continue;
-      }
       // Telemetry-fault ingestion: the engine always collects (the record's
       // ground truth above stays exact); what reaches the store may be
       // dropped, corrupted, or stale. Dropped and rejected samples leave
       // time gaps the signal window's coverage check later detects.
-      switch (fault_plan.NextSampleFault()) {
-        case fault::SampleFault::kNone:
-          last_good = sample;
-          have_good = true;
-          store.Append(std::move(sample));
-          break;
-        case fault::SampleFault::kDrop:
-          ++result.telemetry_dropped_samples;
-          if (sink.pipeline != nullptr) {
-            sink.metrics.Add(sink.pipeline->telemetry_dropped_samples_total,
-                             1.0);
-          }
-          break;
-        case fault::SampleFault::kNan:
-          fault_plan.CorruptSample(fault::SampleFault::kNan, &sample);
-          if (!fault::SampleLooksValid(sample)) {
-            // Ingestion guard: non-finite samples never reach the store.
-            ++result.telemetry_rejected_samples;
-            if (sink.pipeline != nullptr) {
-              sink.metrics.Add(
-                  sink.pipeline->telemetry_rejected_samples_total, 1.0);
-            }
-          } else {
-            store.Append(std::move(sample));
-          }
-          break;
-        case fault::SampleFault::kOutlier:
-          fault_plan.CorruptSample(fault::SampleFault::kOutlier, &sample);
-          ++result.telemetry_outlier_samples;
-          if (sink.pipeline != nullptr) {
-            sink.metrics.Add(sink.pipeline->telemetry_outlier_samples_total,
-                             1.0);
-          }
-          store.Append(std::move(sample));
-          break;
-        case fault::SampleFault::kStale:
-          if (have_good) {
-            // A stale read repeats the last good payload under the current
-            // period: the window stays covered but its content is stale.
-            telemetry::TelemetrySample stale = last_good;
-            stale.period_start = sample.period_start;
-            stale.period_end = sample.period_end;
-            ++result.telemetry_stale_samples;
-            if (sink.pipeline != nullptr) {
-              sink.metrics.Add(sink.pipeline->telemetry_stale_samples_total,
-                               1.0);
-            }
-            store.Append(std::move(stale));
-          } else {
-            last_good = sample;
-            have_good = true;
-            store.Append(std::move(sample));
-          }
-          break;
+      if (faulty) {
+        const fault::SampleFault sample_fault =
+            telemetry_edge.Apply(&fault_plan, &sample);
+        if (sample_fault == fault::SampleFault::kDrop) {
+          tally(&result.telemetry_dropped_samples,
+                &obs::PipelineMetrics::telemetry_dropped_samples_total);
+          continue;
+        }
+        if (sample_fault == fault::SampleFault::kNan &&
+            !fault::SampleLooksValid(sample)) {
+          // Ingestion guard: non-finite samples never reach the store.
+          tally(&result.telemetry_rejected_samples,
+                &obs::PipelineMetrics::telemetry_rejected_samples_total);
+          continue;
+        }
+        if (sample_fault == fault::SampleFault::kOutlier) {
+          tally(&result.telemetry_outlier_samples,
+                &obs::PipelineMetrics::telemetry_outlier_samples_total);
+        } else if (sample_fault == fault::SampleFault::kStale) {
+          tally(&result.telemetry_stale_samples,
+                &obs::PipelineMetrics::telemetry_stale_samples_total);
+        }
       }
+      store.Append(std::move(sample));
     }
     const double inv = 1.0 / whole_samples;
     for (ResourceKind kind : container::kAllResources) {
@@ -480,7 +436,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     // successfully applied resizes.
     input.charged_cost = current.price_per_interval;
     input.actuation = feedback;
-    feedback = host::ActuationFeedback{};
+    feedback = scaler::ActuationFeedback{};
     if (host_enabled) {
       input.placement.present = true;
       input.placement.host_id = tenant_host;
@@ -508,7 +464,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
     record.decision_code = decision.explanation.code;
     record.decision_explanation = decision.explanation.ToString();
 
-    if (decision.target.id != current.id && !channel.pending()) {
+    if (decision.target.id != current.id && !actuator.pending()) {
       record.resized = true;
       ++result.resize_attempts;
       const obs::SpanId resize_span = isink.trace.Start("resize", now);
@@ -522,25 +478,23 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
       // migration to the policy's chosen destination. Without a fault
       // plan or host plane every request resolves at Begin as kApplied,
       // attempt 1, with no draw from any RNG stream.
-      host::ActuationRequest req;
-      req.target = decision.target;
+      scaler::ActuationKind kind = scaler::ActuationKind::kLocalResize;
       container::ResourceVector up_delta;
       bool held_by_placement = false;
       if (host_enabled) {
         up_delta = host::UpDelta(current.resources, decision.target.resources);
         if (!host_map->FitsOn(tenant_host, up_delta)) {
-          req.kind = host::ActuationKind::kMigration;
-          req.host_hint = placement->ChooseHost(
+          kind = scaler::ActuationKind::kMigration;
+          migration_dest = placement->ChooseHost(
               *host_map, decision.target.resources, tenant_host);
-          if (req.host_hint < 0) {
+          if (migration_dest < 0) {
             // No host in the fleet has capacity: held before actuation
             // (nothing is drawn from the fault plan), reported to the
             // policy as a rejected migration so its cooldown applies.
             host_map->AddPlacementHold();
-            feedback.phase = host::ActuationPhase::kRejected;
-            feedback.kind = host::ActuationKind::kMigration;
-            feedback.target = decision.target;
-            feedback.attempt = 1;
+            feedback = scaler::ActuationFeedback{
+                scaler::ActuationPhase::kRejected, kind, decision.target,
+                /*attempt=*/1};
             held_by_placement = true;
             if (isink.pipeline != nullptr) {
               isink.metrics.Add(isink.pipeline->host_placement_holds_total,
@@ -550,10 +504,14 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
         }
       }
       if (!held_by_placement) {
-        const host::ActuationOutcome ev = channel.Begin(req, tenant_host);
-        if (host_enabled && ev.phase != host::ActuationPhase::kRejected) {
-          if (req.kind == host::ActuationKind::kMigration) {
-            host_map->BeginMigration(req.host_hint, decision.target.resources);
+        const scaler::ActuationFeedback ev =
+            actuator.Begin(decision.target, kind);
+        // The sim reserves a local resize's up-delta before it commits or
+        // aborts, zero-latency ones included.
+        if (host_enabled && ev.phase != scaler::ActuationPhase::kRejected) {
+          if (kind == scaler::ActuationKind::kMigration) {
+            host_map->BeginMigration(migration_dest,
+                                     decision.target.resources);
             if (isink.pipeline != nullptr) {
               isink.metrics.Add(isink.pipeline->host_migrations_begun_total,
                                 1.0);
@@ -563,28 +521,23 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
           }
         }
         switch (ev.phase) {
-          case host::ActuationPhase::kApplied:
+          case scaler::ActuationPhase::kApplied:
             // Zero actuation latency (local resizes only — a migration
             // always spends its copy + blackout intervals pending): in
             // effect from the next interval.
             DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
             apply(ev);
             break;
-          case host::ActuationPhase::kPending:
+          case scaler::ActuationPhase::kPending:
             // Stage the change in the engine; it completes (or aborts)
             // when the actuation latency elapses.
             DBSCALE_CHECK(engine.BeginResize(ev.target).ok());
             feedback = ev;
             break;
-          case host::ActuationPhase::kFailed:
-            ++result.resize_failures;
-            if (host_enabled) host_map->AbortLocal(tenant_host, up_delta);
-            if (isink.pipeline != nullptr) {
-              isink.metrics.Add(isink.pipeline->resize_failures_total, 1.0);
-            }
-            feedback = ev;
+          case scaler::ActuationPhase::kFailed:
+            fail(ev);
             break;
-          case host::ActuationPhase::kRejected:
+          case scaler::ActuationPhase::kRejected:
             ++result.resize_rejections;
             if (isink.pipeline != nullptr) {
               isink.metrics.Add(isink.pipeline->resize_rejections_total, 1.0);

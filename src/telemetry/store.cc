@@ -33,22 +33,6 @@ void TelemetryStore::Clear() {
   head_ = 0;
 }
 
-std::vector<const TelemetrySample*> TelemetryStore::Range(
-    SimTime since, SimTime until) const {
-  std::vector<const TelemetrySample*> out;
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    const TelemetrySample& s = samples_[Phys(i)];
-    if (s.period_end > since && s.period_end <= until) out.push_back(&s);
-  }
-  return out;
-}
-
-std::vector<const TelemetrySample*> TelemetryStore::Recent(size_t n) const {
-  std::vector<const TelemetrySample*> out;
-  RecentInto(n, out);
-  return out;
-}
-
 // dbscale-hot: per-decision window extraction; fills caller scratch.
 void TelemetryStore::RecentInto(
     size_t n, std::vector<const TelemetrySample*>& out) const {
@@ -57,18 +41,6 @@ void TelemetryStore::RecentInto(
   for (size_t i = start; i < samples_.size(); ++i) {
     out.push_back(&samples_[Phys(i)]);
   }
-}
-
-std::vector<double> TelemetryStore::Extract(
-    size_t n,
-    const std::function<double(const TelemetrySample&)>& fn) const {
-  std::vector<double> out;
-  size_t start = samples_.size() > n ? samples_.size() - n : 0;
-  out.reserve(samples_.size() - start);
-  for (size_t i = start; i < samples_.size(); ++i) {
-    out.push_back(fn(samples_[Phys(i)]));
-  }
-  return out;
 }
 
 }  // namespace dbscale::telemetry

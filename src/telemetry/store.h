@@ -7,7 +7,6 @@
 #ifndef DBSCALE_TELEMETRY_STORE_H_
 #define DBSCALE_TELEMETRY_STORE_H_
 
-#include <functional>
 #include <vector>
 
 #include "src/telemetry/sample.h"
@@ -31,19 +30,10 @@ class TelemetryStore {
   /// Logical index: 0 is the oldest retained sample, size()-1 the newest.
   const TelemetrySample& at(size_t i) const { return samples_[Phys(i)]; }
 
-  /// Samples whose period_end falls in (since, until], oldest first.
-  std::vector<const TelemetrySample*> Range(SimTime since, SimTime until) const;
-
-  /// The most recent `n` samples (fewer if not available), oldest first.
-  std::vector<const TelemetrySample*> Recent(size_t n) const;
-
-  /// Recent() into a caller-provided buffer (cleared first); no allocation
-  /// beyond buffer growth.
+  /// The most recent `n` samples (fewer if not available), oldest first,
+  /// into a caller-provided buffer (cleared first); no allocation beyond
+  /// buffer growth.
   void RecentInto(size_t n, std::vector<const TelemetrySample*>& out) const;
-
-  /// Extracts a per-sample scalar over the most recent `n` samples.
-  std::vector<double> Extract(
-      size_t n, const std::function<double(const TelemetrySample&)>& fn) const;
 
  private:
   /// Physical slot of logical index `i` (0 = oldest). Until the ring is

@@ -500,20 +500,46 @@ TEST(AllocGuardTest, ResizeActuatorLifecycleIsAllocationFree) {
   options.resize.min_latency_intervals = 1;
   options.resize.max_latency_intervals = 2;
   fault::FaultPlan plan(options, Rng(5));
-  fault::ResizeActuator actuator(&plan);
+  // Every other request is a migration: 1 interval of copy, then a
+  // 2-interval blackout.
+  fault::ResizeActuator actuator(&plan, 1, 2);
   const container::ContainerSpec target = catalog.rung(5);
 
+  int downtime_intervals = 0;
   AllocSpan span;
   for (int i = 0; i < 200; ++i) {
     if (!actuator.pending()) {
       // dbscale-lint: allow(discarded-status)
-      (void)actuator.Begin(target);
+      (void)actuator.Begin(target, i % 2 == 0
+                                       ? fault::ActuationKind::kMigration
+                                       : fault::ActuationKind::kLocalResize);
     }
     // dbscale-lint: allow(discarded-status)
     (void)actuator.Tick();
+    if (actuator.in_downtime()) ++downtime_intervals;
   }
   EXPECT_EQ(span.allocations(), 0u)
       << "ResizeActuator Begin/Tick allocated";
+  EXPECT_GT(downtime_intervals, 0);
+}
+
+TEST(AllocGuardTest, TelemetryFaultEdgeIsAllocationFree) {
+  fault::FaultPlanOptions options;
+  options.telemetry.drop_probability = 0.2;
+  options.telemetry.nan_probability = 0.2;
+  options.telemetry.outlier_probability = 0.2;
+  options.telemetry.stale_probability = 0.2;
+  fault::FaultPlan plan(options, Rng(13));
+  fault::TelemetryFaultEdge edge;
+  std::array<int, 5> seen{};
+
+  AllocSpan span;
+  for (int i = 0; i < 1000; ++i) {
+    TelemetrySample sample = MakeSample(i);
+    ++seen[static_cast<size_t>(edge.Apply(&plan, &sample))];
+  }
+  EXPECT_EQ(span.allocations(), 0u) << "TelemetryFaultEdge::Apply allocated";
+  for (const int count : seen) EXPECT_GT(count, 0);
 }
 
 // Graceful degradation stays on the allocation-free path: Compute over a

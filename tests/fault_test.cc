@@ -134,8 +134,8 @@ TEST(ResizeActuatorTest, NullPlanAppliesImmediately) {
   const Catalog catalog = Catalog::MakeLockStep();
   FaultPlan plan;
   ResizeActuator actuator(&plan);
-  const ResizeEvent ev = actuator.Begin(catalog.rung(5));
-  EXPECT_EQ(ev.kind, ResizeEventKind::kApplied);
+  const ActuationOutcome ev = actuator.Begin(catalog.rung(5));
+  EXPECT_EQ(ev.phase, ActuationPhase::kApplied);
   EXPECT_EQ(ev.target.base_rung, 5);
   EXPECT_EQ(ev.attempt, 1);
   EXPECT_FALSE(actuator.pending());
@@ -149,16 +149,16 @@ TEST(ResizeActuatorTest, LatencyDelaysApplication) {
   FaultPlan plan(options, Rng(7));
   ResizeActuator actuator(&plan);
 
-  EXPECT_EQ(actuator.Begin(catalog.rung(5)).kind, ResizeEventKind::kPending);
+  EXPECT_EQ(actuator.Begin(catalog.rung(5)).phase, ActuationPhase::kPending);
   EXPECT_TRUE(actuator.pending());
-  EXPECT_EQ(actuator.Tick().kind, ResizeEventKind::kPending);
-  const ResizeEvent done = actuator.Tick();
-  EXPECT_EQ(done.kind, ResizeEventKind::kApplied);
+  EXPECT_EQ(actuator.Tick().phase, ActuationPhase::kPending);
+  const ActuationOutcome done = actuator.Tick();
+  EXPECT_EQ(done.phase, ActuationPhase::kApplied);
   EXPECT_EQ(done.target.base_rung, 5);
   EXPECT_FALSE(actuator.pending());
-  EXPECT_EQ(actuator.Tick().kind, ResizeEventKind::kNone);
-  EXPECT_EQ(actuator.begins(), 1u);
-  EXPECT_EQ(actuator.applied(), 1u);
+  EXPECT_EQ(actuator.Tick().phase, ActuationPhase::kNone);
+  // One request, applied once.
+  EXPECT_EQ(done.attempt, 1);
 }
 
 TEST(ResizeActuatorTest, AttemptsCountPerTargetAndResetOnNewTarget) {
@@ -168,12 +168,15 @@ TEST(ResizeActuatorTest, AttemptsCountPerTargetAndResetOnNewTarget) {
   FaultPlan plan(options, Rng(3));
   ResizeActuator actuator(&plan);
 
-  EXPECT_EQ(actuator.Begin(catalog.rung(5)).attempt, 1);
-  EXPECT_EQ(actuator.Begin(catalog.rung(5)).attempt, 2);
-  EXPECT_EQ(actuator.Begin(catalog.rung(5)).attempt, 3);
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const ActuationOutcome ev = actuator.Begin(catalog.rung(5));
+    EXPECT_EQ(ev.attempt, attempt);
+    EXPECT_EQ(ev.phase, ActuationPhase::kFailed);
+  }
   // New target id: the attempt counter starts over.
-  EXPECT_EQ(actuator.Begin(catalog.rung(6)).attempt, 1);
-  EXPECT_EQ(actuator.failed(), 4u);
+  const ActuationOutcome fresh = actuator.Begin(catalog.rung(6));
+  EXPECT_EQ(fresh.attempt, 1);
+  EXPECT_EQ(fresh.phase, ActuationPhase::kFailed);
 }
 
 TEST(ResizeActuatorTest, RejectionIsImmediate) {
@@ -185,10 +188,11 @@ TEST(ResizeActuatorTest, RejectionIsImmediate) {
   FaultPlan plan(options, Rng(3));
   ResizeActuator actuator(&plan);
 
-  const ResizeEvent ev = actuator.Begin(catalog.rung(5));
-  EXPECT_EQ(ev.kind, ResizeEventKind::kRejected);
+  const ActuationOutcome ev = actuator.Begin(catalog.rung(5));
+  EXPECT_EQ(ev.phase, ActuationPhase::kRejected);
   EXPECT_FALSE(actuator.pending());
-  EXPECT_EQ(actuator.rejected(), 1u);
+  // Nothing is left in flight to resolve later.
+  EXPECT_EQ(actuator.Tick().phase, ActuationPhase::kNone);
 }
 
 TEST(EngineResizeApiTest, BeginCompleteAbortSemantics) {

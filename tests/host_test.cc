@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/container/catalog.h"
+#include "src/fault/fault_plan.h"
 #include "src/fleet/fleet_scale.h"
 #include "src/host/host_map.h"
 #include "src/host/placement.h"
@@ -313,6 +314,7 @@ TEST(HostSimTest, ScaleUpOnHotHostBecomesBilledMigration) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->result.Digest(), r.Digest());
   EXPECT_EQ(again->result.host_digest, r.host_digest);
+  EXPECT_EQ(r.Digest(), 0x472a9fbaa96a8e2aULL);
 }
 
 TEST(HostSimTest, FailedMigrationReleasesDestinationAndCountsFailure) {
@@ -329,6 +331,31 @@ TEST(HostSimTest, FailedMigrationReleasesDestinationAndCountsFailure) {
   EXPECT_EQ(r.migration_downtime_intervals, r.migrations_begun);
   // Every migration failure is also a resize failure.
   EXPECT_GE(r.resize_failures, r.migration_failures);
+  EXPECT_EQ(r.Digest(), 0x2502d4c5162f7ea1ULL);
+}
+
+// Resize and telemetry faults on the hot host: the run reaches failed and
+// rejected resizes next to migrations, and every telemetry-fault path of
+// the sim loop (drop, NaN, outlier, stale replay).
+TEST(HostSimTest, ResizeAndTelemetryFaultsOnHotHostPinned) {
+  SimConfig config = HotHostSimConfig();
+  fault::FaultPlanOptions& fault = config.simulation.fault;
+  fault.resize.failure_probability = 0.1;
+  fault.resize.rejection_probability = 0.1;
+  fault.resize.min_latency_intervals = 1;
+  fault.resize.max_latency_intervals = 2;
+  fault.telemetry.drop_probability = 0.05;
+  fault.telemetry.nan_probability = 0.05;
+  fault.telemetry.outlier_probability = 0.05;
+  fault.telemetry.stale_probability = 0.05;
+  auto run = config.Run();
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  const sim::RunResult& r = run->result;
+  EXPECT_EQ(r.telemetry_dropped_samples, 65u);
+  EXPECT_EQ(r.telemetry_rejected_samples, 73u);
+  EXPECT_EQ(r.telemetry_stale_samples, 71u);
+  EXPECT_EQ(r.telemetry_outlier_samples, 60u);
+  EXPECT_EQ(r.Digest(), 0xba91d0f64d501b83ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +428,7 @@ TEST(HostFleetTest, HostModeDigestInvariantAcrossThreads) {
     auto outcome = fleet::FleetScaleRunner(catalog, options).Run();
     ASSERT_TRUE(outcome.ok()) << outcome.status().message();
     EXPECT_GE(outcome->host.migrations_begun, 1u);
+    EXPECT_EQ(outcome->host.migrations_completed, 20u);
     EXPECT_EQ(outcome->host.downtime_intervals,
               outcome->host.migrations_completed *
                   static_cast<uint64_t>(
@@ -415,6 +443,27 @@ TEST(HostFleetTest, HostModeDigestInvariantAcrossThreads) {
     EXPECT_EQ(outcome->aggregate.digest, reference) << "threads=" << threads;
     EXPECT_EQ(outcome->host_digest, reference_host) << "threads=" << threads;
   }
+  EXPECT_EQ(reference, 0x257bfa9263d6df51ull);
+  EXPECT_EQ(reference_host, 0x7ef672b89ecaa938ull);
+}
+
+// The host-mode fleet under resize faults: the only run that reaches the
+// fleet's failed migrations, pending local reservations and rejections.
+TEST(HostFleetTest, HostModeResizeFaultsDigestPinned) {
+  container::Catalog catalog = container::Catalog::MakeLockStep();
+  fleet::FleetScaleOptions options = HostFleetOptions();
+  options.fault.resize.failure_probability = 0.05;
+  options.fault.resize.rejection_probability = 0.05;
+  options.fault.resize.min_latency_intervals = 1;
+  options.fault.resize.max_latency_intervals = 2;
+  auto outcome = fleet::FleetScaleRunner(catalog, options).Run();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  EXPECT_EQ(outcome->host.migrations_begun, 96u);
+  EXPECT_EQ(outcome->host.migrations_completed, 89u);
+  EXPECT_EQ(outcome->host.migrations_failed, 6u);
+  EXPECT_EQ(outcome->host.placement_holds, 311u);
+  EXPECT_EQ(outcome->aggregate.digest, 0xd9413c6c15adba87ull);
+  EXPECT_EQ(outcome->host_digest, 0x239d29930c9b68b0ull);
 }
 
 TEST(HostFleetTest, HostModeCheckpointResumeBitIdentical) {

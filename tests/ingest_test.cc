@@ -642,6 +642,49 @@ TEST(IngestServiceTest, DefaultWindowDigestIsPinned) {
   }
 }
 
+// Every telemetry fault at the producer edge, fed through the ring into
+// AutoScaler tenants: pins what the faulted stream decides and what the
+// producer and the service's ingestion guard counted.
+TEST(IngestProducerTest, AllTelemetryFaultsIntoServicePinned) {
+  constexpr uint64_t kTenants = 4;
+  const container::Catalog catalog = container::Catalog::MakeLockStep();
+  scaler::TenantKnobs knobs;
+  knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 40.0};
+  IngestRing ring(IngestRingOptions{.capacity = 1 << 12});
+  ScalerService service(&ring, SmallServiceOptions(12));
+  for (uint64_t t = 1; t <= kTenants; ++t) {
+    auto created = scaler::AutoScaler::Create(catalog, knobs);
+    DBSCALE_CHECK_OK(created.status());
+    DBSCALE_CHECK_OK(
+        service.AddTenant(t, std::move(created).value(), catalog.at(3)));
+  }
+  fault::FaultPlanOptions fo;
+  fo.telemetry.drop_probability = 0.1;
+  fo.telemetry.nan_probability = 0.1;
+  fo.telemetry.outlier_probability = 0.1;
+  fo.telemetry.stale_probability = 0.1;
+  ASSERT_TRUE(fo.Validate().ok());
+  fault::FaultPlan plan(fo, Rng(7));
+  IngestProducer producer(&ring, 0, &plan);
+  Rng rng(11);
+  for (int i = 0; i < 240; ++i) {
+    for (uint64_t t = 1; t <= kTenants; ++t) {
+      producer.Publish(t, RandomServiceSample(rng, i, 36));
+    }
+    if (i % 5 == 0) service.DrainOnce();
+  }
+  service.DrainAll();
+  EXPECT_EQ(producer.published(), 866u);
+  EXPECT_EQ(producer.dropped(), 94u);
+  EXPECT_EQ(producer.corrupted(), 200u);
+  EXPECT_EQ(producer.stale(), 99u);
+  EXPECT_EQ(producer.rejected(), 0u);
+  EXPECT_EQ(service.counters().invalid, 107u);
+  EXPECT_EQ(service.counters().decisions, 62u);
+  EXPECT_EQ(service.Digest(), 0x9ad19ab9b229fa7aull);
+}
+
 TEST(IngestServiceTest, UnknownTenantAndSeqViolationCounted) {
   IngestRing ring(IngestRingOptions{.capacity = 16});
   ScalerService service(&ring, SmallServiceOptions());

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/telemetry/manager.h"
 #include "src/telemetry/sample.h"
@@ -83,7 +84,8 @@ TEST(StoreTest, AppendAndRecent) {
     store.Append(MakeSample(i * 5, (i + 1) * 5));
   }
   EXPECT_EQ(store.size(), 10u);
-  auto recent = store.Recent(3);
+  std::vector<const TelemetrySample*> recent;
+  store.RecentInto(3, recent);
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_DOUBLE_EQ(recent[0]->period_start.ToSeconds(), 35.0);
   EXPECT_DOUBLE_EQ(recent[2]->period_end.ToSeconds(), 50.0);
@@ -92,7 +94,9 @@ TEST(StoreTest, AppendAndRecent) {
 TEST(StoreTest, RecentMoreThanAvailable) {
   TelemetryStore store;
   store.Append(MakeSample(0, 5));
-  EXPECT_EQ(store.Recent(10).size(), 1u);
+  std::vector<const TelemetrySample*> recent;
+  store.RecentInto(10, recent);
+  EXPECT_EQ(recent.size(), 1u);
 }
 
 TEST(StoreTest, BoundedRetention) {
@@ -102,31 +106,6 @@ TEST(StoreTest, BoundedRetention) {
   }
   EXPECT_EQ(store.size(), 4u);
   EXPECT_DOUBLE_EQ(store.at(0).period_start.ToSeconds(), 30.0);
-}
-
-TEST(StoreTest, Range) {
-  TelemetryStore store;
-  for (int i = 0; i < 10; ++i) {
-    store.Append(MakeSample(i * 5, (i + 1) * 5));
-  }
-  auto range = store.Range(SimTime::Zero() + Duration::Seconds(10),
-                           SimTime::Zero() + Duration::Seconds(25));
-  ASSERT_EQ(range.size(), 3u);  // samples ending at 15, 20, 25
-  EXPECT_DOUBLE_EQ(range[0]->period_end.ToSeconds(), 15.0);
-}
-
-TEST(StoreTest, Extract) {
-  TelemetryStore store;
-  for (int i = 0; i < 5; ++i) {
-    TelemetrySample s = MakeSample(i * 5, (i + 1) * 5);
-    s.latency_p95_ms = 100.0 + i;
-    store.Append(std::move(s));
-  }
-  auto values = store.Extract(
-      3, [](const TelemetrySample& s) { return s.latency_p95_ms; });
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_DOUBLE_EQ(values[0], 102.0);
-  EXPECT_DOUBLE_EQ(values[2], 104.0);
 }
 
 class ManagerTest : public ::testing::Test {

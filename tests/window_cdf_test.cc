@@ -5,73 +5,9 @@
 #include "src/common/rng.h"
 #include "src/stats/cdf.h"
 #include "src/stats/robust.h"
-#include "src/stats/window.h"
 
 namespace dbscale::stats {
 namespace {
-
-SimTime T(double sec) { return SimTime::Zero() + Duration::Seconds(sec); }
-
-TEST(TimedWindowTest, FillsToCapacityThenEvictsOldest) {
-  TimedWindow w(3);
-  w.Add(T(1), 10);
-  w.Add(T(2), 20);
-  EXPECT_EQ(w.size(), 2u);
-  w.Add(T(3), 30);
-  w.Add(T(4), 40);  // evicts t=1
-  EXPECT_EQ(w.size(), 3u);
-  auto values = w.Values();
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_DOUBLE_EQ(values[0], 20);
-  EXPECT_DOUBLE_EQ(values[2], 40);
-}
-
-TEST(TimedWindowTest, SnapshotPreservesTimeOrder) {
-  TimedWindow w(4);
-  for (int i = 0; i < 10; ++i) w.Add(T(i), i * 1.0);
-  auto snap = w.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].time, snap[i].time);
-  }
-  EXPECT_DOUBLE_EQ(snap.back().value, 9.0);
-}
-
-TEST(TimedWindowTest, ValuesSinceFilters) {
-  TimedWindow w(10);
-  for (int i = 0; i < 10; ++i) w.Add(T(i), i * 1.0);
-  auto recent = w.ValuesSince(T(7));
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_DOUBLE_EQ(recent[0], 7.0);
-}
-
-TEST(TimedWindowTest, SeriesSinceShapesRegressionInput) {
-  TimedWindow w(5);
-  for (int i = 0; i < 5; ++i) w.Add(T(i * 5), 100.0 + i);
-  std::vector<double> times, values;
-  w.SeriesSince(T(0), &times, &values);
-  ASSERT_EQ(times.size(), 5u);
-  EXPECT_DOUBLE_EQ(times[1], 5.0);
-  EXPECT_DOUBLE_EQ(values[4], 104.0);
-}
-
-TEST(TimedWindowTest, Latest) {
-  TimedWindow w(2);
-  w.Add(T(1), 1);
-  EXPECT_DOUBLE_EQ(w.Latest().value, 1.0);
-  w.Add(T(2), 2);
-  w.Add(T(3), 3);
-  EXPECT_DOUBLE_EQ(w.Latest().value, 3.0);
-}
-
-TEST(TimedWindowTest, Clear) {
-  TimedWindow w(2);
-  w.Add(T(1), 1);
-  w.Clear();
-  EXPECT_TRUE(w.empty());
-  w.Add(T(2), 5);
-  EXPECT_DOUBLE_EQ(w.Latest().value, 5.0);
-}
 
 TEST(EmpiricalCdfTest, FractionAtOrBelow) {
   EmpiricalCdf cdf({1, 2, 3, 4});
