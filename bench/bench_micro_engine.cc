@@ -77,7 +77,7 @@ void BM_TelemetryManagerCompute(benchmark::State& state) {
       sample.wait_ms[static_cast<size_t>(w)] = rng.LogNormal(4.0, 1.0);
     }
     sample.allocation = catalog.rung(4).resources;
-    store.Append(std::move(sample));
+    store.Append(sample);
   }
   telemetry::TelemetryManager manager;
   SimTime now = SimTime::Zero() + Duration::Seconds(64 * 5);

@@ -41,18 +41,16 @@ Status HostOptions::Validate() const {
   if (overcommit_factor < 1.0) {
     return Status::InvalidArgument("host.overcommit_factor must be >= 1");
   }
-  if (migration_latency_intervals < 0) {
+  if (migration_latency_intervals < 1) {
+    // The interval a migration begins in is never billed as downtime, so
+    // with no copy interval before the blackout a migration would bill
+    // D - 1 downtime intervals, not D.
     return Status::InvalidArgument(
-        "host.migration_latency_intervals must be >= 0");
+        "host.migration_latency_intervals must be >= 1");
   }
   if (migration_downtime_intervals < 0) {
     return Status::InvalidArgument(
         "host.migration_downtime_intervals must be >= 0");
-  }
-  if (migration_latency_intervals + migration_downtime_intervals <= 0) {
-    return Status::InvalidArgument(
-        "a migration must span at least one interval (latency + downtime "
-        "must be > 0)");
   }
   if (migration_downtime_wait_factor < 1.0) {
     return Status::InvalidArgument(

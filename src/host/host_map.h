@@ -59,7 +59,8 @@ struct HostOptions {
   /// FitsOn admits up to capacity * overcommit_factor per dimension; > 1
   /// lets demand pressure exceed capacity and interference kick in.
   double overcommit_factor = 1.0;
-  /// Online copy intervals a migration spends before its blackout window.
+  /// Online copy intervals a migration spends before its blackout window;
+  /// at least 1, so a migration bills exactly its downtime intervals.
   int migration_latency_intervals = 1;
   /// Blackout (downtime) intervals at the end of a migration.
   int migration_downtime_intervals = 1;

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "src/common/check.h"
-#include "src/fault/fault_plan.h"
 
 namespace dbscale::ingest {
 
@@ -14,10 +13,7 @@ constexpr uint64_t kNoSeqYet = UINT64_MAX;
 }  // namespace
 
 Status ScalerServiceOptions::Validate() const {
-  const size_t widest_window =
-      std::max({telemetry.aggregation_samples, telemetry.trend_samples,
-                telemetry.correlation_samples});
-  if (store_retention < widest_window) {
+  if (store_retention < telemetry.widest_window()) {
     // A shorter store would silently truncate every window that reads it.
     return Status::InvalidArgument(
         "store_retention must cover the largest telemetry window");
@@ -47,6 +43,10 @@ ScalerService::ScalerService(IngestRing* ring, ScalerServiceOptions options,
       manager_(options_.telemetry) {
   DBSCALE_CHECK(options_.Validate().ok());
   DBSCALE_CHECK(manager_.Validate().ok());
+  const size_t widest = options_.telemetry.widest_window();
+  first_stored_ = options_.samples_per_interval > widest
+                      ? options_.samples_per_interval - widest
+                      : 0;
   if (ob_ != nullptr) {
     metrics_ = IngestMetrics::Register(&ob_->registry());
     ob_->AttachPrimary();
@@ -60,12 +60,15 @@ Status ScalerService::AddTenant(
   if (policy == nullptr) {
     return Status::InvalidArgument("AddTenant: policy must not be null");
   }
-  auto [it, inserted] = tenants_.try_emplace(
-      tenant_id, TenantState(options_.store_retention));
-  if (!inserted) {
+  const auto pos =
+      std::lower_bound(tenant_ids_.begin(), tenant_ids_.end(), tenant_id);
+  if (pos != tenant_ids_.end() && *pos == tenant_id) {
     return Status::AlreadyExists("AddTenant: duplicate tenant id");
   }
-  TenantState& t = it->second;
+  TenantState& t = tenants_.emplace_back(options_.store_retention);
+  const auto at = pos - tenant_ids_.begin();
+  tenant_ids_.insert(pos, tenant_id);
+  tenant_index_.insert(tenant_index_.begin() + at, &t);
   t.id = tenant_id;
   t.policy = std::move(policy);
   t.current = initial;
@@ -193,21 +196,23 @@ void ScalerService::RouteOrPark(const WireSample& wire,
     park.push_back(wire);
     return;
   }
-  telemetry::TelemetrySample sample = ToTelemetrySample(wire);
-  if (!fault::SampleLooksValid(sample)) {
+  if (!WireSampleLooksValid(wire)) {
     // Ingestion guard: non-finite telemetry never reaches a store (same
     // contract as the sim loop's store-side check).
     ++counters_.invalid;
     sink_.metrics.Add(metrics_.samples_invalid_total, 1.0);
     return;
   }
-  if (!t->store.empty() &&
-      sample.period_end < t->store.back().period_end) {
+  if (t->routed_any && wire.period_end_us < t->last_period_end_us) {
     ++counters_.out_of_order;
     sink_.metrics.Add(metrics_.samples_out_of_order_total, 1.0);
     return;
   }
-  t->store.Append(sample);
+  // The decision this interval closes with reads only the newest
+  // widest-window samples, so earlier ones are never stored (header
+  // comment, point 2).
+  if (t->samples_in_interval >= first_stored_) AppendToStore(wire, t->store);
+  t->routed_any = true;
   t->last_period_end_us = wire.period_end_us;
   if (wire.period_end_us > max_period_end_us_) {
     max_period_end_us_ = wire.period_end_us;
@@ -320,10 +325,10 @@ void ScalerService::OfferDirect(const WireSample& sample) {
 
 uint64_t ScalerService::Digest() const {
   Fnv64Stream d;
-  for (const auto& [id, t] : tenants_) {
-    d.U64(id);
-    d.U64(static_cast<uint64_t>(t.interval_index));
-    d.U64(t.digest.value);
+  for (const TenantState* t : tenant_index_) {
+    d.U64(t->id);
+    d.U64(static_cast<uint64_t>(t->interval_index));
+    d.U64(t->digest.value);
   }
   return d.value;
 }
@@ -344,15 +349,23 @@ int ScalerService::IntervalIndex(uint64_t tenant_id) const {
   return t != nullptr ? t->interval_index : -1;
 }
 
-ScalerService::TenantState* ScalerService::FindTenant(uint64_t tenant_id) {
-  const auto it = tenants_.find(tenant_id);
-  return it != tenants_.end() ? &it->second : nullptr;
-}
-
-const ScalerService::TenantState* ScalerService::FindTenant(
+// dbscale-hot: one binary search over the contiguous id index per sample.
+// Branch-free: producers interleave tenants, so every lookup takes a new
+// path and a branching search mispredicts about half its steps.
+ScalerService::TenantState* ScalerService::FindTenant(
     uint64_t tenant_id) const {
-  const auto it = tenants_.find(tenant_id);
-  return it != tenants_.end() ? &it->second : nullptr;
+  size_t n = tenant_ids_.size();
+  if (n == 0) return nullptr;
+  const uint64_t* base = tenant_ids_.data();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] < tenant_id ? base + half : base;
+    n -= half;
+  }
+  base += *base < tenant_id;  // lower bound
+  const size_t i = static_cast<size_t>(base - tenant_ids_.data());
+  if (i == tenant_ids_.size() || *base != tenant_id) return nullptr;
+  return tenant_index_[i];
 }
 
 }  // namespace dbscale::ingest

@@ -11,17 +11,21 @@
 // Equivalence contract — service-mode decisions are bit-identical to
 // sim-loop decisions for the same per-tenant sample sequence:
 //
-//   1. A tenant's decision at interval k is a pure function of its own
-//      store content (first k * samples_per_interval samples), its policy
-//      state (itself a fold over its first k decisions), and its resize
-//      feedback (a fold over the same decisions). Nothing is shared
+//   1. A tenant's decision at interval k is a pure function of the signal
+//      windows over its first k * samples_per_interval routed samples, its
+//      policy state (itself a fold over its first k decisions), and its
+//      resize feedback (a fold over the same decisions). Nothing is shared
 //      across tenants.
 //   2. Routing evaluates a tenant the moment its samples_per_interval-th
-//      sample of the interval lands, BEFORE appending any later sample of
+//      sample of the interval lands, BEFORE routing any later sample of
 //      that tenant — drained batches that straddle an interval boundary
 //      are processed in rounds, parking a due tenant's excess samples in
-//      a carry buffer until its decision is taken. So the store content
-//      at each decision is exactly the sim loop's.
+//      a carry buffer until its decision is taken. Every sample is
+//      validated, order-checked and counted, but only the samples the
+//      decision can read reach the store: the k-th routed sample of an
+//      interval (0-based) is stored iff k + widest window >=
+//      samples_per_interval. A decision reads only the newest widest-window
+//      samples, so the windows it reads are exactly the sim loop's.
 //   3. Batched evaluation (scaler::DecideBatch) writes per-slot results
 //      and the service folds them in tenant order, so batch slicing and
 //      thread count cannot reorder any tenant-visible effect.
@@ -29,7 +33,8 @@
 // Hence the per-tenant decision digest — and the tenant-order chained
 // service digest — is invariant to producer interleaving, drain batch
 // size, rounds slicing, and DBSCALE_NUM_THREADS; tests assert this
-// against a direct-feed serial reference and against sim::Simulation.
+// against a direct-feed serial reference, against an unelided store, and
+// against sim::Simulation.
 //
 // Threading: ALL service methods are drainer-thread-only. Producers touch
 // only IngestRing::TryPush. Observability recording happens on the
@@ -41,7 +46,7 @@
 #define DBSCALE_INGEST_SCALER_SERVICE_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -64,7 +69,8 @@ struct ScalerServiceOptions {
   /// Signal-window configuration shared by every tenant.
   telemetry::TelemetryManagerOptions telemetry;
   /// Per-tenant store retention (samples); at least the largest telemetry
-  /// window. At 216 B per sample the default holds ~14 KB per tenant.
+  /// window. At 152 B per stored sample the default holds ~9.7 KB per
+  /// tenant.
   size_t store_retention = 64;
   /// Samples that make up one billing interval; the tenant's decision is
   /// evaluated when the interval's last sample lands (now = its
@@ -90,7 +96,7 @@ struct ScalerServiceOptions {
 struct IngestCounters {
   uint64_t drains = 0;           ///< DrainOnce calls
   uint64_t drained = 0;          ///< samples popped off the ring
-  uint64_t routed = 0;           ///< samples appended to a tenant store
+  uint64_t routed = 0;           ///< samples counted into a tenant's interval
   uint64_t invalid = 0;          ///< ingestion-guard rejections
   uint64_t unknown_tenant = 0;
   uint64_t unknown_producer = 0;
@@ -157,18 +163,22 @@ class ScalerService {
 
  private:
   struct TenantState {
+    // Routing state first: a sample the store elides touches only these.
     uint64_t id = 0;
+    /// Round stamp: samples of a tenant that already parked one sample
+    /// this round must park too (per-tenant FIFO through the rounds).
+    uint64_t parked_round = 0;
+    size_t samples_in_interval = 0;
+    /// period_end of the last routed sample; the order check reads it,
+    /// since the store can be empty after samples were routed.
+    int64_t last_period_end_us = 0;
+    bool routed_any = false;
+    bool due = false;
+    int interval_index = 0;
     telemetry::TelemetryStore store;
     std::unique_ptr<scaler::ScalingPolicy> policy;
     container::ContainerSpec current;
     scaler::ActuationFeedback feedback;
-    int interval_index = 0;
-    size_t samples_in_interval = 0;
-    int64_t last_period_end_us = 0;
-    bool due = false;
-    /// Round stamp: samples of a tenant that already parked one sample
-    /// this round must park too (per-tenant FIFO through the rounds).
-    uint64_t parked_round = 0;
     Fnv64Stream digest;
 
     explicit TenantState(size_t retention) : store(retention) {}
@@ -198,8 +208,8 @@ class ScalerService {
   /// contiguous slices of due_, slice k on scratch_[k].
   void EvaluateDue(const obs::Sink& sink);
 
-  TenantState* FindTenant(uint64_t tenant_id);
-  const TenantState* FindTenant(uint64_t tenant_id) const;
+  /// Null when the id was never added.
+  TenantState* FindTenant(uint64_t tenant_id) const;
 
   IngestRing* ring_;
   ScalerServiceOptions options_;
@@ -209,7 +219,18 @@ class ScalerService {
   IngestMetrics metrics_{};
   telemetry::TelemetryManager manager_;
 
-  std::map<uint64_t, TenantState> tenants_;
+  /// Tenants in AddTenant order; a deque, so the addresses CurrentContainer
+  /// hands out survive later AddTenant calls.
+  std::deque<TenantState> tenants_;
+  /// Lookup index, sorted by id: tenant_ids_[i] is tenant_index_[i]'s id.
+  /// A contiguous binary search instead of a tree walk per sample; Digest
+  /// reads it in id order.
+  std::vector<uint64_t> tenant_ids_;
+  std::vector<TenantState*> tenant_index_;
+  /// The store keeps an interval's k-th routed sample (0-based) iff
+  /// k >= first_stored_: samples_per_interval less the widest window, or 0
+  /// when the interval is no longer than that window.
+  size_t first_stored_ = 0;
   IngestCounters counters_;
   uint64_t round_ = 0;
   int64_t max_period_end_us_ = 0;  ///< span clock (latest sample seen)

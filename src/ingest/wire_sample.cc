@@ -1,5 +1,7 @@
 #include "src/ingest/wire_sample.h"
 
+#include <cmath>
+
 #include "src/container/container.h"
 #include "src/telemetry/wait_class.h"
 
@@ -90,6 +92,54 @@ telemetry::TelemetrySample ToTelemetrySample(const WireSample& wire) {
   s.allocation.log_mbps = wire.log_limit_mbps;
   s.container_id = wire.container_id;
   return s;
+}
+
+// dbscale-hot: runs once per drained sample on the drainer route path.
+bool WireSampleLooksValid(const WireSample& wire) {
+  // fault::SampleLooksValid's figures in its order: utilization, waits by
+  // class, the latency aggregates, memory used and active.
+  const double figures[] = {
+      wire.cpu_usage_pct,        wire.memory_usage_pct,
+      wire.io_usage_pct,         wire.log_usage_pct,
+      wire.cpu_wait_ms,          wire.io_wait_ms,
+      wire.log_wait_ms,          wire.lock_wait_ms,
+      wire.latch_wait_ms,        wire.memory_grant_wait_ms,
+      wire.buffer_pool_wait_ms,  wire.system_wait_ms,
+      wire.latency_avg_ms,       wire.latency_p95_ms,
+      wire.latency_max_ms,       wire.rss_mb,
+      wire.anon_memory_mb};
+  bool finite = true;
+  for (double f : figures) finite &= std::isfinite(f);
+  return finite;
+}
+
+// dbscale-hot: runs once per stored sample on the drainer route path.
+void AppendToStore(const WireSample& wire, telemetry::TelemetryStore& store) {
+  telemetry::SampleRow& row = store.AppendRow(
+      {wire.cpu_limit_cores, wire.memory_limit_mb, wire.io_ops_limit,
+       wire.log_limit_mbps});
+  row.period_start = SimTime::FromMicros(wire.period_start_us);
+  row.period_end = SimTime::FromMicros(wire.period_end_us);
+
+  row.utilization_pct[Ri(ResourceKind::kCpu)] = wire.cpu_usage_pct;
+  row.utilization_pct[Ri(ResourceKind::kMemory)] = wire.memory_usage_pct;
+  row.utilization_pct[Ri(ResourceKind::kDiskIo)] = wire.io_usage_pct;
+  row.utilization_pct[Ri(ResourceKind::kLogIo)] = wire.log_usage_pct;
+
+  row.wait_ms[Wi(WaitClass::kCpu)] = wire.cpu_wait_ms;
+  row.wait_ms[Wi(WaitClass::kDiskIo)] = wire.io_wait_ms;
+  row.wait_ms[Wi(WaitClass::kLogIo)] = wire.log_wait_ms;
+  row.wait_ms[Wi(WaitClass::kLock)] = wire.lock_wait_ms;
+  row.wait_ms[Wi(WaitClass::kLatch)] = wire.latch_wait_ms;
+  row.wait_ms[Wi(WaitClass::kMemory)] = wire.memory_grant_wait_ms;
+  row.wait_ms[Wi(WaitClass::kBufferPool)] = wire.buffer_pool_wait_ms;
+  row.wait_ms[Wi(WaitClass::kSystem)] = wire.system_wait_ms;
+
+  row.requests_completed = wire.requests_completed;
+  row.latency_avg_ms = wire.latency_avg_ms;
+  row.latency_p95_ms = wire.latency_p95_ms;
+  row.memory_used_mb = wire.rss_mb;
+  row.physical_reads = wire.major_page_faults;
 }
 
 }  // namespace dbscale::ingest

@@ -28,6 +28,7 @@
 #include <type_traits>
 
 #include "src/telemetry/sample.h"
+#include "src/telemetry/store.h"
 
 namespace dbscale::ingest {
 
@@ -126,6 +127,17 @@ WireSample MakeWireSample(uint64_t tenant_id,
 /// Unpacks the wire payload back into the internal sample layout.
 /// Inverse of MakeWireSample: round trips are bitwise identity.
 telemetry::TelemetrySample ToTelemetrySample(const WireSample& wire);
+
+/// The ingestion guard on the wire: true when every figure
+/// fault::SampleLooksValid checks is finite — the same 17 fields, read in
+/// place, so `WireSampleLooksValid(w) == SampleLooksValid(
+/// ToTelemetrySample(w))` for every payload.
+bool WireSampleLooksValid(const WireSample& wire);
+
+/// Appends the wire payload to `store`, filling the row in place. Bitwise
+/// the same as `store.Append(ToTelemetrySample(wire))`, without the
+/// intermediate sample.
+void AppendToStore(const WireSample& wire, telemetry::TelemetryStore& store);
 
 }  // namespace dbscale::ingest
 

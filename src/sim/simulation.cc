@@ -395,7 +395,7 @@ Result<RunResult> Simulation::Run(scaler::ScalingPolicy* policy) {
                 &obs::PipelineMetrics::telemetry_stale_samples_total);
         }
       }
-      store.Append(std::move(sample));
+      store.Append(sample);
     }
     const double inv = 1.0 / whole_samples;
     for (ResourceKind kind : container::kAllResources) {

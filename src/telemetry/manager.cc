@@ -13,7 +13,7 @@ namespace {
 
 using container::ResourceKind;
 
-double ResourceWaitMs(const TelemetrySample& s, ResourceKind kind) {
+double ResourceWaitMs(const SampleRow& s, ResourceKind kind) {
   double total = 0.0;
   auto mask = WaitClassesForResource(kind);
   for (int wc = 0; wc < kNumWaitClasses; ++wc) {
@@ -51,10 +51,10 @@ double CorrelationOrZero(const std::vector<double>& x,
 /// Fraction of the aggregation window's time span covered by samples.
 /// Dropped/rejected samples leave gaps (the span grows, the covered time
 /// does not).
-double WindowCoverage(const std::vector<const TelemetrySample*>& agg) {
+double WindowCoverage(const std::vector<const SampleRow*>& agg) {
   if (agg.size() < 2) return 1.0;
   double covered = 0.0;
-  for (const TelemetrySample* s : agg) covered += s->duration_sec();
+  for (const SampleRow* s : agg) covered += s->duration_sec();
   const double span =
       (agg.back()->period_end - agg.front()->period_start).ToSeconds();
   return span > covered ? covered / span : 1.0;
@@ -156,7 +156,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   snap.confidence = WindowCoverage(agg);
   snap.degraded = snap.confidence < options_.min_confidence;
 
-  auto latency_of = [&](const TelemetrySample& s) {
+  auto latency_of = [&](const SampleRow& s) {
     return options_.latency_aggregate == LatencyAggregate::kAverage
                ? s.latency_avg_ms
                : s.latency_p95_ms;
@@ -167,7 +167,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   {
     std::vector<double>& lat = scratch->values_a;
     lat.clear();
-    for (const TelemetrySample* s : agg) {
+    for (const SampleRow* s : agg) {
       if (s->requests_completed > 0) lat.push_back(latency_of(*s));
     }
     snap.latency_ms = MedianOrZero(lat);
@@ -175,7 +175,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   {
     std::vector<double>& lat = scratch->values_a;
     lat.clear();
-    for (const TelemetrySample* s : trend) {
+    for (const SampleRow* s : trend) {
       if (s->requests_completed > 0) lat.push_back(latency_of(*s));
     }
     snap.latency_trend =
@@ -192,7 +192,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
     mem.clear();
     reads.clear();
     total_wait.clear();
-    for (const TelemetrySample* s : agg) {
+    for (const SampleRow* s : agg) {
       thr.push_back(s->throughput_rps());
       mem.push_back(s->memory_used_mb);
       double sec = s->duration_sec();
@@ -205,7 +205,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
     snap.memory_used_mb = MedianOrZero(mem);
     snap.physical_reads_per_sec = MedianOrZero(reads);
     snap.total_wait_ms = MedianOrZero(total_wait);
-    snap.allocation = store.back().allocation;
+    snap.allocation = store.allocation();
   }
 
   // Wait share per class over the aggregation window (sums, not medians:
@@ -213,7 +213,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   {
     double grand_total = 0.0;
     std::array<double, kNumWaitClasses> sums{};
-    for (const TelemetrySample* s : agg) {
+    for (const SampleRow* s : agg) {
       for (int wc = 0; wc < kNumWaitClasses; ++wc) {
         sums[static_cast<size_t>(wc)] += s->wait_ms[static_cast<size_t>(wc)];
         grand_total += s->wait_ms[static_cast<size_t>(wc)];
@@ -230,7 +230,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
   // Per-resource signals.
   std::vector<double>& corr_latency = scratch->corr_latency;
   corr_latency.clear();
-  for (const TelemetrySample* s : corr) corr_latency.push_back(latency_of(*s));
+  for (const SampleRow* s : corr) corr_latency.push_back(latency_of(*s));
   stats::RankWithTiesInto(corr_latency, scratch->spearman.order,
                           scratch->spearman.rank_y);
 
@@ -245,7 +245,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
     wait.clear();
     wait_per_req.clear();
     double wait_sum = 0.0, total_sum = 0.0;
-    for (const TelemetrySample* s : agg) {
+    for (const SampleRow* s : agg) {
       util.push_back(s->utilization_pct[ri]);
       double w = ResourceWaitMs(*s, kind);
       wait.push_back(w);
@@ -264,7 +264,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
     std::vector<double>& wait_t = scratch->values_b;
     util_t.clear();
     wait_t.clear();
-    for (const TelemetrySample* s : trend) {
+    for (const SampleRow* s : trend) {
       util_t.push_back(s->utilization_pct[ri]);
       wait_t.push_back(ResourceWaitMs(*s, kind));
     }
@@ -276,7 +276,7 @@ SignalSnapshot TelemetryManager::ComputeBatch(const TelemetryStore& store,
     std::vector<double>& wait_c = scratch->values_b;
     util_c.clear();
     wait_c.clear();
-    for (const TelemetrySample* s : corr) {
+    for (const SampleRow* s : corr) {
       util_c.push_back(s->utilization_pct[ri]);
       wait_c.push_back(ResourceWaitMs(*s, kind));
     }

@@ -14,6 +14,7 @@
 #ifndef DBSCALE_TELEMETRY_MANAGER_H_
 #define DBSCALE_TELEMETRY_MANAGER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -110,6 +111,12 @@ struct TelemetryManagerOptions {
   /// Minimum aggregation-window coverage below which the snapshot is
   /// flagged degraded (graceful degradation under telemetry faults).
   double min_confidence = 0.7;
+
+  /// The largest of the three windows: no signal reads a sample older
+  /// than the newest `widest_window()` ones.
+  size_t widest_window() const {
+    return std::max({aggregation_samples, trend_samples, correlation_samples});
+  }
 };
 
 /// Reusable buffers for Compute. The per-interval signal path is hot at
@@ -119,9 +126,9 @@ struct TelemetryManagerOptions {
 /// number of stores; one scratch per caller thread — never share across
 /// threads.
 struct SignalScratch {
-  std::vector<const TelemetrySample*> agg_window;
-  std::vector<const TelemetrySample*> trend_window;
-  std::vector<const TelemetrySample*> corr_window;
+  std::vector<const SampleRow*> agg_window;
+  std::vector<const SampleRow*> trend_window;
+  std::vector<const SampleRow*> corr_window;
   /// General per-window value buffers (cleared and refilled per signal).
   std::vector<double> values_a;
   std::vector<double> values_b;

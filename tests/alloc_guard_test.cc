@@ -273,7 +273,7 @@ TEST(AllocGuardTest, SpearmanWithScratchIsAllocationFree) {
 
 TEST(AllocGuardTest, RecentIntoWithWarmBufferIsAllocationFree) {
   TelemetryStore store = MakeStore(64);
-  std::vector<const TelemetrySample*> buf;
+  std::vector<const telemetry::SampleRow*> buf;
   store.RecentInto(32, buf);
 
   AllocSpan span;
@@ -717,6 +717,25 @@ TEST(AllocGuardTest, WarmDecidingServiceDrainIsAllocationFree) {
       << "warm ScalerService drain with decisions allocated";
   EXPECT_EQ(d.decisions, WarmDrain::kRounds / kSamplesPerInterval *
                              WarmDrain::kTenants);
+  EXPECT_EQ(d.totals.invalid, 0u);
+}
+
+// The same at hourly billing, where routing stores only the newest 24
+// samples of each 720-sample interval: the measured rounds straddle one
+// boundary, so every tenant routes elided and stored samples and decides.
+TEST(AllocGuardTest, WarmElidedDecidingServiceDrainIsAllocationFree) {
+  constexpr int kSamplesPerInterval = 720;
+  scaler::TenantKnobs knobs;
+  knobs.latency_goal =
+      scaler::LatencyGoal{telemetry::LatencyAggregate::kP95, 60.0};
+  const int warm = kSamplesPerInterval *
+                       static_cast<int>(scaler::AuditLog::kDefaultCapacity + 8) -
+                   WarmDrain::kRounds / 2;
+  const WarmDrain d = MeasureWarmDrain(kSamplesPerInterval, knobs, warm);
+  EXPECT_EQ(d.allocations, 0u)
+      << "warm ScalerService drain with elided samples and decisions "
+         "allocated";
+  EXPECT_EQ(d.decisions, WarmDrain::kTenants);
   EXPECT_EQ(d.totals.invalid, 0u);
 }
 

@@ -67,6 +67,19 @@ TEST(HostOptionsTest, ValidatesFields) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+// A migration bills downtime in the intervals after the one it begins in,
+// so a zero copy latency would bill D - 1 blackout intervals, not D.
+TEST(HostOptionsTest, ZeroMigrationLatencyRejected) {
+  host::HostOptions options = TwoHosts();
+  options.migration_latency_intervals = 0;
+  options.migration_downtime_intervals = 1;
+  EXPECT_FALSE(options.Validate().ok());
+  options.migration_latency_intervals = 1;
+  EXPECT_TRUE(options.Validate().ok());
+  options.migration_downtime_intervals = 0;  // a downtime-free live copy
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(HostMapTest, UpDeltaClampsShrinkingDimensionsAtZero) {
   const ResourceVector old_bundle{2.0, 4096.0, 300.0, 12.0};
   const ResourceVector new_bundle{4.0, 2048.0, 500.0, 12.0};

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -29,7 +31,9 @@
 #include "src/scaler/autoscaler.h"
 #include "src/scaler/batch_eval.h"
 #include "src/scaler/diagonal.h"
+#include "src/telemetry/manager.h"
 #include "src/telemetry/sample.h"
+#include "src/telemetry/store.h"
 
 namespace dbscale::ingest {
 namespace {
@@ -262,6 +266,55 @@ TEST(IngestWireTest, RoundTripIsBitwiseIdentity) {
   EXPECT_EQ(back.allocation.disk_iops, s.allocation.disk_iops);
   EXPECT_EQ(back.allocation.log_mbps, s.allocation.log_mbps);
   EXPECT_EQ(back.container_id, s.container_id);
+}
+
+TEST(IngestWireTest, AppendToStoreMatchesAppendOfUnpackedSample) {
+  telemetry::TelemetryStore direct(4), unpacked(4);
+  for (int i = 0; i < 6; ++i) {  // past retention: recycled rows too
+    const WireSample w = MakeWireSample(7, MakeSample(7, i));
+    AppendToStore(w, direct);
+    unpacked.Append(ToTelemetrySample(w));
+    ASSERT_EQ(std::memcmp(&direct.back(), &unpacked.back(),
+                          sizeof(telemetry::SampleRow)),
+              0)
+        << "sample " << i;
+    EXPECT_EQ(std::memcmp(&direct.allocation(), &unpacked.allocation(),
+                          sizeof(container::ResourceVector)),
+              0);
+  }
+}
+
+TEST(IngestWireTest, GuardAgreesWithSampleLooksValid) {
+  const WireSample clean = MakeWireSample(7, MakeSample(7, 11));
+  EXPECT_TRUE(WireSampleLooksValid(clean));
+  EXPECT_TRUE(fault::SampleLooksValid(ToTelemetrySample(clean)));
+  // Every floating-point payload field: the 17 figures both guards check
+  // and the four allocation limits neither does.
+  double WireSample::*const fields[] = {
+      &WireSample::cpu_usage_pct,       &WireSample::cpu_limit_cores,
+      &WireSample::cpu_wait_ms,         &WireSample::memory_usage_pct,
+      &WireSample::rss_mb,              &WireSample::anon_memory_mb,
+      &WireSample::memory_limit_mb,     &WireSample::io_usage_pct,
+      &WireSample::io_ops_limit,        &WireSample::io_wait_ms,
+      &WireSample::log_usage_pct,       &WireSample::log_limit_mbps,
+      &WireSample::log_wait_ms,         &WireSample::lock_wait_ms,
+      &WireSample::latch_wait_ms,       &WireSample::memory_grant_wait_ms,
+      &WireSample::buffer_pool_wait_ms, &WireSample::system_wait_ms,
+      &WireSample::latency_avg_ms,      &WireSample::latency_p95_ms,
+      &WireSample::latency_max_ms};
+  const double kInf = std::numeric_limits<double>::infinity();
+  int rejected = 0;
+  for (size_t f = 0; f < std::size(fields); ++f) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+      WireSample w = clean;
+      w.*fields[f] = bad;
+      const bool wire_ok = WireSampleLooksValid(w);
+      EXPECT_EQ(wire_ok, fault::SampleLooksValid(ToTelemetrySample(w)))
+          << "field " << f << " = " << bad;
+      if (!wire_ok) ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 17 * 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +736,195 @@ TEST(IngestProducerTest, AllTelemetryFaultsIntoServicePinned) {
   EXPECT_EQ(service.counters().invalid, 107u);
   EXPECT_EQ(service.counters().decisions, 62u);
   EXPECT_EQ(service.Digest(), 0x9ad19ab9b229fa7aull);
+}
+
+// ---------------------------------------------------------------------------
+// Store elision: every decision reads the windows an unelided store holds
+// ---------------------------------------------------------------------------
+
+/// Appends every decision's signals to a list and holds the container.
+class RecordingPolicy : public scaler::ScalingPolicy {
+ public:
+  explicit RecordingPolicy(std::vector<telemetry::SignalSnapshot>* signals)
+      : signals_(signals) {}
+
+  scaler::ScalingDecision Decide(const scaler::PolicyInput& input) override {
+    signals_->push_back(input.signals);
+    scaler::ScalingDecision d;
+    d.target = input.current;
+    d.explanation = scaler::Explanation(scaler::ExplanationCode::kNote);
+    return d;
+  }
+
+  std::string name() const override { return "Recording"; }
+
+ private:
+  std::vector<telemetry::SignalSnapshot>* signals_;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectTrendBitsEq(const stats::TrendResult& want,
+                       const stats::TrendResult& got) {
+  EXPECT_EQ(Bits(want.slope), Bits(got.slope));
+  EXPECT_EQ(Bits(want.intercept), Bits(got.intercept));
+  EXPECT_EQ(Bits(want.fraction_positive), Bits(got.fraction_positive));
+  EXPECT_EQ(Bits(want.fraction_negative), Bits(got.fraction_negative));
+  EXPECT_EQ(want.significant, got.significant);
+  EXPECT_EQ(want.direction, got.direction);
+}
+
+void ExpectSnapshotBitsEq(const telemetry::SignalSnapshot& want,
+                          const telemetry::SignalSnapshot& got) {
+  EXPECT_EQ(want.time, got.time);
+  EXPECT_EQ(want.valid, got.valid);
+  EXPECT_EQ(Bits(want.latency_ms), Bits(got.latency_ms));
+  ExpectTrendBitsEq(want.latency_trend, got.latency_trend);
+  EXPECT_EQ(want.latency_aggregate, got.latency_aggregate);
+  for (size_t r = 0; r < container::kNumResources; ++r) {
+    SCOPED_TRACE(r);
+    const telemetry::ResourceSignals& w = want.resources[r];
+    const telemetry::ResourceSignals& g = got.resources[r];
+    EXPECT_EQ(Bits(w.utilization_pct), Bits(g.utilization_pct));
+    EXPECT_EQ(Bits(w.wait_ms), Bits(g.wait_ms));
+    EXPECT_EQ(Bits(w.wait_ms_per_request), Bits(g.wait_ms_per_request));
+    EXPECT_EQ(Bits(w.wait_pct), Bits(g.wait_pct));
+    ExpectTrendBitsEq(w.utilization_trend, g.utilization_trend);
+    ExpectTrendBitsEq(w.wait_trend, g.wait_trend);
+    EXPECT_EQ(Bits(w.wait_latency_correlation),
+              Bits(g.wait_latency_correlation));
+    EXPECT_EQ(Bits(w.utilization_latency_correlation),
+              Bits(g.utilization_latency_correlation));
+  }
+  for (size_t c = 0; c < telemetry::kNumWaitClasses; ++c) {
+    EXPECT_EQ(Bits(want.wait_pct_by_class[c]), Bits(got.wait_pct_by_class[c]));
+  }
+  EXPECT_EQ(Bits(want.total_wait_ms), Bits(got.total_wait_ms));
+  EXPECT_EQ(Bits(want.throughput_rps), Bits(got.throughput_rps));
+  EXPECT_EQ(Bits(want.memory_used_mb), Bits(got.memory_used_mb));
+  EXPECT_EQ(Bits(want.physical_reads_per_sec),
+            Bits(got.physical_reads_per_sec));
+  EXPECT_EQ(Bits(want.allocation.cpu_cores), Bits(got.allocation.cpu_cores));
+  EXPECT_EQ(Bits(want.allocation.memory_mb), Bits(got.allocation.memory_mb));
+  EXPECT_EQ(Bits(want.allocation.disk_iops), Bits(got.allocation.disk_iops));
+  EXPECT_EQ(Bits(want.allocation.log_mbps), Bits(got.allocation.log_mbps));
+  EXPECT_EQ(Bits(want.confidence), Bits(got.confidence));
+  EXPECT_EQ(want.degraded, got.degraded);
+}
+
+/// One tenant's stream: `intervals` intervals of `samples_per_interval`
+/// samples that pass both guards. Before the interval's passing samples at
+/// offsets spi-25, spi-24, spi-12 and spi-1 (the last one the store elides
+/// at spi > 24, the first one it keeps, one inside the newest 24 and the
+/// interval's last) sit a NaN sample and one whose period ends before the
+/// last passing one, so the guards reject samples just before and inside
+/// the region every decision reads.
+std::vector<TelemetrySample> ElisionStream(uint64_t tenant,
+                                           size_t samples_per_interval,
+                                           int intervals) {
+  Rng rng(500 + tenant);
+  std::vector<TelemetrySample> out;
+  int i = 0;  // passing samples so far: the period clock
+  for (int interval = 0; interval < intervals; ++interval) {
+    for (size_t k = 0; k < samples_per_interval; ++k) {
+      const size_t left = samples_per_interval - k;
+      if (i >= 2 && (left == 25 || left == 24 || left == 12 || left == 1)) {
+        TelemetrySample nan = RandomServiceSample(rng, i, 36);
+        nan.latency_p95_ms = std::numeric_limits<double>::quiet_NaN();
+        out.push_back(nan);
+        out.push_back(RandomServiceSample(rng, i - 2, 36));
+      }
+      out.push_back(RandomServiceSample(rng, i, 36));
+      ++i;
+    }
+  }
+  return out;
+}
+
+/// Feeds three tenants' ElisionStreams through the ring, drained in
+/// batches of `max_drain_batch` every 37 publishes (so a batch straddles
+/// boundaries and parks samples at batch sizes above 1), and checks every
+/// decision's signals against TelemetryManager::Compute over an unelided
+/// TelemetryStore(64) fed the same stream.
+void ExpectElidedWindowsMatchUnelidedStore(size_t samples_per_interval,
+                                           int intervals,
+                                           size_t max_drain_batch) {
+  SCOPED_TRACE(::testing::Message() << "samples_per_interval="
+                                  << samples_per_interval
+                                  << " max_drain_batch=" << max_drain_batch);
+  constexpr uint64_t kTenants = 3;
+  ScalerServiceOptions options;  // default 12/24/24 windows
+  options.store_retention = 64;
+  options.samples_per_interval = samples_per_interval;
+  options.max_drain_batch = max_drain_batch;
+  IngestRing ring(IngestRingOptions{.capacity = 1 << 10});
+  ScalerService service(&ring, options);
+  std::vector<std::vector<TelemetrySample>> streams;
+  std::vector<std::vector<telemetry::SignalSnapshot>> seen(kTenants);
+  for (uint64_t t = 0; t < kTenants; ++t) {
+    streams.push_back(ElisionStream(t, samples_per_interval, intervals));
+    ASSERT_TRUE(service
+                    .AddTenant(t + 1, std::make_unique<RecordingPolicy>(&seen[t]),
+                               InitialContainer())
+                    .ok());
+  }
+  IngestProducer producer(&ring, 0);
+  size_t published = 0;
+  for (size_t i = 0; i < streams[0].size(); ++i) {
+    for (uint64_t t = 0; t < kTenants; ++t) {
+      ASSERT_EQ(producer.Publish(t + 1, streams[t][i]),
+                PublishOutcome::kPublished);
+      if (++published % 37 == 0) service.DrainAll();
+    }
+  }
+  service.DrainAll();
+
+  const telemetry::TelemetryManager manager(options.telemetry);
+  telemetry::SignalScratch scratch;
+  uint64_t invalid = 0, out_of_order = 0;
+  for (uint64_t t = 0; t < kTenants; ++t) {
+    telemetry::TelemetryStore store(64);
+    std::vector<telemetry::SignalSnapshot> want;
+    size_t routed = 0;
+    for (const TelemetrySample& s : streams[t]) {
+      if (!fault::SampleLooksValid(s)) {
+        ++invalid;
+        continue;
+      }
+      if (!store.empty() && s.period_end < store.back().period_end) {
+        ++out_of_order;
+        continue;
+      }
+      store.Append(s);
+      if (++routed == samples_per_interval) {
+        want.push_back(manager.Compute(store, s.period_end, &scratch));
+        routed = 0;
+      }
+    }
+    ASSERT_EQ(want.size(), static_cast<size_t>(intervals));
+    ASSERT_EQ(seen[t].size(), want.size()) << "tenant " << t + 1;
+    for (size_t d = 0; d < want.size(); ++d) {
+      SCOPED_TRACE(::testing::Message() << "tenant " << t + 1 << " decision "
+                                      << d);
+      ExpectSnapshotBitsEq(want[d], seen[t][d]);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(invalid, 0u);
+  EXPECT_GT(out_of_order, 0u);
+  EXPECT_EQ(service.counters().invalid, invalid);
+  EXPECT_EQ(service.counters().out_of_order, out_of_order);
+}
+
+TEST(IngestElisionTest, DecisionWindowsMatchUnelidedStore) {
+  // Around the 24-sample widest window (nothing elided at 23 and 24, one
+  // sample per interval at 25) and at hourly billing (696 of 720 elided).
+  for (size_t spi : {size_t{23}, size_t{24}, size_t{25}, size_t{720}}) {
+    const int intervals = spi == 720 ? 4 : 12;
+    for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+      ExpectElidedWindowsMatchUnelidedStore(spi, intervals, batch);
+    }
+  }
 }
 
 TEST(IngestServiceTest, UnknownTenantAndSeqViolationCounted) {

@@ -36,6 +36,7 @@ using stats::TheilSenEstimator;
 using stats::TrendResult;
 using telemetry::LatencyAggregate;
 using telemetry::ResourceSignals;
+using telemetry::SampleRow;
 using telemetry::SignalScratch;
 using telemetry::SignalSnapshot;
 using telemetry::TelemetryManager;
@@ -70,7 +71,7 @@ double ReferenceCorrelation(const std::vector<double>& x,
   return rho.ok() ? *rho : 0.0;
 }
 
-double ResourceWait(const TelemetrySample& s, ResourceKind kind) {
+double ResourceWait(const SampleRow& s, ResourceKind kind) {
   const auto mask = telemetry::WaitClassesForResource(kind);
   double total = 0.0;
   for (size_t wc = 0; wc < telemetry::kNumWaitClasses; ++wc) {
@@ -80,8 +81,8 @@ double ResourceWait(const TelemetrySample& s, ResourceKind kind) {
 }
 
 /// The last `n` retained samples, oldest first, copied out of the store.
-std::vector<TelemetrySample> Window(const TelemetryStore& store, size_t n) {
-  std::vector<TelemetrySample> out;
+std::vector<SampleRow> Window(const TelemetryStore& store, size_t n) {
+  std::vector<SampleRow> out;
   const size_t start = store.size() > n ? store.size() - n : 0;
   for (size_t i = start; i < store.size(); ++i) out.push_back(store.at(i));
   return out;
@@ -95,21 +96,20 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
   if (store.size() < 2) return snap;
   snap.valid = true;
   const TheilSenEstimator estimator(options.trend_accept_fraction);
-  const auto latency = [&](const TelemetrySample& s) {
+  const auto latency = [&](const SampleRow& s) {
     return options.latency_aggregate == LatencyAggregate::kAverage
                ? s.latency_avg_ms
                : s.latency_p95_ms;
   };
-  const std::vector<TelemetrySample> agg =
+  const std::vector<SampleRow> agg =
       Window(store, options.aggregation_samples);
-  const std::vector<TelemetrySample> trend =
-      Window(store, options.trend_samples);
-  const std::vector<TelemetrySample> corr =
+  const std::vector<SampleRow> trend = Window(store, options.trend_samples);
+  const std::vector<SampleRow> corr =
       Window(store, options.correlation_samples);
 
   if (agg.size() >= 2) {
     double covered = 0.0;
-    for (const TelemetrySample& s : agg) covered += s.duration_sec();
+    for (const SampleRow& s : agg) covered += s.duration_sec();
     const double span =
         (agg.back().period_end - agg.front().period_start).ToSeconds();
     snap.confidence = span > covered ? covered / span : 1.0;
@@ -119,20 +119,20 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
   // Idle samples (no completions) carry no latency for the aggregate and
   // the trend; the correlation window keeps them.
   std::vector<double> lat_agg, lat_trend, lat_corr;
-  for (const TelemetrySample& s : agg) {
+  for (const SampleRow& s : agg) {
     if (s.requests_completed > 0) lat_agg.push_back(latency(s));
   }
-  for (const TelemetrySample& s : trend) {
+  for (const SampleRow& s : trend) {
     if (s.requests_completed > 0) lat_trend.push_back(latency(s));
   }
-  for (const TelemetrySample& s : corr) lat_corr.push_back(latency(s));
+  for (const SampleRow& s : corr) lat_corr.push_back(latency(s));
   snap.latency_ms = SortedMedianOrZero(lat_agg);
   snap.latency_trend = ReferenceTrend(estimator, lat_trend);
 
   std::vector<double> thr, mem, reads, total_wait;
   std::array<double, telemetry::kNumWaitClasses> class_sums{};
   double grand_total = 0.0;
-  for (const TelemetrySample& s : agg) {
+  for (const SampleRow& s : agg) {
     thr.push_back(s.throughput_rps());
     mem.push_back(s.memory_used_mb);
     const double sec = s.duration_sec();
@@ -148,7 +148,7 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
   snap.memory_used_mb = SortedMedianOrZero(mem);
   snap.physical_reads_per_sec = SortedMedianOrZero(reads);
   snap.total_wait_ms = SortedMedianOrZero(total_wait);
-  snap.allocation = store.back().allocation;
+  snap.allocation = store.allocation();
   for (size_t wc = 0; wc < telemetry::kNumWaitClasses; ++wc) {
     snap.wait_pct_by_class[wc] =
         grand_total > 0.0 ? 100.0 * class_sums[wc] / grand_total : 0.0;
@@ -159,7 +159,7 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
     ResourceSignals& r = snap.resources[ri];
     std::vector<double> util, wait, wait_per_req;
     double wait_sum = 0.0, total_sum = 0.0;
-    for (const TelemetrySample& s : agg) {
+    for (const SampleRow& s : agg) {
       const double w = ResourceWait(s, kind);
       util.push_back(s.utilization_pct[ri]);
       wait.push_back(w);
@@ -174,7 +174,7 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
     r.wait_pct = total_sum > 0.0 ? 100.0 * wait_sum / total_sum : 0.0;
 
     std::vector<double> util_t, wait_t;
-    for (const TelemetrySample& s : trend) {
+    for (const SampleRow& s : trend) {
       util_t.push_back(s.utilization_pct[ri]);
       wait_t.push_back(ResourceWait(s, kind));
     }
@@ -182,7 +182,7 @@ SignalSnapshot ReferenceSnapshot(const TelemetryStore& store, SimTime now,
     r.wait_trend = ReferenceTrend(estimator, wait_t);
 
     std::vector<double> util_c, wait_c;
-    for (const TelemetrySample& s : corr) {
+    for (const SampleRow& s : corr) {
       util_c.push_back(s.utilization_pct[ri]);
       wait_c.push_back(ResourceWait(s, kind));
     }

@@ -84,7 +84,7 @@ TEST(StoreTest, AppendAndRecent) {
     store.Append(MakeSample(i * 5, (i + 1) * 5));
   }
   EXPECT_EQ(store.size(), 10u);
-  std::vector<const TelemetrySample*> recent;
+  std::vector<const SampleRow*> recent;
   store.RecentInto(3, recent);
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_DOUBLE_EQ(recent[0]->period_start.ToSeconds(), 35.0);
@@ -94,7 +94,7 @@ TEST(StoreTest, AppendAndRecent) {
 TEST(StoreTest, RecentMoreThanAvailable) {
   TelemetryStore store;
   store.Append(MakeSample(0, 5));
-  std::vector<const TelemetrySample*> recent;
+  std::vector<const SampleRow*> recent;
   store.RecentInto(10, recent);
   EXPECT_EQ(recent.size(), 1u);
 }
