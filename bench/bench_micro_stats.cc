@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/stats/cdf.h"
 #include "src/stats/robust.h"
@@ -30,6 +33,30 @@ void BM_Median(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Median)->Arg(12)->Arg(64)->Arg(512);
+
+// Selection as a tenant's windows meet it: every call reads a different
+// window, so branches cannot learn one series (BM_Median refits one). Each
+// of 4,096 pre-generated lognormal windows is copied into the work buffer,
+// since selection above 32 values permutes it, and its median selected.
+void BM_MedianInPlaceChangingWindows(benchmark::State& state) {
+  constexpr size_t kWindows = 4096;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<double> windows = RandomSeries(kWindows * n, 5);
+  std::vector<double> work(n);
+  size_t w = 0;
+  for (auto _ : state) {
+    const double* window = windows.data() + w * n;
+    std::copy(window, window + n, work.begin());
+    benchmark::DoNotOptimize(MedianInPlace(work).value());
+    w = (w + 1) % kWindows;
+  }
+}
+BENCHMARK(BM_MedianInPlaceChangingWindows)
+    ->Arg(12)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(33)
+    ->Arg(276);
 
 void BM_Percentile(benchmark::State& state) {
   auto values = RandomSeries(static_cast<size_t>(state.range(0)), 2);

@@ -7,8 +7,8 @@
 #   2. ThreadSanitizer build, concurrency-sensitive tests: the fault retry
 #      path, the fleet (host-mode fleet included) and ingest suites, and
 #      their example contracts
-#   3. UndefinedBehaviorSanitizer build, complete test suite, examples
-#      included
+#   3. AddressSanitizer + UndefinedBehaviorSanitizer build, complete test
+#      suite, examples included
 #   4. clang-tidy over src/ (skipped with a notice when not installed)
 #   5. custom invariant lint (tools/lint/dbscale_lint.py + its self-test)
 # Any finding in any stage exits non-zero.
@@ -39,15 +39,16 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   -R 'ThreadPool|Fault|Fleet|Comparison|Experiment|Ingest|example_(faulty_resize|fleet_scale|ingest_daemon)'
 
 echo
-echo "=== [3/5] UndefinedBehaviorSanitizer build (full test suite) ==="
-# -fno-sanitize-recover (set by CMake for SANITIZE=undefined) turns every
-# UB diagnostic into a test failure, so a green run means zero reports.
-cmake -B "${PREFIX}-ubsan" -S . \
-  -DSANITIZE=undefined \
+echo "=== [3/5] AddressSanitizer + UBSan build (full test suite) ==="
+# ASan aborts on its first report, and -fno-sanitize-recover (set by CMake
+# for SANITIZE=address,undefined) turns every UB diagnostic into a test
+# failure, so a green run means zero reports of either kind.
+cmake -B "${PREFIX}-asan-ubsan" -S . \
+  -DSANITIZE=address,undefined \
   -DDBSCALE_BUILD_BENCHMARKS=OFF \
   -DDBSCALE_BUILD_EXAMPLES=ON >/dev/null
-cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
-ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}"
+cmake --build "${PREFIX}-asan-ubsan" -j "${JOBS}"
+ctest --test-dir "${PREFIX}-asan-ubsan" --output-on-failure -j "${JOBS}"
 
 echo
 echo "=== [4/5] clang-tidy (checks from .clang-tidy) ==="

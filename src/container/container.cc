@@ -21,39 +21,6 @@ const char* ResourceKindToString(ResourceKind kind) {
   return "?";
 }
 
-double ResourceVector::Get(ResourceKind kind) const {
-  switch (kind) {
-    case ResourceKind::kCpu:
-      return cpu_cores;
-    case ResourceKind::kMemory:
-      return memory_mb;
-    case ResourceKind::kDiskIo:
-      return disk_iops;
-    case ResourceKind::kLogIo:
-      return log_mbps;
-  }
-  DBSCALE_CHECK(false);
-  return 0.0;
-}
-
-void ResourceVector::Set(ResourceKind kind, double value) {
-  switch (kind) {
-    case ResourceKind::kCpu:
-      cpu_cores = value;
-      return;
-    case ResourceKind::kMemory:
-      memory_mb = value;
-      return;
-    case ResourceKind::kDiskIo:
-      disk_iops = value;
-      return;
-    case ResourceKind::kLogIo:
-      log_mbps = value;
-      return;
-  }
-  DBSCALE_CHECK(false);
-}
-
 bool ResourceVector::Dominates(const ResourceVector& other) const {
   return cpu_cores >= other.cpu_cores && memory_mb >= other.memory_mb &&
          disk_iops >= other.disk_iops && log_mbps >= other.log_mbps;

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/check.h"
 #include "src/common/fnv.h"
 
 namespace dbscale::container {
@@ -40,8 +41,38 @@ struct ResourceVector {
   double disk_iops = 0.0;
   double log_mbps = 0.0;
 
-  double Get(ResourceKind kind) const;
-  void Set(ResourceKind kind, double value);
+  double Get(ResourceKind kind) const {
+    switch (kind) {
+      case ResourceKind::kCpu:
+        return cpu_cores;
+      case ResourceKind::kMemory:
+        return memory_mb;
+      case ResourceKind::kDiskIo:
+        return disk_iops;
+      case ResourceKind::kLogIo:
+        return log_mbps;
+    }
+    DBSCALE_CHECK(false);
+    return 0.0;
+  }
+
+  void Set(ResourceKind kind, double value) {
+    switch (kind) {
+      case ResourceKind::kCpu:
+        cpu_cores = value;
+        return;
+      case ResourceKind::kMemory:
+        memory_mb = value;
+        return;
+      case ResourceKind::kDiskIo:
+        disk_iops = value;
+        return;
+      case ResourceKind::kLogIo:
+        log_mbps = value;
+        return;
+    }
+    DBSCALE_CHECK(false);
+  }
 
   /// True when this bundle is >= `other` in every dimension.
   bool Dominates(const ResourceVector& other) const;

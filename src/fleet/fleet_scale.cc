@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 
 #include "src/common/thread_pool.h"
 #include "src/fault/actuator.h"
@@ -301,22 +302,20 @@ struct BlockSink {
         metrics{shard},
         pm(shard != nullptr ? &obs->pipeline() : nullptr),
         records(block_records),
-        num_intervals(run_intervals) {
-    median.reserve(kIntervalsPerHour);
-  }
+        num_intervals(run_intervals) {}
 
   FleetAggregate& agg;
   obs::MetricSink metrics;
   const obs::PipelineMetrics* pm;  ///< null when observability is off
   FleetBlockRecords* records;      ///< null unless materializing
   int num_intervals;
-  std::vector<double> median;  ///< one hour series, selected in place
 };
 
-/// Median of one 12-slot hour series.
-double HourMedian(const double* series, std::vector<double>& scratch) {
-  scratch.assign(series, series + kIntervalsPerHour);
-  return stats::MedianInPlace(scratch).value_or(0.0);
+/// Median of one 12-slot hour series, selected from the hour buffer itself:
+/// every slot is rewritten before the next flush.
+double HourMedian(double* series) {
+  return stats::MedianInPlace(std::span<double>(series, kIntervalsPerHour))
+      .value_or(0.0);
 }
 
 // dbscale-hot: once per tenant-interval on every fleet path. Allocation-free
@@ -377,13 +376,11 @@ void StepEmissions(int tenant, int t, const TenantInterval& interval,
     record.tenant_id = tenant;
     record.hour = t / kIntervalsPerHour;
     for (size_t r = 0; r < container::kNumResources; ++r) {
-      const double* series = hour + r * kHourSeries * kIntervalsPerHour;
-      record.utilization_pct[r] = HourMedian(series, out.median);
-      record.wait_ms[r] = HourMedian(series + kIntervalsPerHour, out.median);
-      record.wait_pct[r] =
-          HourMedian(series + 2 * kIntervalsPerHour, out.median);
-      record.wait_ms_per_request[r] =
-          HourMedian(series + 3 * kIntervalsPerHour, out.median);
+      double* series = hour + r * kHourSeries * kIntervalsPerHour;
+      record.utilization_pct[r] = HourMedian(series);
+      record.wait_ms[r] = HourMedian(series + kIntervalsPerHour);
+      record.wait_pct[r] = HourMedian(series + 2 * kIntervalsPerHour);
+      record.wait_ms_per_request[r] = HourMedian(series + 3 * kIntervalsPerHour);
       cur.hash.Dbl(record.utilization_pct[r]);
       cur.hash.Dbl(record.wait_ms[r]);
       cur.hash.Dbl(record.wait_pct[r]);

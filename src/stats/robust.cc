@@ -1,8 +1,12 @@
 #include "src/stats/robust.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -33,6 +37,89 @@ PercentilePlacement PlacePercentile(size_t n, double p) {
 /// The interpolation kernel shared by the sorted and selection variants.
 double InterpolateOrderStats(double lo_value, double hi_value, double frac) {
   return lo_value * (1.0 - frac) + hi_value * frac;
+}
+
+/// A double's IEEE 754 totalOrder position as a signed integer: a negative
+/// double has every bit below the sign flipped, so integer order is
+/// -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN. The map is its own
+/// inverse.
+int64_t TotalOrderKey(int64_t bits) {
+  return bits ^ ((bits >> 63) & std::numeric_limits<int64_t>::max());
+}
+
+/// Largest window the sorting network serves; larger ones use nth_element.
+constexpr size_t kNetworkMaxWindow = 32;
+
+struct Comparator {
+  uint8_t lo = 0;
+  uint8_t hi = 0;
+};
+
+/// Batcher's odd-even merge sort for a power-of-two `N` inputs, in the
+/// order its comparators must run. `emit` receives each (lo, hi) pair.
+template <size_t N, typename Emit>
+constexpr void ForEachBatcherComparator(Emit emit) {
+  for (size_t p = 1; p < N; p <<= 1) {
+    for (size_t k = p; k >= 1; k >>= 1) {
+      for (size_t j = k % p; j + k < N; j += 2 * k) {
+        for (size_t i = 0; i < std::min(k, N - j - k); ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            emit(i + j, i + j + k);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <size_t N>
+constexpr size_t BatcherSize() {
+  size_t count = 0;
+  ForEachBatcherComparator<N>([&](size_t, size_t) { ++count; });
+  return count;
+}
+
+template <size_t N>
+constexpr auto BatcherNetwork() {
+  std::array<Comparator, BatcherSize<N>()> net{};
+  size_t c = 0;
+  ForEachBatcherComparator<N>([&](size_t lo, size_t hi) {
+    net[c++] = {static_cast<uint8_t>(lo), static_cast<uint8_t>(hi)};
+  });
+  return net;
+}
+
+static_assert(BatcherSize<16>() == 63 && BatcherSize<32>() == 191);
+
+/// Orders two keys without a branch: one integer comparison selects both
+/// outputs, which GCC compiles to two conditional moves. std::min/std::max
+/// on the same keys, or this form on doubles, compile to compare-and-branch
+/// swaps that mispredict on windows that change from call to call.
+inline void CompareExchange(int64_t& a, int64_t& b) {
+  const int64_t x = a;
+  const int64_t y = b;
+  const bool swap = y < x;
+  a = swap ? y : x;
+  b = swap ? x : y;
+}
+
+/// Order statistics `pos.lo` and `pos.hi` of `values` (size <= N): the
+/// window's keys, padded with the largest key, run through the fully
+/// unrolled N-input network. `values` is only read.
+template <size_t N>
+std::pair<double, double> NetworkOrderStats(std::span<const double> values,
+                                            const PercentilePlacement& pos) {
+  static constexpr auto kNetwork = BatcherNetwork<N>();
+  std::array<int64_t, N> keys;
+  keys.fill(std::numeric_limits<int64_t>::max());
+  for (size_t i = 0; i < values.size(); ++i) {
+    keys[i] = TotalOrderKey(std::bit_cast<int64_t>(values[i]));
+  }
+  [&keys]<size_t... C>(std::index_sequence<C...>) {
+    (CompareExchange(keys[kNetwork[C].lo], keys[kNetwork[C].hi]), ...);
+  }(std::make_index_sequence<kNetwork.size()>{});
+  return {std::bit_cast<double>(TotalOrderKey(keys[pos.lo])),
+          std::bit_cast<double>(TotalOrderKey(keys[pos.hi]))};
 }
 
 }  // namespace
@@ -72,7 +159,7 @@ Result<double> Percentile(std::vector<double> values, double p) {
   return PercentileInPlace(values, p);
 }
 
-Result<double> PercentileInPlace(std::vector<double>& values, double p) {
+Result<double> PercentileInPlace(std::span<double> values, double p) {
   if (values.empty()) {
     return Status::InvalidArgument("Percentile of empty sample");
   }
@@ -80,18 +167,29 @@ Result<double> PercentileInPlace(std::vector<double>& values, double p) {
     return Status::OutOfRange("percentile must be in [0, 100]");
   }
   if (values.size() == 1) return values[0];
-  // Mirror PercentileSorted's interpolation exactly: select the lo-th order
-  // statistic, then take the minimum of the upper partition as the hi-th.
+  // Mirror PercentileSorted's interpolation exactly: find the lo-th and
+  // hi-th order statistics, then blend them.
   PercentilePlacement pos = PlacePercentile(values.size(), p);
-  auto lo_it = values.begin() + static_cast<ptrdiff_t>(pos.lo);
-  std::nth_element(values.begin(), lo_it, values.end());
-  double lo_value = *lo_it;
-  double hi_value =
-      pos.hi == pos.lo ? lo_value : *std::min_element(lo_it + 1, values.end());
-  return InterpolateOrderStats(lo_value, hi_value, pos.frac);
+  std::pair<double, double> order_stats;
+  if (values.size() <= kNetworkMaxWindow / 2) {
+    order_stats = NetworkOrderStats<kNetworkMaxWindow / 2>(values, pos);
+  } else if (values.size() <= kNetworkMaxWindow) {
+    order_stats = NetworkOrderStats<kNetworkMaxWindow>(values, pos);
+  } else {
+    // Select the lo-th order statistic, then take the minimum of the upper
+    // partition as the hi-th.
+    auto lo_it = values.begin() + static_cast<ptrdiff_t>(pos.lo);
+    std::nth_element(values.begin(), lo_it, values.end());
+    order_stats.first = *lo_it;
+    order_stats.second = pos.hi == pos.lo
+                             ? *lo_it
+                             : *std::min_element(lo_it + 1, values.end());
+  }
+  return InterpolateOrderStats(order_stats.first, order_stats.second,
+                               pos.frac);
 }
 
-Result<double> MedianInPlace(std::vector<double>& values) {
+Result<double> MedianInPlace(std::span<double> values) {
   return PercentileInPlace(values, 50.0);
 }
 
@@ -101,11 +199,11 @@ Result<double> Mad(const std::vector<double>& values) {
   return MadInPlace(scratch);
 }
 
-Result<double> MadInPlace(std::vector<double>& values) {
+Result<double> MadInPlace(std::span<double> values) {
   if (values.empty()) {
     return Status::InvalidArgument("MAD of empty sample");
   }
-  // MedianInPlace only permutes, so the multiset survives for the
+  // MedianInPlace at most permutes, so the multiset survives for the
   // deviation pass.
   DBSCALE_ASSIGN_OR_RETURN(double med, MedianInPlace(values));
   for (double& v : values) v = std::fabs(v - med);

@@ -10,6 +10,7 @@
 #define DBSCALE_STATS_ROBUST_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -37,22 +38,40 @@ double StdDev(const std::vector<double>& values);
 /// order statistic.
 double PercentileSorted(const std::vector<double>& sorted, double p);
 
-/// Selection-based (nth_element) percentile that permutes `values` instead
-/// of sorting or copying. O(n) expected vs O(n log n); returns values
-/// bit-identical to Percentile on the same input.
-[[nodiscard]] Result<double> PercentileInPlace(std::vector<double>& values,
+/// Selection-based percentile that neither sorts a copy nor allocates;
+/// Percentile, Median, MedianInPlace and MadInPlace all select through it.
+///
+/// Windows of at most 32 values (the default signal windows, the fleet's
+/// hourly medians and the Theil-Sen intercept medians) are copied into a
+/// fixed local array, padded to 16 or 32 slots, and sorted by a
+/// branch-free Batcher odd-even merge network over integer keys; `values`
+/// is left untouched. Larger windows select with std::nth_element and may
+/// permute `values`; either way the multiset survives.
+///
+/// The network orders by IEEE 754 totalOrder, so values that compare equal
+/// but differ in bits keep a fixed order: -0.0 sorts before +0.0. Above 32
+/// values nth_element's `<` cannot tell the two zeros apart, and which one
+/// it returns depends on element order. Either way the result compares ==
+/// to PercentileSorted over a sorted copy, or both are NaN (blending -inf
+/// with +inf, or inf with weight 0, gives NaN). NaN input is outside the
+/// contract: callers keep it out of their windows (the ingest guard and
+/// fault::SampleLooksValid do for every telemetry window), and no result
+/// is defined for a window that holds one.
+[[nodiscard]] Result<double> PercentileInPlace(std::span<double> values,
                                                double p);
 
-/// Selection-based median that permutes `values`; bit-identical to Median.
-[[nodiscard]] Result<double> MedianInPlace(std::vector<double>& values);
+/// PercentileInPlace at p = 50: the average of the two middle order
+/// statistics for even-sized input.
+[[nodiscard]] Result<double> MedianInPlace(std::span<double> values);
 
 /// Median absolute deviation (scaled by 1.4826 for consistency with the
 /// standard deviation under normality). Breakdown point 50%.
 [[nodiscard]] Result<double> Mad(const std::vector<double>& values);
 
-/// MAD computed with zero allocations by permuting/overwriting `values`
-/// (the input is consumed). Same result as Mad.
-[[nodiscard]] Result<double> MadInPlace(std::vector<double>& values);
+/// MAD computed with zero allocations by overwriting `values` with the
+/// absolute deviations (the input is consumed). Same result as Mad. It
+/// relies only on the first median leaving the multiset intact.
+[[nodiscard]] Result<double> MadInPlace(std::span<double> values);
 
 /// Mean after discarding the `trim_fraction` smallest and largest values
 /// (e.g. 0.1 trims 10% from each side). Breakdown point = trim_fraction.

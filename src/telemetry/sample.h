@@ -52,26 +52,6 @@ struct TelemetrySample {
   container::ResourceVector allocation;
   int container_id = 0;
 
-  double duration_sec() const {
-    return (period_end - period_start).ToSeconds();
-  }
-  double throughput_rps() const {
-    double sec = duration_sec();
-    return sec > 0 ? static_cast<double>(requests_completed) / sec : 0.0;
-  }
-  double total_wait_ms() const {
-    double total = 0.0;
-    for (double w : wait_ms) total += w;
-    return total;
-  }
-  /// Share (0..100) of total waits attributed to `wc`; 0 when no waits.
-  double wait_pct(WaitClass wc) const {
-    double total = total_wait_ms();
-    return total > 0.0
-               ? 100.0 * wait_ms[static_cast<size_t>(wc)] / total
-               : 0.0;
-  }
-
   std::string ToString() const;
 };
 

@@ -25,7 +25,8 @@
 namespace dbscale::telemetry {
 
 /// \brief One stored sampling period: the part of a TelemetrySample the
-/// signal windows read, with the same field names and helper arithmetic.
+/// signal windows read, under the same field names, plus the derived
+/// quantities the windows use.
 struct SampleRow {
   SimTime period_start;
   SimTime period_end;

@@ -208,27 +208,31 @@ TEST(AllocGuardTest, ComputeWithoutScratchAllocates) {
 }
 
 TEST(AllocGuardTest, InPlaceStatsAreAllocationFree) {
-  std::vector<double> values;
-  values.reserve(256);
-  for (int i = 0; i < 256; ++i) {
-    values.push_back(static_cast<double>((i * 37) % 101));
+  // One leg per selection path and edge: the 16- and 32-slot networks and
+  // nth_element just past them and at a long window.
+  for (int n : {12, 24, 32, 33, 256}) {
+    std::vector<double> values;
+    values.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      values.push_back(static_cast<double>((i * 37) % 101));
+    }
+    std::vector<double> work(values);
+
+    AllocSpan span;
+    work.assign(values.begin(), values.end());
+    auto median = stats::MedianInPlace(work);
+    work.assign(values.begin(), values.end());
+    auto p95 = stats::PercentileInPlace(work, 95.0);
+    work.assign(values.begin(), values.end());
+    auto mad = stats::MadInPlace(work);
+    EXPECT_EQ(span.allocations(), 0u)
+        << "in-place robust stats allocated at n = " << n;
+
+    ASSERT_TRUE(median.ok());
+    ASSERT_TRUE(p95.ok());
+    ASSERT_TRUE(mad.ok());
+    EXPECT_GT(*mad, 0.0);
   }
-  std::vector<double> work(values);
-
-  AllocSpan span;
-  work.assign(values.begin(), values.end());
-  auto median = stats::MedianInPlace(work);
-  work.assign(values.begin(), values.end());
-  auto p95 = stats::PercentileInPlace(work, 95.0);
-  work.assign(values.begin(), values.end());
-  auto mad = stats::MadInPlace(work);
-  EXPECT_EQ(span.allocations(), 0u)
-      << "in-place robust stats allocated";
-
-  ASSERT_TRUE(median.ok());
-  ASSERT_TRUE(p95.ok());
-  ASSERT_TRUE(mad.ok());
-  EXPECT_GT(*mad, 0.0);
 }
 
 TEST(AllocGuardTest, TheilSenFitSequenceWithScratchIsAllocationFree) {

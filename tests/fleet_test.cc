@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "src/fleet/calibrator.h"
 #include "src/fleet/demand_analysis.h"
 #include "src/fleet/fleet_sim.h"
 #include "src/fleet/tenant_model.h"
 #include "src/fleet/wait_analysis.h"
+#include "src/stats/robust.h"
+#include "tests/total_order.h"
 
 namespace dbscale::fleet {
 namespace {
@@ -132,6 +140,63 @@ TEST(FleetSimTest, ParallelRunBitIdenticalToSerial) {
       auto parallel = FleetSimulator(catalog, options).Run();
       ASSERT_TRUE(parallel.ok());
       ExpectFleetTelemetryIdentical(*serial, *parallel);
+    }
+  }
+}
+
+TEST(FleetSimTest, HourlyMediansMatchSortedReferenceBitForBit) {
+  // Replays the first tenants' streams, forked and stepped as the runner
+  // does on the host-off path, and recomputes each hourly record's 16
+  // medians with a totalOrder sort plus PercentileSorted. Digests hash
+  // these medians; this checks each one's bit pattern.
+  constexpr int kReplayTenants = 64;
+  constexpr size_t kSeries = 4 * container::kNumResources;
+  Catalog catalog = Catalog::MakeLockStep();
+  const FleetOptions options = SmallFleet();
+  auto fleet = FleetSimulator(catalog, options).Run();
+  ASSERT_TRUE(fleet.ok());
+  const int hours = options.num_intervals / kIntervalsPerHour;
+
+  Rng root(options.seed);
+  std::array<std::vector<double>, kSeries> series;
+  for (int tenant = 0; tenant < kReplayTenants; ++tenant) {
+    Rng rng = root.Fork();
+    const TenantParams params =
+        DrawTenantParams(catalog, options.tenant, rng);
+    TenantDynamics dyn;
+    for (int hour = 0; hour < hours; ++hour) {
+      for (std::vector<double>& s : series) s.clear();
+      for (int slot = 0; slot < kIntervalsPerHour; ++slot) {
+        const TenantInterval interval =
+            StepTenant(catalog, options.tenant, params, dyn, rng,
+                       hour * kIntervalsPerHour + slot);
+        const double completed =
+            static_cast<double>(std::max<int64_t>(1, interval.completed));
+        for (size_t r = 0; r < container::kNumResources; ++r) {
+          series[4 * r].push_back(interval.utilization_pct[r]);
+          series[4 * r + 1].push_back(interval.wait_ms[r]);
+          series[4 * r + 2].push_back(interval.wait_pct[r]);
+          series[4 * r + 3].push_back(interval.wait_ms[r] / completed);
+        }
+      }
+      const HourlyRecord& record =
+          fleet->hourly[static_cast<size_t>(tenant * hours + hour)];
+      ASSERT_EQ(record.tenant_id, tenant);
+      ASSERT_EQ(record.hour, hour);
+      for (size_t r = 0; r < container::kNumResources; ++r) {
+        const double medians[] = {record.utilization_pct[r],
+                                  record.wait_ms[r], record.wait_pct[r],
+                                  record.wait_ms_per_request[r]};
+        for (size_t k = 0; k < 4; ++k) {
+          std::vector<double>& sorted = series[4 * r + k];
+          testing::SortTotalOrder(sorted);
+          ASSERT_EQ(std::bit_cast<uint64_t>(medians[k]),
+                    std::bit_cast<uint64_t>(
+                        stats::PercentileSorted(sorted, 50.0)))
+              << "tenant " << tenant << " hour " << hour << " resource "
+              << r << " series " << k;
+        }
+      }
     }
   }
 }

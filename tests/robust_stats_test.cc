@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "tests/total_order.h"
 
 namespace dbscale::stats {
 namespace {
@@ -150,6 +157,145 @@ TEST(MadInPlaceTest, MatchesMad) {
 TEST(MadInPlaceTest, EmptyIsError) {
   std::vector<double> empty;
   EXPECT_FALSE(MadInPlace(empty).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Bit-level oracle for the selection kernels. EXPECT_EQ on doubles cannot
+// see the sign of a zero, so results are compared as bit patterns: windows
+// of up to 32 values against a totalOrder sort plus PercentileSorted, larger
+// ones against the nth_element path they keep. Every window also compares
+// == to that nth_element path, the selection used before the network.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// == for results that may be NaN: inf - inf in the interpolation gives
+/// NaN on every path.
+bool SameValue(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/// The selection path before the sorting network, permuting `values`.
+double NthElementPercentile(std::vector<double>& values, double p) {
+  if (values.size() == 1) return values[0];
+  const double pos = p / 100.0 * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  auto lo_it = values.begin() + static_cast<ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
+}
+
+double NthElementMad(std::vector<double> values) {
+  const double med = NthElementPercentile(values, 50.0);
+  for (double& v : values) v = std::fabs(v - med);
+  return 1.4826 * NthElementPercentile(values, 50.0);
+}
+
+double TotalOrderMad(std::vector<double> values) {
+  testing::SortTotalOrder(values);
+  const double med = PercentileSorted(values, 50.0);
+  for (double& v : values) v = std::fabs(v - med);
+  testing::SortTotalOrder(values);
+  return 1.4826 * PercentileSorted(values, 50.0);
+}
+
+/// A window of `n` values in one of four regimes (distinct lognormal
+/// values, heavy ties from a pool of three, constant runs, one constant),
+/// with some values negated and, in half the windows, some replaced by
+/// +0.0, -0.0, +inf or -inf.
+std::vector<double> OracleWindow(Rng& rng, size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSpecial[] = {0.0, -0.0, kInf, -kInf};
+  const double pool[] = {rng.LogNormal(0.0, 1.0), rng.LogNormal(0.0, 1.0),
+                         rng.LogNormal(0.0, 1.0)};
+  const int64_t regime = rng.UniformInt(0, 3);
+  const double negative_rate = rng.Bernoulli(0.5) ? 0.0 : 0.3;
+  const double special_rate = rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0.0, 0.6);
+  double run = pool[0];
+  std::vector<double> window(n);
+  for (double& v : window) {
+    switch (regime) {
+      case 0:
+        v = rng.LogNormal(0.0, 2.0);
+        break;
+      case 1:
+        v = pool[rng.UniformInt(0, 2)];
+        break;
+      case 2:
+        if (rng.Bernoulli(0.3)) run = rng.LogNormal(0.0, 1.0);
+        v = run;
+        break;
+      default:
+        v = pool[0];
+        break;
+    }
+    if (rng.Bernoulli(negative_rate)) v = -v;
+    if (rng.Bernoulli(special_rate)) v = kSpecial[rng.UniformInt(0, 3)];
+  }
+  return window;
+}
+
+TEST(SelectionOracleTest, KernelsMatchReferencesBitForBit) {
+  constexpr size_t kMaxWindow = 40;       // past the 32-value network
+  constexpr int kWindowsPerSize = 2500;  // 100,000 windows in all
+  Rng rng(2016);
+  std::vector<double> sorted;
+  std::vector<double> work;
+  for (size_t n = 1; n <= kMaxWindow; ++n) {
+    for (int w = 0; w < kWindowsPerSize; ++w) {
+      const std::vector<double> window = OracleWindow(rng, n);
+      sorted = window;
+      testing::SortTotalOrder(sorted);
+      const double random_p = rng.Uniform(0.0, 100.0);
+      for (double p : {0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0, random_p}) {
+        work = window;
+        const double old_path = NthElementPercentile(work, p);
+        const double reference = PercentileSorted(sorted, p);
+        work = window;
+        const double got = *PercentileInPlace(work, p);
+        ASSERT_TRUE(SameValue(got, old_path)) << "n=" << n << " w=" << w
+                                              << " p=" << p;
+        ASSERT_TRUE(SameValue(got, reference)) << "n=" << n << " w=" << w
+                                               << " p=" << p;
+        if (n <= 32) {
+          ASSERT_EQ(Bits(got), Bits(reference))
+              << "n=" << n << " w=" << w << " p=" << p;
+          // The network path only reads its input.
+          ASSERT_EQ(std::memcmp(work.data(), window.data(),
+                                n * sizeof(double)),
+                    0)
+              << "n=" << n << " w=" << w;
+        } else {
+          ASSERT_EQ(Bits(got), Bits(old_path))
+              << "n=" << n << " w=" << w << " p=" << p;
+        }
+      }
+
+      work = window;
+      const double median = *MedianInPlace(work);
+      work = window;
+      const double old_median = NthElementPercentile(work, 50.0);
+      ASSERT_EQ(Bits(median),
+                Bits(n <= 32 ? PercentileSorted(sorted, 50.0) : old_median))
+          << "n=" << n << " w=" << w;
+
+      work = window;
+      const double mad = *MadInPlace(work);
+      const double old_mad = NthElementMad(window);
+      ASSERT_EQ(Bits(mad), Bits(n <= 32 ? TotalOrderMad(window) : old_mad))
+          << "n=" << n << " w=" << w;
+      // An infinite median makes NaN deviations, which are outside the
+      // contract; with a finite one every path agrees.
+      if (std::isfinite(PercentileSorted(sorted, 50.0))) {
+        ASSERT_TRUE(SameValue(mad, old_mad)) << "n=" << n << " w=" << w;
+      }
+    }
+  }
 }
 
 TEST(RunningStatsTest, MatchesBatch) {

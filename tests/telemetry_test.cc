@@ -55,27 +55,24 @@ TEST(WaitClassTest, InverseMappingConsistent) {
   }
 }
 
-TEST(SampleTest, WaitSharesSumTo100) {
-  TelemetrySample s = MakeSample(0, 5);
-  s.wait_ms[static_cast<size_t>(WaitClass::kCpu)] = 30;
-  s.wait_ms[static_cast<size_t>(WaitClass::kLock)] = 70;
-  EXPECT_DOUBLE_EQ(s.total_wait_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(s.wait_pct(WaitClass::kCpu), 30.0);
-  EXPECT_DOUBLE_EQ(s.wait_pct(WaitClass::kLock), 70.0);
-  double total = 0;
-  for (WaitClass wc : kAllWaitClasses) total += s.wait_pct(wc);
-  EXPECT_DOUBLE_EQ(total, 100.0);
+SampleRow MakeRow(double start_sec, double end_sec) {
+  SampleRow row;
+  row.period_start = SimTime::Zero() + Duration::Seconds(start_sec);
+  row.period_end = SimTime::Zero() + Duration::Seconds(end_sec);
+  return row;
 }
 
-TEST(SampleTest, NoWaitsGivesZeroShares) {
-  TelemetrySample s = MakeSample(0, 5);
-  EXPECT_DOUBLE_EQ(s.wait_pct(WaitClass::kCpu), 0.0);
+TEST(SampleTest, WaitSharesSumTo100) {
+  SampleRow row = MakeRow(0, 5);
+  row.wait_ms[static_cast<size_t>(WaitClass::kCpu)] = 30;
+  row.wait_ms[static_cast<size_t>(WaitClass::kLock)] = 70;
+  EXPECT_DOUBLE_EQ(row.total_wait_ms(), 100.0);
 }
 
 TEST(SampleTest, Throughput) {
-  TelemetrySample s = MakeSample(0, 5);
-  s.requests_completed = 50;
-  EXPECT_DOUBLE_EQ(s.throughput_rps(), 10.0);
+  SampleRow row = MakeRow(0, 5);
+  row.requests_completed = 50;
+  EXPECT_DOUBLE_EQ(row.throughput_rps(), 10.0);
 }
 
 TEST(StoreTest, AppendAndRecent) {
